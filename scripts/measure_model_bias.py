@@ -19,7 +19,6 @@ import time
 
 from urpayload.rate_control import Scheme
 from urpayload.simulator import Semantics, SimSpec, run_sim
-from urpayload.sir_model import SirDistribution
 from urpayload.sweeps import CDF_SETUPS
 from urpayload.validation import MonteCarloPoint, _analytic_point
 
@@ -42,13 +41,12 @@ def main() -> int:
     args = parser.parse_args()
 
     topology = CDF_SETUPS["B"]
-    dist = SirDistribution.from_topology(topology)
     n = 200
-    print(f"# trials={args.trials:g} seed={args.seed} topology=B (beta={dist.beta:.6f})")
+    print(f"# trials={args.trials:g} seed={args.seed} topology=B (beta={topology.beta:.6f})")
     print(f"{'point':<14} {'k':>4} {'prediction':>12} {'empirical':>12} "
           f"{'gap':>8} {'noise':>8} {'secs':>6}")
     for point in POINTS:
-        k, prediction = _analytic_point(point, topology, dist, n)
+        k, prediction = _analytic_point(point, topology, n)
         start = time.perf_counter()
         report = run_sim(
             SimSpec(

@@ -26,7 +26,6 @@ from .numerics import (
 from .rate_control import (
     LinkConfig,
     Method,
-    QuantileMethod,
     RateSolution,
     Scheme,
     combined_sir_pdf,

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .numerics import BracketError, QuadratureError
 from .rate_control import LinkConfig, Method, Scheme
 from .simulator import Semantics, SimSpec, load_sim_spec, run_sim
-from .sir_model import SirDistribution, SirSource, Topology, load_topology
+from .sir_model import SirDistribution, load_topology
 from .sweeps import (
     Axis,
     PRESET_NAMES,
@@ -97,24 +97,17 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_source(args) -> tuple[SirDistribution, SirSource]:
+def _resolve_source(args) -> SirDistribution:
     """Build the SIR law from either a topology file or a (beta, eta) pair."""
     by_file = args.topology is not None
     by_pair = args.beta is not None or args.eta is not None
     if by_file and by_pair:
         raise ConfigError("give either --topology or --beta/--eta, not both")
     if by_file:
-        source = load_topology(args.topology)
-        dist = (
-            SirDistribution.from_topology(source)
-            if isinstance(source, Topology)
-            else source
-        )
-        return dist, source
+        return load_topology(args.topology)
     if args.beta is None or args.eta is None:
         raise ConfigError("need --topology, or both --beta and --eta")
-    dist = SirDistribution.from_beta(args.beta, args.eta)
-    return dist, dist
+    return SirDistribution.from_beta(args.beta, args.eta)
 
 
 _METHOD_ALIASES = {
@@ -158,7 +151,7 @@ def _solution_dict(method: Method, sol) -> dict:
 
 
 def _cmd_rate(args) -> int:
-    dist, source = _resolve_source(args)
+    dist = _resolve_source(args)
     if args.eps is None:
         raise ConfigError("rate requires --eps")
     scheme = Scheme(args.scheme)
@@ -166,7 +159,7 @@ def _cmd_rate(args) -> int:
     cfg = LinkConfig(args.M, args.n, args.eps, scheme)
     records = []
     for method in methods:
-        sol = solve(method, dist, cfg, source)
+        sol = solve(method, dist, cfg)
         records.append(_solution_dict(method, sol))
     if args.json:
         print(json.dumps({"results": records}))
@@ -192,7 +185,7 @@ def _cmd_sweep(args) -> int:
     else:
         if args.axis is None or args.values is None:
             raise ConfigError("generic sweep requires --axis and --values (or --preset)")
-        dist, source = _resolve_source(args)
+        dist = _resolve_source(args)
         scheme = Scheme(args.scheme)
         methods = _parse_methods(args.methods, scheme)
         values = tuple(float(v) for v in args.values.split(","))
@@ -204,7 +197,6 @@ def _cmd_sweep(args) -> int:
             config=cfg,
             dist=dist,
             methods=tuple(methods),
-            topology=source,
         )
         rows = run_sweep(spec, workers=args.workers)
         comments.append(
@@ -224,9 +216,8 @@ def _cmd_simulate(args) -> int:
             raise ConfigError("--spec replaces the source flags; give one or the other")
         spec = load_sim_spec(args.spec)
     else:
-        dist, source = _resolve_source(args)
         spec = SimSpec(
-            topology=source,
+            topology=_resolve_source(args),
             antennas=args.M,
             scheme=Scheme(args.scheme),
             threshold_bits=args.k,

@@ -21,7 +21,6 @@ from .numerics import QuadratureSpec, integrate_semi_infinite, q_function
 from .rate_control import (
     LinkConfig,
     Method,
-    QuantileMethod,
     RateSolution,
     Scheme,
     _max_feasible_k,
@@ -150,7 +149,7 @@ def fb_kstar(
     if cfg.scheme is Scheme.SC:
         seed = sc_kstar_approx(dist, cfg)
     else:
-        seed = mrc_kstar(dist, cfg, QuantileMethod.NUMERIC)
+        seed = mrc_kstar(dist, cfg)
     density = combined_sir_pdf(dist, cfg.antennas, cfg.scheme)
     n, eps = cfg.blocklength, cfg.epsilon_th
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 from .numerics import (
     Bracket,
@@ -22,7 +22,6 @@ from .numerics import (
 )
 from .sir_model import (
     SirDistribution,
-    SirSource,
     sir_cdf_approx,
     sir_cdf_exact,
     sir_pdf_approx,
@@ -31,7 +30,6 @@ from .sir_model import (
 __all__ = [
     "LinkConfig",
     "Method",
-    "QuantileMethod",
     "RateSolution",
     "Scheme",
     "combined_sir_pdf",
@@ -64,11 +62,6 @@ class Method(str, Enum):
     MRC_NUMERIC = "mrc_numeric"
     MRC_CLOSED = "mrc_closed"
     FB = "fb"
-
-
-class QuantileMethod(str, Enum):
-    NUMERIC = "numeric"
-    CLOSED = "closed"
 
 
 @dataclass(frozen=True)
@@ -130,26 +123,15 @@ def _log1p_theta_weight(t: float, w: float) -> float:
 
 
 def sc_error(
-    theta: float,
-    dist: Optional[SirDistribution] = None,
-    antennas: int = 1,
-    exact: bool = False,
-    topology: Optional[SirSource] = None,
+    theta: float, dist: SirDistribution, antennas: int = 1, exact: bool = False
 ) -> float:
     """Selection-combining error probability F_SIR(theta)^M.
 
-    With exact=True the product-form CDF of `topology` is used; otherwise the
-    scaled-Lomax CDF of `dist`. The M-th power is taken as exp(M*log F) once
-    F drops below 1e-3 so deep-tail results keep relative precision.
+    With exact=True the product-form CDF of `dist` is used; otherwise its
+    scaled-Lomax CDF. The M-th power is taken as exp(M*log F) once F drops
+    below 1e-3 so deep-tail results keep relative precision.
     """
-    if exact:
-        if topology is None:
-            raise ValueError("exact SC error requires a topology")
-        cdf = sir_cdf_exact(theta, topology)
-    else:
-        if dist is None:
-            raise ValueError("approximate SC error requires a SirDistribution")
-        cdf = sir_cdf_approx(theta, dist)
+    cdf = sir_cdf_exact(theta, dist) if exact else sir_cdf_approx(theta, dist)
     if cdf <= 0.0:
         return 0.0
     if cdf < 1e-3:
@@ -197,7 +179,7 @@ def _finish(
     )
 
 
-def sc_kstar_exact(topology: SirSource, cfg: LinkConfig) -> RateSolution:
+def sc_kstar_exact(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     """Maximum payload under SC from the exact product-form constraint.
 
     Solves prod_j(1 + theta(k)*w_j) = 1/(1 - eps^(1/M)) for real k by
@@ -207,11 +189,6 @@ def sc_kstar_exact(topology: SirSource, cfg: LinkConfig) -> RateSolution:
     if cfg.scheme is not Scheme.SC:
         raise ValueError("sc_kstar_exact requires an SC-scheme config")
     n, m, eps = cfg.blocklength, cfg.antennas, cfg.epsilon_th
-    dist = (
-        SirDistribution.from_topology(topology)
-        if not isinstance(topology, SirDistribution)
-        else topology
-    )
     weights = dist.path_losses
     target = -math.log1p(-eps ** (1.0 / m))
 
@@ -225,7 +202,7 @@ def sc_kstar_exact(topology: SirSource, cfg: LinkConfig) -> RateSolution:
     k_real = find_root_monotone(log_product, target, Bracket(0.0, hi), tol=1e-9)
 
     def err(k: int) -> float:
-        return sc_error(theta_for_rate(k, n), antennas=m, exact=True, topology=topology)
+        return sc_error(theta_for_rate(k, n), dist, m, exact=True)
 
     k, e = _max_feasible_k(err, eps, math.floor(k_real + 1e-9))
     return _finish(k, k_real, e, n, Method.SC_EXACT)
@@ -376,34 +353,33 @@ def mrc_error(theta: float, dist: SirDistribution, antennas: int) -> float:
 
 
 def mrc_kstar(
-    dist: SirDistribution,
-    cfg: LinkConfig,
-    quantile_method: QuantileMethod = QuantileMethod.NUMERIC,
+    dist: SirDistribution, cfg: LinkConfig, method: Method = Method.MRC_NUMERIC
 ) -> RateSolution:
     """Maximum payload under MRC: n*log2((eta/beta)*quantile(eps) + 1).
 
-    The closed quantile can overshoot slightly, so for either method the
-    integer payload is settled against the Lomax-sum error measure, keeping
+    `method` picks the numeric or the closed-form quantile. The closed
+    quantile can overshoot slightly, so for either method the integer
+    payload is settled against the Lomax-sum error measure, keeping
     predicted_epsilon <= the target; k_real retains the raw quantile-based
     value.
     """
     if cfg.scheme is not Scheme.MRC:
         raise ValueError("mrc_kstar requires an MRC-scheme config")
     n, m, eps = cfg.blocklength, cfg.antennas, cfg.epsilon_th
-    method = QuantileMethod(quantile_method)
-    if method is QuantileMethod.NUMERIC:
+    method = Method(method)
+    if method is Method.MRC_NUMERIC:
         quantile = mrc_quantile_numeric(eps, m, dist.eta)
-        label = Method.MRC_NUMERIC
-    else:
+    elif method is Method.MRC_CLOSED:
         quantile = mrc_quantile_closed(eps, m, dist.eta)
-        label = Method.MRC_CLOSED
+    else:
+        raise ValueError(f"mrc_kstar requires an MRC method, got {method.value}")
     k_real = n * math.log1p((dist.eta / dist.beta) * quantile) / _LN2
 
     def err(k: int) -> float:
         return mrc_error(theta_for_rate(k, n), dist, m)
 
     k, e = _max_feasible_k(err, eps, math.floor(k_real + 1e-9))
-    return _finish(k, k_real, e, n, label)
+    return _finish(k, k_real, e, n, method)
 
 
 def combined_sir_pdf(

@@ -28,7 +28,7 @@ import numpy as np
 
 from .finite_blocklength import fb_error_conditional
 from .rate_control import Scheme, theta_for_rate
-from .sir_model import SirDistribution, SirSource, Topology, parse_topology
+from .sir_model import SirDistribution, parse_topology
 
 __all__ = [
     "Semantics",
@@ -59,7 +59,7 @@ class UndersampledError(ValueError):
 class SimSpec:
     """Full description of one simulation run."""
 
-    topology: SirSource
+    topology: SirDistribution
     antennas: int
     scheme: Scheme
     threshold_bits: int
@@ -75,6 +75,8 @@ class SimSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "semantics", Semantics(self.semantics))
+        if not isinstance(self.topology, SirDistribution):
+            raise TypeError(f"topology must be a SirDistribution, got {type(self.topology)!r}")
         if self.antennas < 1:
             raise ValueError(f"antennas must be >= 1, got {self.antennas}")
         if self.trials < 1:
@@ -171,37 +173,29 @@ def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, f
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _interference_weights(source: SirSource) -> np.ndarray:
-    if isinstance(source, Topology):
-        return np.asarray(source.interference_weights(), dtype=float)
-    if isinstance(source, SirDistribution):
-        return np.asarray(source.path_losses, dtype=float)
-    raise TypeError(f"expected Topology or SirDistribution, got {type(source)!r}")
-
-
 def _exponential(rng: np.random.Generator, shape) -> np.ndarray:
     # inverse transform of U ~ [0, 1): -log(1 - U) is Exp(1)
     return -np.log1p(-rng.random(shape))
 
 
 def sample_sir_block(
-    source: SirSource, antennas: int, trials: int, rng: np.random.Generator
+    dist: SirDistribution, antennas: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw `trials` independent per-antenna SIR vectors; shape (trials, antennas).
 
     SIR_i = h_i / sum_j g_ji * w_j with h, g unit exponentials and w the
-    topology's interference weights (r0^alpha * r_j^(-alpha)).
+    law's interference weights `path_losses` (r0^alpha * r_j^(-alpha)).
     """
-    weights = _interference_weights(source)
+    weights = np.asarray(dist.path_losses, dtype=float)
     h = _exponential(rng, (trials, antennas))
     g = _exponential(rng, (trials, weights.size, antennas))
     interference = np.einsum("tja,j->ta", g, weights)
     return h / interference
 
 
-def sample_sir(source: SirSource, antennas: int, rng: np.random.Generator) -> np.ndarray:
+def sample_sir(dist: SirDistribution, antennas: int, rng: np.random.Generator) -> np.ndarray:
     """One fading draw: the per-antenna SIR values, shape (antennas,)."""
-    return sample_sir_block(source, antennas, 1, rng)[0]
+    return sample_sir_block(dist, antennas, 1, rng)[0]
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

@@ -1,11 +1,12 @@
-"""Deterministic link topology and the per-antenna SIR distribution.
+"""The per-antenna SIR law of a deterministic link topology.
 
-For a fixed set of interferer distances the per-antenna SIR has an exact
-product-form CDF. Replacing the product by its arithmetic-geometric-mean
-bound collapses the whole topology into two numbers (eta, beta) and turns
-the law into a scaled Lomax distribution; the bound is an upper bound on
-the CDF everywhere and is tight in the left tail, which is exactly where
-reliability targets live.
+The whole law is the vector of interferer weights w_j = r0^alpha * r_j^(-alpha)
+(or l0 * l_j for general path losses). SirDistribution carries it: the full
+vector gives the exact product-form CDF, and the pair (eta, beta = sum w_j)
+gives the scaled-Lomax form obtained by replacing the product with its
+arithmetic-geometric-mean bound. That bound is an upper bound on the CDF
+everywhere and is tight in the left tail, which is exactly where reliability
+targets live. Topology is the SirDistribution built from distances.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
 
 __all__ = [
     "SirDistribution",
@@ -29,52 +29,6 @@ __all__ = [
     "sir_pdf_approx",
     "sir_pdf_exact",
 ]
-
-
-@dataclass(frozen=True)
-class Topology:
-    """Serving distance, interferer distances and path-loss exponent.
-
-    Distances are in meters. alpha must exceed 2 or the far-field
-    interference sum in the underlying model diverges.
-    """
-
-    r0: float
-    interferer_distances: tuple[float, ...]
-    alpha: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r0", float(self.r0))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(
-            self, "interferer_distances", tuple(float(r) for r in self.interferer_distances)
-        )
-        if not self.r0 > 0.0:
-            raise ValueError(f"serving distance must be positive, got {self.r0}")
-        if not self.alpha > 2.0:
-            raise ValueError(f"path-loss exponent must exceed 2, got {self.alpha}")
-        if len(self.interferer_distances) < 1:
-            raise ValueError("at least one interferer is required")
-        if any(r <= 0.0 for r in self.interferer_distances):
-            raise ValueError("interferer distances must all be positive")
-
-    @property
-    def eta(self) -> int:
-        return len(self.interferer_distances)
-
-    def interference_weights(self) -> tuple[float, ...]:
-        """Per-interferer weights r0^alpha * r_j^(-alpha).
-
-        These dimensionless ratios are the only topology quantities the SIR
-        law depends on; their sum is beta.
-        """
-        g0 = self.r0**self.alpha
-        return tuple(g0 * r ** (-self.alpha) for r in self.interferer_distances)
-
-
-def beta_from_topology(topology: Topology) -> float:
-    """Aggregate interference coupling beta = r0^alpha * sum_j r_j^(-alpha)."""
-    return math.fsum(topology.interference_weights())
 
 
 def beta_from_path_losses(l0: float, lj: list[float] | tuple[float, ...]) -> float:
@@ -108,12 +62,12 @@ class SirDistribution:
         object.__setattr__(self, "path_losses", tuple(float(w) for w in self.path_losses))
         if not (isinstance(self.eta, int) and self.eta >= 1):
             raise ValueError(f"eta must be a positive integer, got {self.eta!r}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if len(self.path_losses) != self.eta:
             raise ValueError("path_losses length must equal eta")
-        if any(w <= 0.0 for w in self.path_losses):
-            raise ValueError("path losses must all be positive")
+        if not all(0.0 < w < math.inf for w in self.path_losses):
+            raise ValueError("path losses must all be positive and finite")
         total = math.fsum(self.path_losses)
         if not math.isclose(total, self.beta, rel_tol=1e-9):
             raise ValueError(
@@ -121,9 +75,9 @@ class SirDistribution:
             )
 
     @classmethod
-    def from_topology(cls, topology: Topology) -> "SirDistribution":
-        weights = topology.interference_weights()
-        return cls(eta=topology.eta, beta=math.fsum(weights), path_losses=weights)
+    def from_topology(cls, topology: "Topology") -> "SirDistribution":
+        """The law of `topology` without its distances."""
+        return cls(eta=topology.eta, beta=topology.beta, path_losses=topology.path_losses)
 
     @classmethod
     def from_path_losses(
@@ -146,13 +100,44 @@ class SirDistribution:
         return cls(eta=eta, beta=beta, path_losses=(beta / eta,) * eta)
 
 
-SirSource = Union[Topology, SirDistribution]
+@dataclass(frozen=True, init=False)
+class Topology(SirDistribution):
+    """Serving distance, interferer distances and path-loss exponent.
+
+    Distances are in meters. alpha must exceed 2 or the far-field
+    interference sum in the underlying model diverges. The SIR law is fixed
+    at construction: path_losses are the interferer weights
+    r0^alpha * r_j^(-alpha), and beta is their sum.
+    """
+
+    r0: float
+    interferer_distances: tuple[float, ...]
+    alpha: float
+
+    def __init__(
+        self, r0: float, interferer_distances: tuple[float, ...], alpha: float
+    ) -> None:
+        r0, alpha = float(r0), float(alpha)
+        distances = tuple(float(r) for r in interferer_distances)
+        if not r0 > 0.0:
+            raise ValueError(f"serving distance must be positive, got {r0}")
+        if not alpha > 2.0:
+            raise ValueError(f"path-loss exponent must exceed 2, got {alpha}")
+        if len(distances) < 1:
+            raise ValueError("at least one interferer is required")
+        if any(r <= 0.0 for r in distances):
+            raise ValueError("interferer distances must all be positive")
+        object.__setattr__(self, "r0", r0)
+        object.__setattr__(self, "interferer_distances", distances)
+        object.__setattr__(self, "alpha", alpha)
+        g0 = r0**alpha
+        weights = tuple(g0 * r ** (-alpha) for r in distances)
+        super().__init__(len(distances), beta=math.fsum(weights), path_losses=weights)
 
 
-def _weights(source: SirSource) -> tuple[float, ...]:
-    if isinstance(source, Topology):
-        return source.interference_weights()
-    return source.path_losses
+def beta_from_topology(topology: Topology) -> float:
+    """Aggregate interference coupling beta = r0^alpha * sum_j r_j^(-alpha)."""
+    return topology.beta
 
 
 def _check_gamma(gamma: float) -> None:
@@ -160,10 +145,10 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"SIR threshold must be nonnegative, got {gamma}")
 
 
-def sir_log_survival_exact(gamma: float, source: SirSource) -> float:
+def sir_log_survival_exact(gamma: float, dist: SirDistribution) -> float:
     """log P(SIR > gamma) under the exact product form: -sum_j log1p(gamma*w_j)."""
     _check_gamma(gamma)
-    return -math.fsum(math.log1p(gamma * w) for w in _weights(source))
+    return -math.fsum(math.log1p(gamma * w) for w in dist.path_losses)
 
 
 def sir_log_survival_approx(gamma: float, dist: SirDistribution) -> float:
@@ -172,13 +157,13 @@ def sir_log_survival_approx(gamma: float, dist: SirDistribution) -> float:
     return -dist.eta * math.log1p(gamma * dist.beta / dist.eta)
 
 
-def sir_cdf_exact(gamma: float, source: SirSource) -> float:
+def sir_cdf_exact(gamma: float, dist: SirDistribution) -> float:
     """Exact per-antenna SIR CDF 1 - prod_j 1/(1 + gamma * w_j).
 
     Evaluated through the log-domain survival sum so left-tail values near 0
     keep relative precision.
     """
-    return -math.expm1(sir_log_survival_exact(gamma, source))
+    return -math.expm1(sir_log_survival_exact(gamma, dist))
 
 
 def sir_cdf_approx(gamma: float, dist: SirDistribution) -> float:
@@ -192,27 +177,27 @@ def sir_pdf_approx(gamma: float, dist: SirDistribution) -> float:
     return dist.beta * math.exp(-(dist.eta + 1) * math.log1p(gamma * dist.beta / dist.eta))
 
 
-def sir_pdf_exact(gamma: float, source: SirSource) -> float:
+def sir_pdf_exact(gamma: float, dist: SirDistribution) -> float:
     """Derivative of the exact CDF: survival(gamma) * sum_j w_j/(1 + gamma*w_j)."""
     _check_gamma(gamma)
-    weights = _weights(source)
+    weights = dist.path_losses
     survival = math.exp(-math.fsum(math.log1p(gamma * w) for w in weights))
     return survival * math.fsum(w / (1.0 + gamma * w) for w in weights)
 
 
-def load_topology(path: str | Path) -> SirSource:
+def load_topology(path: str | Path) -> SirDistribution:
     """Load a topology JSON file; see parse_topology for the layouts."""
     return parse_topology(json.loads(Path(path).read_text()))
 
 
-def parse_topology(doc: dict) -> SirSource:
-    """Build a SIR source from a topology JSON document.
+def parse_topology(doc: dict) -> SirDistribution:
+    """Build the SIR law described by a topology JSON document.
 
     Two layouts are accepted, exactly one of which must be present:
       {"r0": 20, "alpha": 3.5, "interferers": [30, 50, ...]}
       {"path_losses": {"l0": 1.2e4, "lj": [1e-5, ...]}}
-    Distance inputs return a Topology; path-loss inputs return the
-    SirDistribution they determine (distances are not recoverable).
+    Distance inputs return a Topology, which also keeps the distances;
+    path-loss inputs return the plain SirDistribution they determine.
     """
     has_distances = "interferers" in doc
     has_losses = "path_losses" in doc

@@ -24,7 +24,6 @@ from .finite_blocklength import fb_kstar
 from .rate_control import (
     LinkConfig,
     Method,
-    QuantileMethod,
     RateSolution,
     Scheme,
     lomax_sum_cdf,
@@ -35,7 +34,6 @@ from .rate_control import (
 )
 from .sir_model import (
     SirDistribution,
-    SirSource,
     Topology,
     sir_cdf_approx,
     sir_cdf_exact,
@@ -77,7 +75,6 @@ class SweepSpec:
     config: LinkConfig
     dist: SirDistribution
     methods: tuple[Method, ...]
-    topology: Optional[SirSource] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axis", Axis(self.axis))
@@ -122,44 +119,42 @@ def solve(
     method: Method,
     dist: SirDistribution,
     config: LinkConfig,
-    topology: Optional[SirSource] = None,
+    topology: Optional[SirDistribution] = None,
 ) -> RateSolution:
-    """Dispatch one allocation method on one link configuration."""
+    """Dispatch one allocation method on one link configuration.
+
+    `topology`, when given, replaces `dist` as the law of the exact SC solve.
+    """
     method = Method(method)
     if method is Method.SC_EXACT:
         return sc_kstar_exact(topology if topology is not None else dist, config)
     if method is Method.SC_APPROX:
         return sc_kstar_approx(dist, config)
-    if method is Method.MRC_NUMERIC:
-        return mrc_kstar(dist, config, QuantileMethod.NUMERIC)
-    if method is Method.MRC_CLOSED:
-        return mrc_kstar(dist, config, QuantileMethod.CLOSED)
+    if method in _MRC_METHODS:
+        return mrc_kstar(dist, config, method)
     if method is Method.FB:
         return fb_kstar(dist, config)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _at_axis_value(
-    spec: SweepSpec, value: float
-) -> tuple[LinkConfig, SirDistribution, Optional[SirSource]]:
-    cfg, dist, topology = spec.config, spec.dist, spec.topology
+def _at_axis_value(spec: SweepSpec, value: float) -> tuple[LinkConfig, SirDistribution]:
+    cfg, dist = spec.config, spec.dist
     if spec.axis is Axis.EPSILON_TH:
         cfg = dataclasses.replace(cfg, epsilon_th=value)
     elif spec.axis is Axis.BETA:
         dist = SirDistribution.from_beta(value, dist.eta)
-        topology = None  # distances no longer describe the swept law
     elif spec.axis is Axis.ANTENNAS:
         cfg = dataclasses.replace(cfg, antennas=int(value))
     elif spec.axis is Axis.BLOCKLENGTH:
         cfg = dataclasses.replace(cfg, blocklength=int(value))
-    return cfg, dist, topology
+    return cfg, dist
 
 
 def _rows_at_value(spec: SweepSpec, value: float) -> list[SweepRow]:
-    cfg, dist, topology = _at_axis_value(spec, value)
+    cfg, dist = _at_axis_value(spec, value)
     rows = []
     for method in spec.methods:
-        sol = solve(method, dist, cfg, topology if topology is not None else dist)
+        sol = solve(method, dist, cfg)
         rows.append(
             SweepRow(
                 axis=spec.axis.value,
@@ -225,13 +220,8 @@ def write_csv(rows: Sequence, out, comments: Sequence[str] = ()) -> None:
 
 # --- figure presets ---------------------------------------------------------
 
-# Reference topology for the epsilon sweep: serving link 20 m, ten interferers
-# at 10+20j m, exponent 3.5 (beta = 0.306102...).
-_TOPOLOGY_MAIN = Topology(
-    r0=20.0, interferer_distances=tuple(10.0 + 20.0 * j for j in range(1, 11)), alpha=3.5
-)
-
 # Left-tail comparison setups: (serving distance, interferer distances).
+# B is also the reference topology of the epsilon sweep (beta = 0.306102...).
 CDF_SETUPS: dict[str, Topology] = {
     "A": Topology(30.0, tuple(30.0 + 10.0 * j for j in range(1, 21)), 3.5),
     "B": Topology(20.0, tuple(10.0 + 20.0 * j for j in range(1, 11)), 3.5),
@@ -266,18 +256,13 @@ class BoundCurveRow:
     lower_bound_exact_log: float
 
 
-def _kstar_preset(
-    specs: Sequence[SweepSpec], workers: int
-) -> list[SweepRow]:
-    rows: list[SweepRow] = []
-    for spec in specs:
-        rows.extend(run_sweep(spec, workers=workers))
-    return rows
+def _kstar_preset(specs: Sequence[SweepSpec], workers: int) -> list[SweepRow]:
+    return [row for spec in specs for row in run_sweep(spec, workers=workers)]
 
 
 def _preset_eps_sweep(workers: int) -> list[SweepRow]:
-    # payload vs. target epsilon: n=200, main topology, M in {1,2,4,8}, SC+MRC
-    dist = SirDistribution.from_topology(_TOPOLOGY_MAIN)
+    # payload vs. target epsilon: n=200, setup B, M in {1,2,4,8}, SC+MRC
+    dist = CDF_SETUPS["B"]
     eps_values = tuple(np.logspace(-9.0, -1.0, 33))
     specs = []
     for antennas in (1, 2, 4, 8):
@@ -290,7 +275,6 @@ def _preset_eps_sweep(workers: int) -> list[SweepRow]:
                 sc_cfg,
                 dist,
                 (Method.SC_EXACT, Method.SC_APPROX, Method.FB),
-                topology=_TOPOLOGY_MAIN,
             )
         )
         specs.append(
@@ -364,16 +348,15 @@ def _preset_cdf_curves(workers: int) -> list[CdfCurveRow]:
     rows = []
     gammas = np.logspace(-4.0, 1.0, 100)
     for name, topology in CDF_SETUPS.items():
-        dist = SirDistribution.from_topology(topology)
         for gamma in gammas:
             rows.append(
                 CdfCurveRow(
                     setup=name,
                     gamma=float(gamma),
                     cdf_exact=sir_cdf_exact(gamma, topology),
-                    cdf_approx=sir_cdf_approx(gamma, dist),
+                    cdf_approx=sir_cdf_approx(gamma, topology),
                     pdf_exact=sir_pdf_exact(gamma, topology),
-                    pdf_approx=sir_pdf_approx(gamma, dist),
+                    pdf_approx=sir_pdf_approx(gamma, topology),
                 )
             )
     return rows

@@ -13,13 +13,11 @@ from typing import Optional
 import numpy as np
 
 from .finite_blocklength import fb_error_average
+from .numerics import Bracket, find_root_monotone
 from .rate_control import (
     LinkConfig,
-    QuantileMethod,
     Scheme,
     combined_sir_pdf,
-    lomax_sum_cdf,
-    lomax_sum_cdf_lower_bound,
     mrc_error,
     mrc_kstar,
     sc_error,
@@ -27,13 +25,8 @@ from .rate_control import (
     theta_for_rate,
 )
 from .simulator import Semantics, SimSpec, run_sim
-from .sir_model import (
-    SirDistribution,
-    Topology,
-    sir_cdf_approx,
-    sir_cdf_exact,
-)
-from .sweeps import CDF_SETUPS
+from .sir_model import SirDistribution, Topology, sir_cdf_approx, sir_cdf_exact
+from .sweeps import CDF_SETUPS, preset_rows
 
 __all__ = [
     "CheckResult",
@@ -52,9 +45,6 @@ __all__ = [
 # is <= 1e-2, measured at 2.8e-3 and pinned with headroom.
 LEFT_TAIL_MAX_REL_ERROR = 3.5e-3
 
-_BOUND_GRID_ANTENNAS = (1, 2, 4, 8, 10)
-_BOUND_GRID_ETA = (2, 4, 8, 12, 20)
-
 SCOPES = ("tails", "bounds", "montecarlo", "all")
 
 
@@ -68,20 +58,17 @@ class CheckResult:
 def check_bound_ordering() -> list[CheckResult]:
     """Closed-form lower bound must never exceed the Lomax-sum CDF.
 
-    Grid: x log-spaced over [1e-4, 5] (200 points), antennas in {1,2,4,8,10},
-    eta in {2,4,8,12,20}; at a single antenna the two coincide to <= 1e-12.
+    Grid: the fig3 preset (x log-spaced over [1e-4, 5], antennas in
+    {1,2,4,8,10}, eta in {2,4,8,12,20}); at a single antenna the two
+    coincide to <= 1e-12.
     """
-    grid = np.logspace(-4.0, math.log10(5.0), 200)
     worst_violation = 0.0
     worst_m1_gap = 0.0
-    for antennas in _BOUND_GRID_ANTENNAS:
-        for eta in _BOUND_GRID_ETA:
-            for x in grid:
-                cdf = lomax_sum_cdf(float(x), antennas, eta)
-                bound = lomax_sum_cdf_lower_bound(float(x), antennas, eta)
-                worst_violation = max(worst_violation, bound - cdf)
-                if antennas == 1:
-                    worst_m1_gap = max(worst_m1_gap, abs(bound - cdf))
+    for row in preset_rows("fig3"):
+        gap = row.lower_bound_exact_log - row.cdf
+        worst_violation = max(worst_violation, gap)
+        if row.antennas == 1:
+            worst_m1_gap = max(worst_m1_gap, abs(gap))
     # at one antenna the two expressions coincide and only float rounding
     # separates them, so the ordering shares the 1e-12 equality tolerance
     ordering_ok = worst_violation <= 1e-12
@@ -102,16 +89,11 @@ def check_bound_ordering() -> list[CheckResult]:
 
 def _left_tail_gamma_grid(topology: Topology) -> np.ndarray:
     # upper edge: gamma where the exact CDF reaches 1e-2, then nine decades down
-    lo, hi = 0.0, 1.0
+    hi = 1.0
     while sir_cdf_exact(hi, topology) < 1e-2:
         hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if sir_cdf_exact(mid, topology) < 1e-2:
-            lo = mid
-        else:
-            hi = mid
-    top = math.log10(hi)
+    edge = find_root_monotone(lambda g: sir_cdf_exact(g, topology), 1e-2, Bracket(0.0, hi))
+    top = math.log10(edge)
     return np.logspace(top - 9.0, top, 400)
 
 
@@ -119,13 +101,12 @@ def check_left_tail() -> list[CheckResult]:
     """Scaled-Lomax CDF relative error regression on the reference setups."""
     results = []
     for name, topology in CDF_SETUPS.items():
-        dist = SirDistribution.from_topology(topology)
         worst = 0.0
         for gamma in _left_tail_gamma_grid(topology):
             exact = sir_cdf_exact(float(gamma), topology)
             if exact > 1e-2 or exact == 0.0:
                 continue
-            approx = sir_cdf_approx(float(gamma), dist)
+            approx = sir_cdf_approx(float(gamma), topology)
             worst = max(worst, abs(approx - exact) / exact)
         results.append(
             CheckResult(
@@ -148,10 +129,9 @@ def check_upper_bound_random(draws: int = 1000, seed: int = 20260808) -> CheckRe
         distances = tuple(float(d) for d in rng.uniform(r0, 40.0 * r0, size=eta))
         alpha = float(rng.uniform(2.1, 6.0))
         topology = Topology(r0, distances, alpha)
-        dist = SirDistribution.from_topology(topology)
         gamma = float(10.0 ** rng.uniform(-6.0, 2.0))
         exact = sir_cdf_exact(gamma, topology)
-        approx = sir_cdf_approx(gamma, dist)
+        approx = sir_cdf_approx(gamma, topology)
         gap = exact - approx  # positive would violate the bound
         if gap > 1e-15 * max(exact, 1e-300):
             violations += 1
@@ -195,21 +175,21 @@ MONTECARLO_POINTS: tuple[MonteCarloPoint, ...] = (
 
 
 def _analytic_point(
-    point: MonteCarloPoint, topology: Topology, dist: SirDistribution, n: int
+    point: MonteCarloPoint, dist: SirDistribution, n: int
 ) -> tuple[int, float]:
     """Payload and analytic error prediction at one operating point."""
     cfg = LinkConfig(point.antennas, n, point.epsilon_target, point.scheme)
     if point.scheme is Scheme.SC:
-        sol = sc_kstar_exact(topology, cfg)
+        sol = sc_kstar_exact(dist, cfg)
     else:
-        sol = mrc_kstar(dist, cfg, QuantileMethod.NUMERIC)
+        sol = mrc_kstar(dist, cfg)
     k = max(sol.k_star, 1)
     theta = theta_for_rate(k, n)
     if point.semantics is Semantics.FINITE_BLOCKLENGTH:
         density = combined_sir_pdf(dist, point.antennas, point.scheme)
         prediction = fb_error_average(density, k, n).epsilon_fb
     elif point.scheme is Scheme.SC:
-        prediction = sc_error(theta, antennas=point.antennas, exact=True, topology=topology)
+        prediction = sc_error(theta, dist, point.antennas, exact=True)
     else:
         prediction = mrc_error(theta, dist, point.antennas)
     return k, prediction
@@ -229,11 +209,10 @@ def check_montecarlo(
     modeling bias is well below the interval width.
     """
     topology = CDF_SETUPS["B"]
-    dist = SirDistribution.from_topology(topology)
     n = 200
     results = []
     for point in points if points is not None else MONTECARLO_POINTS:
-        k, prediction = _analytic_point(point, topology, dist, n)
+        k, prediction = _analytic_point(point, topology, n)
         spec = SimSpec(
             topology=topology,
             antennas=point.antennas,

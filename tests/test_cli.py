@@ -122,6 +122,21 @@ class TestRate:
         assert code == EXIT_BAD_CONFIG
         assert "exact" in err
 
+    def test_infinite_beta_is_config_error(self, capsys):
+        code, _, err = run_cli(
+            ["rate", "--beta", "inf", "--eta", "10", "--eps", "1e-3", "--method", "approx"],
+            capsys,
+        )
+        assert code == EXIT_BAD_CONFIG
+        assert "finite" in err
+
+    def test_overflowing_topology_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text('{"r0": 1e400, "alpha": 3.5, "interferers": [30, 50]}')
+        code, _, err = run_cli(["rate", "--topology", str(path), "--eps", "1e-3"], capsys)
+        assert code == EXIT_BAD_CONFIG
+        assert "finite" in err
+
     def test_env_var_supplies_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("URP_EPS", "7e-5")
         code, out, _ = run_cli(
@@ -293,6 +308,15 @@ class TestSimulate:
         )
         assert code == EXIT_OK
         assert json.loads(out)["trials"] == 10_000
+
+    def test_infinite_beta_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--beta", "inf", "--eta", "10", "--k", "5", "--trials", "1000"],
+            capsys,
+        )
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert "finite" in err
 
     def test_spec_file_run(self, tmp_path, capsys):
         spec_path = tmp_path / "run.json"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from urpayload.numerics import integrate_semi_infinite
 from urpayload.rate_control import (
     LinkConfig,
-    QuantileMethod,
+    Method,
     Scheme,
     combined_sir_pdf,
     k_for_threshold,
@@ -60,10 +60,6 @@ class TestScError:
             theta, main_dist
         )
 
-    def test_exact_requires_topology(self, main_dist):
-        with pytest.raises(ValueError, match="topology"):
-            sc_error(0.1, dist=main_dist, antennas=2, exact=True)
-
     def test_deep_tail_power_keeps_precision(self, main_dist):
         # F ~ 1e-7 at M=4 would underflow a naive repeated product of halves
         theta = 3e-7
@@ -76,7 +72,7 @@ class TestScError:
         # theta=0.1, M=4: error ~ 8e-7, needs 1e7 draws for a meaningful count
         # (drawn in chunks to keep the gain arrays small)
         theta, antennas, trials, chunk = 0.1, 4, 10**7, 5 * 10**5
-        predicted = sc_error(theta, antennas=antennas, exact=True, topology=main_topology)
+        predicted = sc_error(theta, main_topology, antennas=antennas, exact=True)
         errors, done = 0, 0
         while done < trials:
             size = min(chunk, trials - done)
@@ -109,9 +105,7 @@ class TestScKstarExact:
         feasible = [
             k
             for k in range(1, 2001)
-            if sc_error(
-                theta_for_rate(k, 200), antennas=8, exact=True, topology=main_topology
-            )
+            if sc_error(theta_for_rate(k, 200), main_topology, antennas=8, exact=True)
             <= 1e-5
         ]
         assert sol.k_star == max(feasible)
@@ -119,6 +113,12 @@ class TestScKstarExact:
     def test_requires_sc_scheme(self, main_topology):
         with pytest.raises(ValueError):
             sc_kstar_exact(main_topology, LinkConfig(2, 200, 1e-4, Scheme.MRC))
+
+    def test_topology_and_its_distribution_solve_identically(self, main_topology):
+        dist = SirDistribution.from_topology(main_topology)
+        for eps in (1e-2, 1e-6, 1e-9):
+            cfg = LinkConfig(4, 200, eps, Scheme.SC)
+            assert sc_kstar_exact(main_topology, cfg) == sc_kstar_exact(dist, cfg)
 
     def test_infeasible_sets_flag(self, main_dist):
         # beta so large that even one bit misses an extreme target
@@ -168,9 +168,7 @@ class TestScKstarApprox:
                 if sol.infeasible:
                     assert exact_sol.k_star <= 1
                     continue
-                exact_err = sc_error(
-                    sol.theta, antennas=antennas, exact=True, topology=main_topology
-                )
+                exact_err = sc_error(sol.theta, main_topology, antennas=antennas, exact=True)
                 assert exact_err <= eps
                 if eps ** (1.0 / antennas) <= 0.05:
                     assert sol.k_star >= exact_sol.k_star - 1
@@ -364,13 +362,18 @@ class TestMrcKstar:
     def test_closed_quantile_payload_respects_target(self, main_dist):
         for eps in (1e-3, 1e-6, 1e-9):
             cfg = LinkConfig(6, 400, eps, Scheme.MRC)
-            sol = mrc_kstar(main_dist, cfg, QuantileMethod.CLOSED)
+            sol = mrc_kstar(main_dist, cfg, Method.MRC_CLOSED)
             assert sol.predicted_epsilon <= eps
             assert mrc_error(sol.theta, main_dist, 6) <= eps
 
     def test_requires_mrc_scheme(self, main_dist):
         with pytest.raises(ValueError):
             mrc_kstar(main_dist, LinkConfig(2, 200, 1e-4, Scheme.SC))
+
+    @pytest.mark.parametrize("method", [Method.SC_EXACT, Method.SC_APPROX, Method.FB])
+    def test_rejects_non_mrc_method(self, main_dist, method):
+        with pytest.raises(ValueError, match="MRC method"):
+            mrc_kstar(main_dist, LinkConfig(2, 200, 1e-4, Scheme.MRC), method)
 
 
 class TestSolutionInvariants:

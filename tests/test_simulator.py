@@ -106,7 +106,7 @@ class TestRunSim:
     def test_analytic_error_inside_interval(self, main_topology):
         k, n, antennas = 14, 200, 2
         predicted = sc_error(
-            theta_for_rate(k, n), antennas=antennas, exact=True, topology=main_topology
+            theta_for_rate(k, n), main_topology, antennas=antennas, exact=True
         )
         report = run_sim(
             spec_for(main_topology, antennas=antennas, threshold_bits=k, trials=10**6)
@@ -186,6 +186,10 @@ class TestRunSim:
             spec_for(SETUP_B, seed=-1)
         with pytest.raises(ValueError):
             spec_for(SETUP_B, threshold_bits=-1)
+
+    def test_topology_must_be_a_sir_law(self):
+        with pytest.raises(TypeError):
+            spec_for(object())
 
 
 class TestSimSpecFile:

@@ -53,6 +53,15 @@ class TestTopology:
         topology = Topology(10.0, (15.0, 15.0, 15.0), 3.5)
         assert topology.eta == 3
 
+    def test_exact_law_equals_its_distribution(self):
+        # the distances add nothing to the law: both objects evaluate bit-equal
+        for topology in (SETUP_A, SETUP_B, SETUP_C):
+            dist = SirDistribution.from_topology(topology)
+            assert type(dist) is SirDistribution
+            for gamma in (0.0, 1e-7, 1e-3, 0.05, 2.0):
+                assert sir_cdf_exact(gamma, topology) == sir_cdf_exact(gamma, dist)
+                assert sir_pdf_exact(gamma, topology) == sir_pdf_exact(gamma, dist)
+
 
 class TestBeta:
     def test_reference_topology_six_digits(self):
@@ -104,6 +113,18 @@ class TestSirDistribution:
     def test_non_integer_eta_rejected(self):
         with pytest.raises(ValueError):
             SirDistribution.from_beta(0.8, 8.0)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            SirDistribution.from_beta(math.inf, 10)
+        with pytest.raises(ValueError, match="finite"):
+            SirDistribution(eta=2, beta=1.0, path_losses=(math.inf, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            SirDistribution.from_path_losses(1e300, [1e300])
+        with pytest.raises(ValueError, match="finite"):
+            Topology(math.inf, (30.0, 50.0), 3.5)
+        with pytest.raises(ValueError):
+            Topology(20.0, (30.0, math.nan), 3.5)
 
 
 class TestExactCdf:
@@ -224,6 +245,7 @@ class TestTopologyFile:
         )
         topology = load_topology(path)
         assert isinstance(topology, Topology)
+        assert isinstance(topology, SirDistribution)
         assert topology.eta == 3
 
     def test_path_loss_layout(self, tmp_path):
