@@ -15,8 +15,6 @@ from .finite_blocklength import (
 from .numerics import (
     Bracket,
     BracketError,
-    QuadratureError,
-    QuadratureSpec,
     find_root_monotone,
     integrate_semi_infinite,
     q_function,

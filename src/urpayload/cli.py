@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
 
-from .numerics import BracketError, QuadratureError
+from .numerics import BracketError
 from .rate_control import LinkConfig, Method, Scheme
 from .simulator import Semantics, SimSpec, load_sim_spec, run_sim
 from .sir_model import SirDistribution, load_topology
@@ -66,10 +67,10 @@ def _env_or(flag: str, cast, fallback):
 
 def _count(raw) -> int:
     # accepts "1e7"-style counts
-    value = int(float(raw))
-    if value != float(raw):
+    value = float(raw)
+    if not (math.isfinite(value) and value.is_integer()):
         raise ValueError(f"not an integer count: {raw!r}")
-    return value
+    return int(value)
 
 
 def _add_source_flags(parser: argparse.ArgumentParser) -> None:
@@ -336,7 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, BracketError, QuadratureError) as exc:
+    except (ValueError, OSError, BracketError) as exc:
         # covers ConfigError and UndersampledError too
         sys.stderr.write(f"urp: {exc}\n")
         return EXIT_BAD_CONFIG

@@ -17,17 +17,17 @@ from typing import Callable
 import numpy as np
 from scipy import special as _special
 
-from .numerics import QuadratureSpec, integrate_semi_infinite, q_function
+from .numerics import Bracket, find_root_monotone, integrate_semi_infinite
 from .rate_control import (
     LinkConfig,
     Method,
     RateSolution,
     Scheme,
+    _finish,
     _max_feasible_k,
     combined_sir_pdf,
     mrc_kstar,
     sc_kstar_approx,
-    theta_for_rate,
 )
 from .sir_model import SirDistribution
 
@@ -46,6 +46,8 @@ _SQRT2 = math.sqrt(2.0)
 
 # The normal approximation is validated for n >= 100 channel uses.
 _MIN_VALIDATED_BLOCKLENGTH = 100
+# How far the density's mass on the integration grid may sit from 1.
+_MASS_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,31 +65,22 @@ class FbEvaluation:
 
 
 def shannon_capacity(sir):
-    """Capacity log2(1 + SIR) in bits per channel use (scalar or ndarray)."""
-    if isinstance(sir, (float, int)):
-        return math.log1p(sir) * _LOG2E
+    """Capacity log2(1 + SIR) in bits per channel use, elementwise."""
     return np.log1p(sir) * _LOG2E
 
 
 def channel_dispersion(sir):
-    """Dispersion (1 - (1+SIR)^-2) * (log2 e)^2 (scalar or ndarray)."""
-    if isinstance(sir, (float, int)):
-        return (1.0 - (1.0 + sir) ** -2) * _LOG2E_SQ
+    """Dispersion (1 - (1+SIR)^-2) * (log2 e)^2, elementwise."""
     return (1.0 - 1.0 / np.square(1.0 + np.asarray(sir, dtype=float))) * _LOG2E_SQ
 
 
 def fb_error_conditional(sir, k: float, n: int):
-    """Error probability of k bits over n uses at a known SIR.
+    """Error probability of k bits over n uses at a known SIR, elementwise.
 
     Q((C(SIR) - k/n) / sqrt(V(SIR)/n)). At SIR=0 the dispersion vanishes and
-    the limit is 1 for any positive payload. Accepts scalars or ndarrays.
+    the limit is 1 for any positive payload.
     """
     rate = k / n
-    if isinstance(sir, (float, int)):
-        if sir <= 0.0:
-            return 1.0 if k > 0 else 0.5
-        z = (shannon_capacity(sir) - rate) / math.sqrt(channel_dispersion(sir) / n)
-        return q_function(z)
     sir_arr = np.asarray(sir, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (shannon_capacity(sir_arr) - rate) / np.sqrt(channel_dispersion(sir_arr) / n)
@@ -95,17 +88,21 @@ def fb_error_conditional(sir, k: float, n: int):
     return np.where(sir_arr > 0.0, prob, 1.0 if k > 0 else 0.5)
 
 
+def _grid_step(n: int) -> float:
+    # Q falls from 1 to 0 over about 1/sqrt(n) in ln SIR, so the log-SIR grid
+    # puts a dozen nodes across that drop; 0.0115 already resolves the
+    # densities themselves at short blocklengths.
+    return min(0.0115, 0.5 / math.sqrt(n))
+
+
 def fb_error_average(
-    density: Callable[[float], float],
-    k: float,
-    n: int,
-    spec: QuadratureSpec = QuadratureSpec(),
+    density: Callable[[np.ndarray], np.ndarray], k: float, n: int
 ) -> FbEvaluation:
     """Average the conditional error over a post-combining SIR density.
 
-    The integrand transitions around the SIR where the capacity equals the
-    attempted rate, so that point is handed to the quadrature as a forced
-    break point.
+    `density` must be array-valued and smooth on the scale of the grid step
+    in ln SIR (min(0.0115, 0.5/sqrt(n))), as the combined SIR densities are;
+    the average is a fixed trapezoid rule on that grid.
     """
     if n < _MIN_VALIDATED_BLOCKLENGTH:
         warnings.warn(
@@ -113,16 +110,8 @@ def fb_error_average(
             f"got n={n}",
             stacklevel=2,
         )
-
-    def integrand(x: float) -> float:
-        f = density(x)
-        if f == 0.0:
-            return 0.0
-        return fb_error_conditional(x, k, n) * f
-
-    midpoint = theta_for_rate(k, n)
     value, err_estimate = integrate_semi_infinite(
-        integrand, spec, split_points=(midpoint,)
+        lambda x: density(x) * fb_error_conditional(x, k, n), _grid_step(n)
     )
     return FbEvaluation(
         k=k,
@@ -132,11 +121,7 @@ def fb_error_average(
     )
 
 
-def fb_kstar(
-    dist: SirDistribution,
-    cfg: LinkConfig,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> RateSolution:
+def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     """Maximum payload under the finite-blocklength error constraint.
 
     Seeds the search with the asymptotic payload for the configured combining
@@ -145,46 +130,29 @@ def fb_kstar(
     The asymptotic guess lands within a few bits, which keeps the number of
     average-error integrations small. k_real refines the boundary where the
     average error equals the target, for smooth sweeps.
+
+    Raises ValueError when the density's mass on the integration grid is not
+    1, i.e. when the SIR law lies outside the range the average covers.
     """
+    density = combined_sir_pdf(dist, cfg.antennas, cfg.scheme)
+    n, eps = cfg.blocklength, cfg.epsilon_th
+    mass, _ = integrate_semi_infinite(density, _grid_step(n))
+    if not abs(mass - 1.0) <= _MASS_TOLERANCE:
+        raise ValueError(
+            f"SIR density has mass {mass:.6g} on the integration range, not 1; "
+            "the finite-blocklength average cannot cover this law"
+        )
     if cfg.scheme is Scheme.SC:
         seed = sc_kstar_approx(dist, cfg)
     else:
         seed = mrc_kstar(dist, cfg)
-    density = combined_sir_pdf(dist, cfg.antennas, cfg.scheme)
-    n, eps = cfg.blocklength, cfg.epsilon_th
 
     def err(k: float) -> float:
-        return fb_error_average(density, k, n, spec).epsilon_fb
+        return fb_error_average(density, k, n).epsilon_fb
 
     k, e = _max_feasible_k(err, eps, math.floor(seed.k_real + 1e-9))
-
     if k < 1:
-        return RateSolution(
-            k_star=0,
-            k_real=0.0,
-            rate=0.0,
-            theta=0.0,
-            predicted_epsilon=0.0,
-            method=Method.FB,
-            infeasible=True,
-        )
-
-    # real-valued boundary: err(k) <= eps < err(k+1), bisect inside the unit gap
-    lo, hi = float(k), float(k + 1)
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if err(mid) <= eps:
-            lo = mid
-        else:
-            hi = mid
-    k_real = lo
-
-    return RateSolution(
-        k_star=k,
-        k_real=k_real,
-        rate=k / n,
-        theta=theta_for_rate(k, n),
-        predicted_epsilon=e,
-        method=Method.FB,
-        infeasible=False,
-    )
+        return _finish(k, 0.0, e, n, Method.FB)
+    # real-valued boundary: err(k) <= eps < err(k+1)
+    k_real = find_root_monotone(err, eps, Bracket(float(k), float(k + 1)), tol=2**-30)
+    return _finish(k, k_real, e, n, Method.FB)

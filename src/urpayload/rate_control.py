@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 from .numerics import (
     Bracket,
     find_root_monotone,
@@ -24,7 +26,6 @@ from .sir_model import (
     SirDistribution,
     sir_cdf_approx,
     sir_cdf_exact,
-    sir_pdf_approx,
 )
 
 __all__ = [
@@ -228,22 +229,20 @@ def sc_kstar_approx(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     return _finish(k, k_real, e, n, Method.SC_APPROX)
 
 
-def sc_pdf(x: float, dist: SirDistribution, antennas: int) -> float:
+def sc_pdf(x, dist: SirDistribution, antennas: int):
     """Density of the SC-combined SIR (max over antennas), scaled-Lomax model.
 
-    M * F(x)^(M-1) * f(x); the power is taken in log domain when F is tiny.
+    M * F(x)^(M-1) * f(x), elementwise over an array of SIR values.
     """
-    cdf = sir_cdf_approx(x, dist)
-    pdf = sir_pdf_approx(x, dist)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise ValueError(f"SIR must be nonnegative, got {x}")
+    log_arg = np.log1p(x * dist.beta / dist.eta)
+    pdf = dist.beta * np.exp(-(dist.eta + 1) * log_arg)
     if antennas == 1:
         return pdf
-    if cdf <= 0.0:
-        return 0.0
-    if cdf < 1e-3:
-        power = math.exp((antennas - 1) * math.log(cdf))
-    else:
-        power = cdf ** (antennas - 1)
-    return antennas * power * pdf
+    cdf = -np.expm1(-dist.eta * log_arg)
+    return antennas * cdf ** (antennas - 1) * pdf
 
 
 def _check_count_shape(count: int, shape: int) -> None:
@@ -253,26 +252,30 @@ def _check_count_shape(count: int, shape: int) -> None:
         raise ValueError(f"shape must be a positive integer, got {shape!r}")
 
 
-def lomax_sum_pdf(x: float, count: int, shape: int) -> float:
+def lomax_sum_pdf(x, count: int, shape: int):
     """Density approximation for a sum of `count` i.i.d. Lomax(shape, 1) variables.
 
     (shape^M M^(M-1)/(M-1)!) (1+x/M)^(-1-M*shape) ln^(M-1)(1+x/M) with M=count,
-    assembled in log domain. The log-power factor vanishes at x=0 for M>1.
+    elementwise over an array and assembled in log domain. The log-power
+    factor vanishes at x=0 for M>1.
     """
     _check_count_shape(count, shape)
-    if x < 0.0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
         raise ValueError(f"argument must be nonnegative, got {x}")
-    log_arg = math.log1p(x / count)
-    if log_arg == 0.0:
-        return float(shape) if count == 1 else 0.0
+    log_arg = np.log1p(x / count)
+    if count == 1:
+        return shape * np.exp((-1.0 - shape) * log_arg)
+    with np.errstate(divide="ignore"):  # log(0) = -inf makes the density 0 at x=0
+        log_power = (count - 1) * np.log(log_arg)
     log_pdf = (
         count * math.log(shape)
         + (count - 1) * math.log(count)
         - math.lgamma(count)
         + (-1.0 - count * shape) * log_arg
-        + (count - 1) * math.log(log_arg)
+        + log_power
     )
-    return math.exp(log_pdf)
+    return np.exp(log_pdf)
 
 
 def lomax_sum_cdf(x: float, count: int, shape: int) -> float:
@@ -384,8 +387,8 @@ def mrc_kstar(
 
 def combined_sir_pdf(
     dist: SirDistribution, antennas: int, scheme: Scheme
-) -> Callable[[float], float]:
-    """Density of the post-combining SIR as a callable of the SIR value.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Density of the post-combining SIR as an array-valued callable.
 
     SC: max of the per-antenna values. MRC: the combined SIR Psi relates to
     the normalized Lomax sum v through Psi = (eta/beta)*v, so

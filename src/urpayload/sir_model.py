@@ -130,8 +130,11 @@ class Topology(SirDistribution):
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "interferer_distances", distances)
         object.__setattr__(self, "alpha", alpha)
-        g0 = r0**alpha
-        weights = tuple(g0 * r ** (-alpha) for r in distances)
+        try:
+            g0 = r0**alpha
+            weights = tuple(g0 * r ** (-alpha) for r in distances)
+        except OverflowError as exc:
+            raise ValueError(f"path-loss weights overflow: {exc}") from None
         super().__init__(len(distances), beta=math.fsum(weights), path_losses=weights)
 
 

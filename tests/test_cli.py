@@ -137,6 +137,24 @@ class TestRate:
         assert code == EXIT_BAD_CONFIG
         assert "finite" in err
 
+    def test_finite_overflowing_topology_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text('{"r0": 1e200, "alpha": 3.5, "interferers": [30, 50]}')
+        code, out, err = run_cli(["rate", "--topology", str(path), "--eps", "1e-3"], capsys)
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert "overflow" in err
+
+    def test_density_outside_the_grid_is_config_error(self, capsys):
+        # beta=1e-300 puts the SIR mass far above any finite integration range
+        code, out, err = run_cli(
+            ["rate", "--beta", "1e-300", "--eta", "10", "--eps", "0.5", "--method", "fb"],
+            capsys,
+        )
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert "mass" in err
+
     def test_env_var_supplies_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("URP_EPS", "7e-5")
         code, out, _ = run_cli(
@@ -308,6 +326,18 @@ class TestSimulate:
         )
         assert code == EXIT_OK
         assert json.loads(out)["trials"] == 10_000
+
+    def test_non_finite_trials_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", *FIG2_FLAGS, "--k", "5", "--trials", "1e400"])
+        assert excinfo.value.code == EXIT_USAGE
+
+    def test_non_finite_trials_from_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("URP_TRIALS", "1e400")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", *FIG2_FLAGS, "--k", "5"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "URP_TRIALS" in capsys.readouterr().err
 
     def test_infinite_beta_is_config_error(self, capsys):
         code, out, err = run_cli(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from urpayload.finite_blocklength import (
     channel_dispersion,
@@ -12,7 +13,6 @@ from urpayload.finite_blocklength import (
     fb_kstar,
     shannon_capacity,
 )
-from urpayload.numerics import QuadratureSpec
 from urpayload.rate_control import (
     LinkConfig,
     Scheme,
@@ -79,20 +79,30 @@ class TestFbErrorConditional:
         assert fb_error_conditional(sir, k + 1, 200) >= fb_error_conditional(sir, k, 200)
 
 
-class TestFbErrorAverage:
-    def test_concentrated_density_recovers_conditional(self):
-        # near-delta triangular density at sir0
-        sir0, width = 1.4, 1e-4
-
-        def spike(x):
-            d = abs(x - sir0)
-            return max(0.0, (width - d) / width / width)
-
-        result = fb_error_average(spike, 100, 200)
-        assert result.epsilon_fb == pytest.approx(
-            fb_error_conditional(sir0, 100, 200), rel=1e-4
+def _check_against_sampled_expectation(main_dist, rng, antennas, k, n):
+    # independent oracle: average the conditional error over 1e7 draws of
+    # the model's own combined SIR (selection combining of scaled Lomax,
+    # drawn in chunks to bound memory)
+    size, chunk = 10**7, 10**6
+    eta, beta = main_dist.eta, main_dist.beta
+    total, total_sq, done = 0.0, 0.0, 0
+    while done < size:
+        m = min(chunk, size - done)
+        per_antenna = (eta / beta) * (
+            np.power(1.0 - rng.random((m, antennas)), -1.0 / eta) - 1.0
         )
+        values = fb_error_conditional(per_antenna.max(axis=1), k, n)
+        total += float(values.sum())
+        total_sq += float(np.square(values).sum())
+        done += m
+    mc_mean = total / size
+    mc_sigma = math.sqrt(max(total_sq / size - mc_mean**2, 0.0) / size)
+    density = combined_sir_pdf(main_dist, antennas, Scheme.SC)
+    result = fb_error_average(density, k, n)
+    assert abs(result.epsilon_fb - mc_mean) < 3.0 * mc_sigma
 
+
+class TestFbErrorAverage:
     def test_headline_four_bits_at_target(self, main_dist):
         # with two antennas over 200 uses, four bits meet a 7e-5 target and
         # five do not
@@ -102,26 +112,12 @@ class TestFbErrorAverage:
         assert at_four <= 7e-5 < at_five
 
     def test_against_sampled_expectation(self, main_dist, rng):
-        # independent oracle: average the conditional error over 1e7 draws of
-        # the model's own combined SIR (selection combining of scaled Lomax,
-        # drawn in chunks to bound memory)
-        antennas, k, n, size, chunk = 4, 60, 200, 10**7, 10**6
-        eta, beta = main_dist.eta, main_dist.beta
-        total, total_sq, done = 0.0, 0.0, 0
-        while done < size:
-            m = min(chunk, size - done)
-            per_antenna = (eta / beta) * (
-                np.power(1.0 - rng.random((m, antennas)), -1.0 / eta) - 1.0
-            )
-            values = fb_error_conditional(per_antenna.max(axis=1), k, n)
-            total += float(values.sum())
-            total_sq += float(np.square(values).sum())
-            done += m
-        mc_mean = total / size
-        mc_sigma = math.sqrt(max(total_sq / size - mc_mean**2, 0.0) / size)
-        density = combined_sir_pdf(main_dist, antennas, Scheme.SC)
-        result = fb_error_average(density, k, n)
-        assert abs(result.epsilon_fb - mc_mean) < 3.0 * mc_sigma
+        _check_against_sampled_expectation(main_dist, rng, antennas=4, k=60, n=200)
+
+    def test_against_sampled_expectation_at_long_blocklength(self, main_dist, rng):
+        # at n=1e5 the error falls from 1 to 0 over a narrow band of ln SIR,
+        # which an adaptive rule can step over
+        _check_against_sampled_expectation(main_dist, rng, antennas=1, k=1, n=10**5)
 
     def test_quadrature_estimate_is_tight(self, main_dist):
         density = combined_sir_pdf(main_dist, 2, Scheme.SC)
@@ -133,6 +129,83 @@ class TestFbErrorAverage:
         density = combined_sir_pdf(main_dist, 1, Scheme.SC)
         with pytest.warns(UserWarning, match="n >= 100"):
             fb_error_average(density, 4, 50)
+
+
+def _reference_density(x, dist, antennas, scheme):
+    # scalar post-combining SIR density, written out from the model's formulas
+    eta, beta = dist.eta, dist.beta
+    if scheme is Scheme.SC:
+        log_arg = math.log1p(x * beta / eta)
+        pdf = beta * math.exp(-(eta + 1) * log_arg)
+        cdf = -math.expm1(-eta * log_arg)
+        return antennas * cdf ** (antennas - 1) * pdf
+    # MRC: (beta/eta) times the Lomax-sum density at v = x*beta/eta
+    m = antennas
+    log_arg = math.log1p(x * beta / eta / m)
+    if m == 1:
+        return beta * math.exp(-(eta + 1) * log_arg)
+    if log_arg == 0.0:
+        return 0.0
+    log_pdf = (
+        m * math.log(eta)
+        + (m - 1) * math.log(m)
+        - math.lgamma(m)
+        - (1 + m * eta) * log_arg
+        + (m - 1) * math.log(log_arg)
+    )
+    return beta / eta * math.exp(log_pdf)
+
+
+def _reference_conditional(x, k, n):
+    if x <= 0.0:
+        return 1.0
+    capacity = math.log2(1.0 + x)
+    dispersion = (1.0 - (1.0 + x) ** -2) * math.log2(math.e) ** 2
+    return 0.5 * math.erfc((capacity - k / n) / math.sqrt(dispersion / n) / math.sqrt(2.0))
+
+
+def _reference_average(dist, antennas, scheme, k, n):
+    """Adaptive scalar quadrature with break points around theta(k)."""
+    theta = math.expm1(math.log(2.0) * k / n)
+
+    def integrand(x):
+        return _reference_density(x, dist, antennas, scheme) * _reference_conditional(x, k, n)
+
+    breaks = [0.0] + [theta * 2.0**j for j in range(-12, 13)]
+    total = 0.0
+    for a, b in zip(breaks, breaks[1:]):
+        total += integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    total += integrate.quad(integrand, breaks[-1], math.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    return total
+
+
+def _reference_configs(count=20, seed=20261018):
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(count):
+        beta = float(np.exp(rng.uniform(math.log(0.05), math.log(5.0))))
+        eta = int(rng.integers(1, 25))
+        antennas = int(rng.choice([1, 2, 4, 8, 16]))
+        scheme = Scheme.SC if rng.random() < 0.5 else Scheme.MRC
+        n = int(rng.choice([100, 200, 500, 1000, 2000]))
+        eps = float(10.0 ** rng.uniform(-6.0, -2.0))
+        configs.append((beta, eta, antennas, scheme, n, eps))
+    return configs
+
+
+class TestFbErrorAverageReference:
+    """fb_error_average against an independent scalar adaptive quadrature."""
+
+    @pytest.mark.parametrize("beta,eta,antennas,scheme,n,eps", _reference_configs())
+    def test_matches_adaptive_reference(self, beta, eta, antennas, scheme, n, eps):
+        dist = SirDistribution.from_beta(beta, eta)
+        cfg = LinkConfig(antennas, n, eps, scheme)
+        asym = sc_kstar_approx(dist, cfg) if scheme is Scheme.SC else mrc_kstar(dist, cfg)
+        k = max(asym.k_star, 1)
+        density = combined_sir_pdf(dist, antennas, scheme)
+        got = fb_error_average(density, k, n).epsilon_fb
+        want = _reference_average(dist, antennas, scheme, k, n)
+        assert got == pytest.approx(want, rel=1e-8)
 
 
 class TestFbKstar:
@@ -200,6 +273,13 @@ class TestFbKstar:
             fb_mrc = fb_kstar(main_dist, mrc_cfg)
             assert fb_mrc.k_star <= asym_mrc.k_star + 2
 
+    def test_never_far_above_asymptotic_at_long_blocklength(self):
+        dist = SirDistribution.from_beta(0.8, 8)
+        cfg = LinkConfig(2, 10**6, 1e-6, Scheme.MRC)
+        asym = mrc_kstar(dist, cfg)
+        fb = fb_kstar(dist, cfg)
+        assert fb.k_star <= asym.k_star + 2
+
     def test_error_strictly_increasing_in_payload(self, main_dist):
         density = combined_sir_pdf(main_dist, 2, Scheme.SC)
         values = [fb_error_average(density, k, 200).epsilon_fb for k in range(1, 40, 4)]
@@ -226,8 +306,3 @@ class TestFbKstar:
         asym = mrc_kstar(main_dist, cfg)
         assert 0 < sol.k_star <= asym.k_star + 2
         assert sol.predicted_epsilon <= 1e-5
-
-    def test_tight_quadrature_spec_accepted(self, main_dist):
-        cfg = LinkConfig(2, 200, 7e-5, Scheme.SC)
-        sol = fb_kstar(main_dist, cfg, spec=QuadratureSpec(rel_tol=1e-8, abs_tol=1e-13))
-        assert abs(sol.k_star - 4) <= 1
