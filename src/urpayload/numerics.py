@@ -1,12 +1,16 @@
 """Shared special functions and generic numerical routines.
 
 The special functions and the root finder work on scalars; the integration
-rule takes an array-valued integrand. The common requirement across callers
-is left-tail fidelity: probabilities down to ~1e-12 must keep relative
-precision, so complements are never formed by subtracting from 1.
+rule takes an array-valued integrand on a fixed log-spaced grid, which
+`log_grid` builds once per step size and shares read-only, so callers can
+evaluate what does not change between integrals on the same nodes once. The
+common requirement across callers is left-tail fidelity: probabilities down
+to ~1e-12 must keep relative precision, so complements are never formed by
+subtracting from 1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -19,6 +23,7 @@ __all__ = [
     "BracketError",
     "find_root_monotone",
     "integrate_semi_infinite",
+    "log_grid",
     "q_function",
     "regularized_gamma_lower",
     "regularized_gamma_upper",
@@ -121,15 +126,13 @@ def find_root_monotone(
 _LOG_X_RANGE = (math.log(1e-25), math.log(1e12))
 
 
-def integrate_semi_infinite(
-    f: Callable[[np.ndarray], np.ndarray], step: float
-) -> tuple[float, float]:
-    """Integrate array-valued f over x in [1e-25, 1e12]; return (value, error_estimate).
+@functools.lru_cache(maxsize=8)
+def log_grid(step: float) -> tuple[np.ndarray, float]:
+    """Nodes x and spacing h in u = ln x of the rule `integrate_semi_infinite` uses.
 
-    The trapezoid rule runs in u = ln x on an even number of intervals no
-    wider than `step`, so that f(x)*x is integrated over a smooth, bounded
-    range. The error estimate is |T_h - T_2h|, where T_2h is the same rule
-    on every other node.
+    The nodes are equally spaced in u over x in [1e-25, 1e12], on an even
+    number of intervals no wider than `step`. Each step's grid is built once
+    and shared, so the node array is read-only.
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
@@ -137,6 +140,20 @@ def integrate_semi_infinite(
     intervals = 2 * math.ceil((hi - lo) / (2.0 * step))
     u, h = np.linspace(lo, hi, intervals + 1, retstep=True)
     x = np.exp(u)
+    x.flags.writeable = False
+    return x, h
+
+
+def integrate_semi_infinite(
+    f: Callable[[np.ndarray], np.ndarray], step: float
+) -> tuple[float, float]:
+    """Integrate array-valued f over x in [1e-25, 1e12]; return (value, error_estimate).
+
+    The trapezoid rule runs in u = ln x on the nodes of `log_grid(step)`, so
+    that f(x)*x is integrated over a smooth, bounded range. The error
+    estimate is |T_h - T_2h|, where T_2h is the same rule on every other node.
+    """
+    x, h = log_grid(step)
     g = f(x) * x
     ends = 0.5 * (g[0] + g[-1])
     fine = h * (g.sum() - ends)

@@ -141,16 +141,23 @@ def sc_error(
 
 
 def _max_feasible_k(
-    error_at_k: Callable[[int], float], epsilon_th: float, k_start: int
+    error_at_k: Callable[[int], float], epsilon_th: float, k_guess: float
 ) -> tuple[int, float]:
     """Largest integer k >= 0 with error_at_k(k) <= epsilon_th.
 
-    error_at_k must be nondecreasing in k. The walk starts at k_start (an
-    already-close guess), steps down while the constraint is violated, then
-    probes upward so a floor that landed one short is corrected; equality
-    with the target counts as feasible.
+    error_at_k must be nondecreasing in k. The walk starts at the floor of
+    k_guess (an already-close real-valued payload), steps down while the
+    constraint is violated, then probes upward so a floor that landed one
+    short is corrected; equality with the target counts as feasible. Raises
+    ValueError when k_guess is not finite, as for an SIR law so strong that
+    the payload formula overflows.
     """
-    k = max(int(k_start), 0)
+    if not math.isfinite(k_guess):
+        raise ValueError(
+            f"payload guess {k_guess} is not finite; the SIR law is outside "
+            "the range the payload search covers"
+        )
+    k = max(math.floor(k_guess + 1e-9), 0)
     err = error_at_k(k) if k >= 1 else 0.0
     while k >= 1 and err > epsilon_th:
         k -= 1
@@ -205,7 +212,7 @@ def sc_kstar_exact(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     def err(k: int) -> float:
         return sc_error(theta_for_rate(k, n), dist, m, exact=True)
 
-    k, e = _max_feasible_k(err, eps, math.floor(k_real + 1e-9))
+    k, e = _max_feasible_k(err, eps, k_real)
     return _finish(k, k_real, e, n, Method.SC_EXACT)
 
 
@@ -225,19 +232,21 @@ def sc_kstar_approx(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     def err(k: int) -> float:
         return sc_error(theta_for_rate(k, n), dist=dist, antennas=m)
 
-    k, e = _max_feasible_k(err, eps, math.floor(k_real + 1e-9))
+    k, e = _max_feasible_k(err, eps, k_real)
     return _finish(k, k_real, e, n, Method.SC_APPROX)
 
 
 def sc_pdf(x, dist: SirDistribution, antennas: int):
     """Density of the SC-combined SIR (max over antennas), scaled-Lomax model.
 
-    M * F(x)^(M-1) * f(x), elementwise over an array of SIR values.
+    M * F(x)^(M-1) * f(x), elementwise over an array of SIR values. Where
+    x*beta overflows, the argument is infinite and the density 0.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError(f"SIR must be nonnegative, got {x}")
-    log_arg = np.log1p(x * dist.beta / dist.eta)
+    with np.errstate(over="ignore"):
+        log_arg = np.log1p(x * dist.beta / dist.eta)
     pdf = dist.beta * np.exp(-(dist.eta + 1) * log_arg)
     if antennas == 1:
         return pdf
@@ -257,7 +266,7 @@ def lomax_sum_pdf(x, count: int, shape: int):
 
     (shape^M M^(M-1)/(M-1)!) (1+x/M)^(-1-M*shape) ln^(M-1)(1+x/M) with M=count,
     elementwise over an array and assembled in log domain. The log-power
-    factor vanishes at x=0 for M>1.
+    factor vanishes at x=0 for M>1, and the density is 0 at x=inf.
     """
     _check_count_shape(count, shape)
     x = np.asarray(x, dtype=float)
@@ -266,16 +275,18 @@ def lomax_sum_pdf(x, count: int, shape: int):
     log_arg = np.log1p(x / count)
     if count == 1:
         return shape * np.exp((-1.0 - shape) * log_arg)
-    with np.errstate(divide="ignore"):  # log(0) = -inf makes the density 0 at x=0
+    # log(0) = -inf makes the density 0 at x=0; at x=inf the sum is
+    # -inf + inf, so the limit 0 is set there
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_power = (count - 1) * np.log(log_arg)
-    log_pdf = (
-        count * math.log(shape)
-        + (count - 1) * math.log(count)
-        - math.lgamma(count)
-        + (-1.0 - count * shape) * log_arg
-        + log_power
-    )
-    return np.exp(log_pdf)
+        log_pdf = (
+            count * math.log(shape)
+            + (count - 1) * math.log(count)
+            - math.lgamma(count)
+            + (-1.0 - count * shape) * log_arg
+            + log_power
+        )
+    return np.where(np.isposinf(log_arg), 0.0, np.exp(log_pdf))
 
 
 def lomax_sum_cdf(x: float, count: int, shape: int) -> float:
@@ -381,7 +392,7 @@ def mrc_kstar(
     def err(k: int) -> float:
         return mrc_error(theta_for_rate(k, n), dist, m)
 
-    k, e = _max_feasible_k(err, eps, math.floor(k_real + 1e-9))
+    k, e = _max_feasible_k(err, eps, k_real)
     return _finish(k, k_real, e, n, method)
 
 
@@ -392,10 +403,17 @@ def combined_sir_pdf(
 
     SC: max of the per-antenna values. MRC: the combined SIR Psi relates to
     the normalized Lomax sum v through Psi = (eta/beta)*v, so
-    f_Psi(x) = (beta/eta) * f_v(x*beta/eta).
+    f_Psi(x) = (beta/eta) * f_v(x*beta/eta). Where x*beta/eta overflows, the
+    density is 0.
     """
     scheme = Scheme(scheme)
     if scheme is Scheme.SC:
         return lambda x: sc_pdf(x, dist, antennas)
     scale = dist.beta / dist.eta
-    return lambda x: scale * lomax_sum_pdf(x * scale, antennas, dist.eta)
+
+    def mrc_pdf(x):
+        with np.errstate(over="ignore"):
+            v = x * scale
+        return scale * lomax_sum_pdf(v, antennas, dist.eta)
+
+    return mrc_pdf

@@ -155,6 +155,31 @@ class TestRate:
         assert out == ""
         assert "mass" in err
 
+    @pytest.mark.parametrize(
+        "flags", [["--method", "approx"], ["--scheme", "mrc", "--M", "2", "--method", "numeric"]]
+    )
+    def test_payload_formula_overflow_is_config_error(self, flags, capsys):
+        # beta=1e-308 makes eta/beta, and with it the asymptotic payload, infinite
+        code, out, err = run_cli(
+            ["rate", "--beta", "1e-308", "--eta", "10", "--eps", "0.5", *flags], capsys
+        )
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert "not finite" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--scheme", "mrc", "--M", "2"]])
+    def test_density_overflow_is_quiet_config_error(self, flags, capsys):
+        # beta=1e300 overflows x*beta on the grid; the density is 0 there, so
+        # the mass check rejects the law without a numpy warning or a nan
+        code, out, err = run_cli(
+            ["rate", "--beta", "1e300", "--eta", "10", "--eps", "0.5", "--method", "fb", *flags],
+            capsys,
+        )
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert "Warning" not in err
+        assert "mass 0 " in err
+
     def test_env_var_supplies_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("URP_EPS", "7e-5")
         code, out, _ = run_cli(

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
+from urpayload import finite_blocklength
 from urpayload.finite_blocklength import (
+    _grid_step,
+    _q_of_margin,
     channel_dispersion,
     fb_error_average,
     fb_error_conditional,
     fb_kstar,
     shannon_capacity,
 )
+from urpayload.numerics import log_grid
 from urpayload.rate_control import (
     LinkConfig,
     Scheme,
@@ -100,6 +104,45 @@ def _check_against_sampled_expectation(main_dist, rng, antennas, k, n):
     density = combined_sir_pdf(main_dist, antennas, Scheme.SC)
     result = fb_error_average(density, k, n)
     assert abs(result.epsilon_fb - mc_mean) < 3.0 * mc_sigma
+
+
+def _q_through_erfc(z):
+    # the reference: erfc on every element, saturated or not
+    return 0.5 * special.erfc(z / math.sqrt(2.0))
+
+
+class TestQOfMargin:
+    def test_thresholds_are_exact_through_erfc(self):
+        assert np.all(_q_through_erfc(np.linspace(-1e3, -8.5, 4001)) == 1.0)
+        assert np.all(_q_through_erfc(np.linspace(40.0, 1e3, 4001)) == 0.0)
+        assert _q_through_erfc(-np.inf) == 1.0 and _q_through_erfc(np.inf) == 0.0
+
+    @pytest.mark.parametrize("n", [100, 2000, 10**5])
+    def test_equals_erfc_on_every_grid_node(self, n):
+        x, _ = log_grid(_grid_step(n))
+        capacity = shannon_capacity(x)
+        spread = np.sqrt(channel_dispersion(x) / n)
+        top = n * shannon_capacity(1e12)
+        for k in np.unique(np.geomspace(1.0, 1.2 * top, 40).round()):
+            rate = float(k) / n
+            with np.errstate(divide="ignore"):
+                z = (capacity - rate) / spread
+            got = _q_of_margin(capacity, spread, rate)
+            assert got.tobytes() == _q_through_erfc(z).tobytes()
+
+    def test_nan_passes_through(self):
+        got = _q_of_margin(np.array([0.0, np.nan, 1.0]), np.array([0.0, 1.0, np.nan]), 0.0)
+        assert np.isnan(got).all()
+
+    def test_conditional_equals_erfc_on_every_element(self, rng):
+        # the simulator's per-trial values, zero SIR included
+        sir = np.concatenate([[0.0], rng.exponential(size=20000) * np.geomspace(1e-6, 1e6, 20000)])
+        n = 200
+        for k in (0, 1, 40, 400, 4000):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z = (shannon_capacity(sir) - k / n) / np.sqrt(channel_dispersion(sir) / n)
+            want = np.where(sir > 0.0, _q_through_erfc(z), 1.0 if k > 0 else 0.5)
+            assert fb_error_conditional(sir, k, n).tobytes() == want.tobytes()
 
 
 class TestFbErrorAverage:
@@ -294,6 +337,22 @@ class TestFbKstar:
             fb = fb_kstar(dist, cfg)
             gaps.append(abs(fb.k_star / n - asym.k_real / n))
         assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+
+    def test_each_payload_averaged_once(self, main_dist, monkeypatch):
+        # the bisection for k_real starts from err(k) and err(k+1), which the
+        # integer walk has already computed
+        averaged = []
+        original = finite_blocklength._ErrorAverage.__call__
+
+        def spy(self, k):
+            averaged.append(float(k))
+            return original(self, k)
+
+        monkeypatch.setattr(finite_blocklength._ErrorAverage, "__call__", spy)
+        sol = fb_kstar(main_dist, LinkConfig(2, 200, 7e-5, Scheme.SC))
+        assert not sol.infeasible
+        assert len(averaged) == len(set(averaged))
+        assert {float(sol.k_star), float(sol.k_star + 1)} <= set(averaged)
 
     def test_infeasible_flag(self):
         dist = SirDistribution.from_beta(50.0, 2)

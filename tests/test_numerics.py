@@ -10,6 +10,7 @@ from urpayload.numerics import (
     BracketError,
     find_root_monotone,
     integrate_semi_infinite,
+    log_grid,
     q_function,
     regularized_gamma_lower,
     regularized_gamma_upper,
@@ -145,3 +146,21 @@ class TestIntegrateSemiInfinite:
     def test_step_must_be_positive(self, step):
         with pytest.raises(ValueError):
             integrate_semi_infinite(lambda x: np.exp(-x), step)
+
+
+class TestLogGrid:
+    def test_nodes_are_read_only(self):
+        x, _ = log_grid(0.0115)
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+
+    def test_repeated_step_returns_the_same_grid(self):
+        assert log_grid(0.0115) is log_grid(0.0115)
+
+    def test_spans_the_integration_range(self):
+        x, h = log_grid(0.0115)
+        assert len(x) % 2 == 1
+        assert 0.0 < h <= 0.0115
+        assert x[0] == pytest.approx(1e-25, rel=1e-12)
+        assert x[-1] == pytest.approx(1e12, rel=1e-12)

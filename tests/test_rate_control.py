@@ -184,6 +184,12 @@ class TestScPdf:
             mass, _ = integrate.quad(lambda x: sc_pdf(x, main_dist, antennas), 0.0, math.inf)
             assert mass == pytest.approx(1.0, rel=1e-9)
 
+    def test_overflowing_argument_gives_zero(self):
+        # x*beta overflows on the top of the FB grid for beta near 1e300
+        dist = SirDistribution.from_beta(1e300, 10)
+        for antennas in (1, 3):
+            assert np.array_equal(sc_pdf(np.array([1e10, 1e12]), dist, antennas), [0.0, 0.0])
+
     def test_against_sampled_maxima(self, main_dist, rng):
         # 1e6 maxima of scaled-Lomax draws vs. the model; chi-square on bins
         antennas, size = 4, 10**6
@@ -215,6 +221,10 @@ class TestLomaxSumPdf:
     def test_vanishes_at_origin_for_multiple_terms(self):
         assert lomax_sum_pdf(0.0, 3, 10) == 0.0
         assert lomax_sum_pdf(0.0, 1, 10) == 10.0
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_vanishes_at_infinity(self, count):
+        assert np.array_equal(lomax_sum_pdf(np.array([math.inf, 1e308]), count, 10), [0.0, 0.0])
 
     @pytest.mark.parametrize("count,shape", [(2, 8), (4, 12), (8, 20), (6, 4)])
     def test_normalization(self, count, shape):
@@ -438,6 +448,10 @@ class TestCombinedPdf:
         f = combined_sir_pdf(main_dist, 4, Scheme.MRC)
         mass, _ = integrate.quad(f, 0.0, math.inf)
         assert mass == pytest.approx(1.0, abs=1e-8)
+
+    def test_mrc_overflowing_argument_gives_zero(self):
+        f = combined_sir_pdf(SirDistribution.from_beta(1e300, 10), 2, Scheme.MRC)
+        assert np.array_equal(f(np.array([1e10, 1e12])), [0.0, 0.0])
 
     def test_mrc_single_antenna_matches_marginal(self, main_dist):
         f = combined_sir_pdf(main_dist, 1, Scheme.MRC)

@@ -1,5 +1,6 @@
 import io
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -106,7 +107,18 @@ class TestCsvWriter:
             write_csv([], io.StringIO())
 
 
+_DATA = Path(__file__).parent / "data"
+
+
 class TestPresets:
+    def test_antenna_preset_reproduces_golden_csv(self):
+        # fig5 has SC and MRC finite-blocklength rows next to the asymptotic
+        # ones, so any drift in the FB average shows in k_real or
+        # predicted_epsilon at full precision
+        out = io.StringIO()
+        write_csv(preset_rows("fig5"), out)
+        assert out.getvalue() == (_DATA / "fig5.csv").read_text()
+
     def test_known_names(self):
         assert set(PRESET_NAMES) == {"fig2", "fig2pp", "fig3", "fig4", "fig5", "fig6"}
         with pytest.raises(KeyError):
