@@ -173,7 +173,8 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     remains) to the largest k whose average error stays within the target.
     The asymptotic guess lands within a few bits, which keeps the number of
     average-error integrations small. k_real refines the boundary where the
-    average error equals the target, for smooth sweeps.
+    average error equals the target, for smooth sweeps: the bisection's
+    answer to 2^-30, from about four averages beyond err(k) and err(k+1).
 
     Raises ValueError when the density's mass on the integration grid is not
     1, i.e. when the SIR law lies outside the range the average covers.
@@ -191,9 +192,9 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     else:
         seed = mrc_kstar(dist, cfg)
 
-    # memoized, so the bisection starts from the err(k) and err(k+1) the walk
-    # has computed; a dict, because k and float(k) are one key there but not
-    # in functools.cache
+    # memoized, so the root search starts from the err(k) and err(k+1) the
+    # walk has computed; a dict, because k and float(k) are one key there but
+    # not in functools.cache
     errors: dict[float, float] = {}
 
     def err(k: float) -> float:

@@ -1,7 +1,10 @@
 """Shared special functions and generic numerical routines.
 
-The special functions and the root finder work on scalars; the integration
-rule takes an array-valued integrand on a fixed log-spaced grid, which
+The special functions and the root finder work on scalars. The root finder
+returns exactly what bisection of its bracket returns, for monotone f, from
+far fewer evaluations: interpolation picks the points, and monotonicity
+supplies the signs of the midpoints it passes over. The integration rule
+takes an array-valued integrand on a fixed log-spaced grid, which
 `log_grid` builds once per step size and shares read-only, so callers can
 evaluate what does not change between integrals on the same nodes once. The
 common requirement across callers is left-tail fidelity: probabilities down
@@ -81,18 +84,70 @@ class Bracket:
             raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
+# f is called at most this many times more than bisection would call it.
+_SPARE_EVALUATIONS = 4
+# A sign measured at a point is not carried to midpoints closer to it than
+# this, relative to the bracket ends: lomax_sum_cdf is monotone only to
+# within a few ulps near its crossings, and a midpoint that close must be
+# evaluated, as bisection evaluates it.
+_SIGN_MARGIN = 2.0**-40
+# Pull of a regula falsi point toward the bracket midpoint, times (b - a)^2
+# over the first bracket's width (the truncation step of ITP, Oliveira &
+# Takahashi, ACM TOMS 2021); without it regula falsi creeps along the flat
+# end of a curve like x^M.
+_PULL = 0.01
+
+
+def _interpolate(
+    a: float,
+    fa: float,
+    b: float,
+    fb: float,
+    c: float | None,
+    fc: float | None,
+    pull_scale: float,
+) -> float:
+    """Estimate of the crossing inside (a, b) from f - target at a, b and c.
+
+    Inverse quadratic interpolation through the three points when it lands
+    inside (a, b); else regula falsi through a and b, pulled toward the
+    midpoint by pull_scale * (b - a)^2.
+    """
+    if c is not None:
+        d_ab, d_ac, d_bc = fa - fb, fa - fc, fb - fc
+        den_a, den_b, den_c = d_ab * d_ac, d_ab * d_bc, d_ac * d_bc
+        if den_a != 0.0 and den_b != 0.0 and den_c != 0.0:
+            x = a * fb * fc / den_a - b * fa * fc / den_b + c * fa * fb / den_c
+            if a < x < b:
+                return x
+    half = 0.5 * (a + b)
+    x = a + (b - a) * (fa / (fa - fb))
+    if not a < x < b:
+        return half
+    pull = pull_scale * (b - a) * (b - a)  # ** would raise OverflowError
+    return x + math.copysign(pull, half - x) if pull <= abs(half - x) else half
+
+
 def find_root_monotone(
     f: Callable[[float], float],
     target: float,
     bracket: Bracket,
     tol: float = 1e-12,
 ) -> float:
-    """Solve f(x) = target for monotone f by bisection.
+    """Solve f(x) = target for monotone f; return what bisection returns.
 
     Requires f(lo) and f(hi) to straddle the target (either orientation);
-    raises BracketError otherwise. Convergence is guaranteed in at most
-    ceil(log2((hi - lo) / tol)) iterations; the returned point is the final
-    bracket midpoint, so its distance to the true crossing is <= tol / 2.
+    raises BracketError otherwise. For monotone f the result is the double
+    that bisection of [lo, hi] down to width tol returns: the final bracket
+    midpoint, so within tol / 2 of the crossing, or a midpoint where f
+    equals the target. The bisection is replayed with the same arithmetic,
+    but a midpoint's sign comes from an evaluated point beyond it wherever
+    monotonicity fixes it, and interpolation picks the points to evaluate.
+    A sign is never carried to a midpoint within 2^-40 of the bracket ends'
+    magnitude from where it was measured, so f whose sign wobbles only that
+    close to the crossing, as lomax_sum_cdf's does, also gets bisection's
+    answer. f is called at most four times more than bisection calls it, and
+    on smooth f a handful of times in all.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -103,23 +158,73 @@ def find_root_monotone(
         return lo
     if fhi == 0.0:
         return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
+    lo_sign = math.copysign(1.0, flo)
+    if lo_sign == math.copysign(1.0, fhi):
         raise BracketError(
             f"f does not straddle target {target} on [{lo}, {hi}]: "
             f"f(lo)-target={flo:.6g}, f(hi)-target={fhi:.6g}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval at floating-point resolution
-            break
-        fmid = f(mid) - target
-        if fmid == 0.0:
-            return mid
-        if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
-            lo, flo = mid, fmid
+    # Interpolation points are rounded to multiples of the bisection's last
+    # interval width, (hi - lo) / 2^levels <= tol, from lo, so an accurate
+    # one is a midpoint that bisection evaluates too.
+    mantissa, levels = math.frexp((hi - lo) / tol)
+    if mantissa == 0.5:  # the ratio is a power of two
+        levels -= 1
+    spacing = math.ldexp(hi - lo, -max(levels, 0)) or tol
+    origin, pull_scale = lo, _PULL / (hi - lo)
+    # the tightest bracket with strict signs evaluated, the end it replaced
+    # last, and how far from a and b their signs are carried
+    a, fa, b, fb = lo, flo, hi, fhi
+    c = fc = None
+    known_lo, known_hi = lo, hi
+    # Brent's safeguard: an interpolation point must move less than half the
+    # step before last, else the bisection midpoint is evaluated instead
+    last, step, step_before = hi, math.inf, math.inf
+    values: dict[float, float] = {}  # f - target at every point evaluated
+    spare = _SPARE_EVALUATIONS  # calls left beyond one per bisection level
+    while True:
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:  # interval at floating-point resolution
+                return 0.5 * (lo + hi)
+            if mid <= known_lo:
+                lo = mid
+            elif mid >= known_hi:
+                hi = mid
+            else:
+                fmid = values.get(mid)
+                if fmid is None:
+                    break
+                if fmid == 0.0:
+                    return mid
+                if math.copysign(1.0, fmid) == lo_sign:
+                    lo = mid
+                else:
+                    hi = mid
+            spare += 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            return 0.5 * (lo + hi)
+        x = mid
+        if spare > 0 and b - a > 2.0 * spacing:
+            # at least one lattice step inside, so that a crossing hugging
+            # one end is bracketed from the other side next
+            guess = _interpolate(a, fa, b, fb, c, fc, pull_scale)
+            guess = min(max(guess, a + spacing), b - spacing)
+            guess -= math.remainder(guess - origin, spacing)
+            converging = abs(guess - last) <= 0.5 * step_before
+            if a < guess < b and converging and guess not in values:
+                x = guess
+        values[x] = fx = f(x) - target
+        spare -= 1
+        step_before, step, last = step, abs(x - last), x
+        if fx < 0.0 or fx > 0.0:  # a zero or NaN gives no strict sign
+            if (fx < 0.0) == (lo_sign < 0.0):
+                if x > a:
+                    c, fc, a, fa = a, fa, x, fx
+            elif x < b:
+                c, fc, b, fb = b, fb, x, fx
+            margin = _SIGN_MARGIN * max(abs(a), abs(b))
+            known_lo, known_hi = a - margin, b + margin
 
 
 # integration range in u = ln x; what lies outside is the callers' to check

@@ -123,6 +123,21 @@ def _log1p_theta_weight(t: float, w: float) -> float:
     return math.log1p(math.expm1(t) * w)
 
 
+def _log_tail_complement(epsilon: float, antennas: int) -> float:
+    """-log(1 - eps^(1/M)), shared by the SC solves and the closed MRC quantile.
+
+    Raises ValueError when eps^(1/M) rounds to 1.0, where the term is
+    infinite: eps is then too close to 1 for M antennas in double precision.
+    """
+    root = epsilon ** (1.0 / antennas)
+    if not root < 1.0:
+        raise ValueError(
+            f"epsilon_th={epsilon!r} is too close to 1 for M={antennas} antennas: "
+            "epsilon_th^(1/M) rounds to 1.0"
+        )
+    return -math.log1p(-root)
+
+
 def sc_error(
     theta: float, dist: SirDistribution, antennas: int = 1, exact: bool = False
 ) -> float:
@@ -190,15 +205,16 @@ def _finish(
 def sc_kstar_exact(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     """Maximum payload under SC from the exact product-form constraint.
 
-    Solves prod_j(1 + theta(k)*w_j) = 1/(1 - eps^(1/M)) for real k by
-    bisection on the log product (strictly increasing in k), then settles the
+    Solves prod_j(1 + theta(k)*w_j) = 1/(1 - eps^(1/M)) for real k with
+    find_root_monotone on the log product (strictly increasing in k) to 1e-9,
+    the bisection's answer from about 8 log products, then settles the
     integer payload against the exact error itself.
     """
     if cfg.scheme is not Scheme.SC:
         raise ValueError("sc_kstar_exact requires an SC-scheme config")
     n, m, eps = cfg.blocklength, cfg.antennas, cfg.epsilon_th
     weights = dist.path_losses
-    target = -math.log1p(-eps ** (1.0 / m))
+    target = _log_tail_complement(eps, m)
 
     def log_product(k: float) -> float:
         t = _LN2 * k / n
@@ -226,7 +242,7 @@ def sc_kstar_approx(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     if cfg.scheme is not Scheme.SC:
         raise ValueError("sc_kstar_approx requires an SC-scheme config")
     n, m, eps = cfg.blocklength, cfg.antennas, cfg.epsilon_th
-    growth = math.expm1(-math.log1p(-eps ** (1.0 / m)) / dist.eta)
+    growth = math.expm1(_log_tail_complement(eps, m) / dist.eta)
     k_real = n * math.log1p((dist.eta / dist.beta) * growth) / _LN2
 
     def err(k: int) -> float:
@@ -327,7 +343,11 @@ def _check_probability(epsilon: float) -> None:
 
 
 def mrc_quantile_numeric(epsilon: float, antennas: int, eta: int) -> float:
-    """Invert lomax_sum_cdf at epsilon by bisection (bracket doubled from M)."""
+    """Invert lomax_sum_cdf at epsilon (bracket doubled from M) to 1e-15 relative.
+
+    find_root_monotone returns the bisection's quantile, from about half the
+    CDF evaluations bisection makes.
+    """
     _check_probability(epsilon)
     hi = float(antennas)
     while lomax_sum_cdf(hi, antennas, eta) < epsilon:
@@ -351,7 +371,7 @@ def mrc_quantile_closed(epsilon: float, antennas: int, eta: int) -> float:
     return (
         math.exp(math.lgamma(antennas + 1) / antennas)
         / eta
-        * abs(math.log1p(-epsilon ** (1.0 / antennas)))
+        * _log_tail_complement(epsilon, antennas)
     )
 
 

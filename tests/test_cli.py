@@ -167,6 +167,30 @@ class TestRate:
         assert out == ""
         assert "not finite" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "exact"],
+            ["--method", "approx"],
+            ["--method", "fb"],
+            ["--scheme", "mrc", "--method", "closed"],
+        ],
+    )
+    def test_target_too_close_to_one_names_its_cause(self, flags, capsys):
+        # eps^(1/16) rounds to 1.0, where -log(1 - eps^(1/M)) is infinite
+        code, out, err = run_cli(
+            [
+                "rate",
+                *["--beta", "0.3", "--eta", "10", "--M", "16", "--n", "200"],
+                *["--eps", "0.9999999999999999", *flags],
+            ],
+            capsys,
+        )
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert "epsilon_th=0.9999999999999999" in err and "M=16" in err
+        assert "math domain error" not in err
+
     @pytest.mark.parametrize("flags", [[], ["--scheme", "mrc", "--M", "2"]])
     def test_density_overflow_is_quiet_config_error(self, flags, capsys):
         # beta=1e300 overflows x*beta on the grid; the density is 0 there, so

@@ -339,8 +339,8 @@ class TestFbKstar:
         assert all(b <= a for a, b in zip(gaps, gaps[1:]))
 
     def test_each_payload_averaged_once(self, main_dist, monkeypatch):
-        # the bisection for k_real starts from err(k) and err(k+1), which the
-        # integer walk has already computed
+        # the root search for k_real starts from err(k) and err(k+1), which
+        # the integer walk has already computed
         averaged = []
         original = finite_blocklength._ErrorAverage.__call__
 
@@ -353,6 +353,22 @@ class TestFbKstar:
         assert not sol.infeasible
         assert len(averaged) == len(set(averaged))
         assert {float(sol.k_star), float(sol.k_star + 1)} <= set(averaged)
+
+    @pytest.mark.parametrize("scheme", [Scheme.SC, Scheme.MRC])
+    def test_few_averages_per_solve(self, scheme, monkeypatch):
+        # the integer walk down from the asymptotic payload takes 7 averages
+        # here; k_real's bisection to 2^-30 took 30 more, its replay takes 4
+        averaged = []
+        original = finite_blocklength._ErrorAverage.__call__
+
+        def spy(self, k):
+            averaged.append(k)
+            return original(self, k)
+
+        monkeypatch.setattr(finite_blocklength._ErrorAverage, "__call__", spy)
+        sol = fb_kstar(SirDistribution.from_beta(0.8, 8), LinkConfig(4, 200, 1e-6, scheme))
+        assert not sol.infeasible
+        assert len(averaged) <= 12
 
     def test_infeasible_flag(self):
         dist = SirDistribution.from_beta(50.0, 2)

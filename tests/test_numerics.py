@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urpayload.numerics import (
@@ -118,6 +119,146 @@ class TestFindRootMonotone:
         tol = 1e-10
         root = find_root_monotone(lambda x: x**3, target, Bracket(0.0, 1.0), tol=tol)
         assert abs(root**3 - target) < 3.0 * tol  # slope <= 3 on [0, 1]
+
+
+def bisection(f, target, bracket, tol):
+    """Plain bisection, the oracle find_root_monotone must reproduce.
+
+    Returns the root and the number of calls to f.
+    """
+    calls = 0
+
+    def g(x):
+        nonlocal calls
+        calls += 1
+        return f(x) - target
+
+    lo, hi = bracket.lo, bracket.hi
+    flo, fhi = g(lo), g(hi)
+    if flo == 0.0:
+        return lo, calls
+    if fhi == 0.0:
+        return hi, calls
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fmid = g(mid)
+        if fmid == 0.0:
+            return mid, calls
+        if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), calls
+
+
+def counted(f):
+    """f, and the list of the points it has been called at."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return f(x)
+
+    return wrapped, calls
+
+
+# monotone curves on [lo, hi], scaled by hi so that none overflows there
+CURVES = {
+    "linear": lambda hi: lambda x: x,
+    "cube": lambda hi: lambda x: x**3,
+    "exp": lambda hi: lambda x: math.exp(30.0 * x / hi),
+    "power4": lambda hi: lambda x: x**4,
+    "power8": lambda hi: lambda x: x**8,
+    "power16": lambda hi: lambda x: x**16,
+    "steps": lambda hi: lambda x: math.floor(64.0 * x / hi),
+}
+
+# the callers' brackets: fb_kstar's k_real, sc_kstar_exact,
+# mrc_quantile_numeric, and the default tolerance
+BRACKETS = {
+    "unit": lambda size: (Bracket(float(int(size)), float(int(size)) + 1.0), 2.0**-30),
+    "payload": lambda size: (Bracket(0.0, size), 1e-9),
+    "quantile": lambda size: (Bracket(0.0, size), 1e-15 * size),
+    "default": lambda size: (Bracket(0.0, size), None),
+}
+
+
+class TestFindRootMonotoneEqualsBisection:
+    @given(
+        curve=st.sampled_from(sorted(CURVES)),
+        shape=st.sampled_from(sorted(BRACKETS)),
+        size=st.floats(min_value=0.01, max_value=5000.0),
+        # the root's place in the bracket: log-uniform down to 1e-12 of its
+        # width (deep targets for the powers), or a dyadic fraction, where
+        # bisection may land on the root exactly and stop early
+        place=st.one_of(
+            st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e),
+            st.integers(min_value=1, max_value=2**12 - 1).map(lambda j: j / 2**12),
+        ),
+        increasing=st.booleans(),
+    )
+    @example(curve="power8", shape="quantile", size=8.0, place=0.5, increasing=True)
+    @example(curve="cube", shape="default", size=1.0, place=0.125, increasing=False)
+    @settings(max_examples=400, deadline=None)
+    def test_same_double_and_at_most_four_more_calls(
+        self, curve, shape, size, place, increasing
+    ):
+        bracket, tol = BRACKETS[shape](size)
+        g = CURVES[curve](bracket.hi)
+        f = g if increasing else (lambda x: -g(x))
+        target = f(bracket.lo + (bracket.hi - bracket.lo) * place)
+        if f(bracket.lo) == f(bracket.hi):  # flat within the bracket: no crossing
+            return
+        expected, oracle_calls = bisection(f, target, bracket, 1e-12 if tol is None else tol)
+        f, calls = counted(f)
+        if tol is None:
+            root = find_root_monotone(f, target, bracket)
+        else:
+            root = find_root_monotone(f, target, bracket, tol=tol)
+        assert root == expected
+        assert len(calls) <= oracle_calls + 4
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.1, 0.95), (0.0, 0.77), (0.2, 3.0)])
+    def test_plateau_at_the_target(self, lo, hi):
+        # f equals the target on [0.3, 0.6]: bisection returns the first
+        # midpoint it lands on there, and so must the search, whichever
+        # plateau points its interpolation tried first
+        def f(x):
+            return x if x < 0.3 else max(0.3, x - 0.3)
+
+        expected, oracle_calls = bisection(f, 0.3, Bracket(lo, hi), 1e-12)
+        f, calls = counted(f)
+        assert find_root_monotone(f, 0.3, Bracket(lo, hi)) == expected
+        assert len(calls) <= oracle_calls + 4
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-9, 1e300])
+    def test_bracket_as_wide_as_the_floats(self, tol):
+        # (b - a)^2 overflows here; the search must still replay bisection
+        bracket = Bracket(-5e307, 8e307)
+        for target in (-0.25, 3e-301, 7e307):
+            expected, _ = bisection(lambda x: x, target, bracket, tol)
+            assert find_root_monotone(lambda x: x, target, bracket, tol=tol) == expected
+
+    def test_sign_noise_at_the_crossing_is_not_carried(self):
+        # x^3 with a +-1e-13 relative wobble: its sign is noise within ~1e-13
+        # of the crossing, as lomax_sum_cdf's is within a few ulps; bisection
+        # to 1e-15 evaluates midpoints there, and the search must evaluate
+        # them too rather than carry a sign from a neighbouring point
+        def wobble(x):
+            bits = int.from_bytes(struct.pack("<d", x), "little")
+            return 1.0 if (bits * 0x9E3779B97F4A7C15) >> 40 & 1 else -1.0
+
+        rng = np.random.default_rng(20261018)
+        for root in rng.uniform(0.2, 1.8, 100):
+            target = float(root) ** 3
+
+            def f(x):
+                return x**3 + 1e-13 * target * wobble(x)
+
+            expected, _ = bisection(f, target, Bracket(0.0, 2.0), 2e-15)
+            assert find_root_monotone(f, target, Bracket(0.0, 2.0), tol=2e-15) == expected
 
 
 class TestIntegrateSemiInfinite:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from urpayload import rate_control
 from urpayload.rate_control import (
     LinkConfig,
     Method,
@@ -119,6 +120,25 @@ class TestScKstarExact:
         for eps in (1e-2, 1e-6, 1e-9):
             cfg = LinkConfig(4, 200, eps, Scheme.SC)
             assert sc_kstar_exact(main_topology, cfg) == sc_kstar_exact(dist, cfg)
+
+    def test_few_log_product_evaluations(self, monkeypatch):
+        # bisection to 1e-9 on [0, n] called the log product 42 times here
+        calls = 0
+        original = rate_control.find_root_monotone
+
+        def counting(f, target, bracket, tol):
+            def counted(k):
+                nonlocal calls
+                calls += 1
+                return f(k)
+
+            return original(counted, target, bracket, tol=tol)
+
+        monkeypatch.setattr(rate_control, "find_root_monotone", counting)
+        cfg = LinkConfig(4, 200, 1e-6, Scheme.SC)
+        sol = sc_kstar_exact(SirDistribution.from_beta(0.8, 8), cfg)
+        assert sol.k_star > 0
+        assert 0 < calls <= 20
 
     def test_infeasible_sets_flag(self, main_dist):
         # beta so large that even one bit misses an extreme target
@@ -328,6 +348,11 @@ class TestMrcQuantiles:
         values = np.array([lomax_sum_cdf(float(x), antennas, eta) for x in grid])
         scan = grid[int(np.searchsorted(values, eps))]
         assert mrc_quantile_numeric(eps, antennas, eta) == pytest.approx(scan, rel=1e-4)
+
+    def test_quantile_where_the_cdf_is_not_monotone_in_its_last_bits(self):
+        # lomax_sum_cdf wobbles by an ulp near this root, so a root finder
+        # that trusted its signs down to tol = 1e-15*hi would land elsewhere
+        assert mrc_quantile_numeric(0.012408587106085648, 14, 1) == 9.034758826139438
 
     def test_closed_single_count_reduction(self):
         eps, eta = 1e-4, 9

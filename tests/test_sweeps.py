@@ -119,6 +119,13 @@ class TestPresets:
         write_csv(preset_rows("fig5"), out)
         assert out.getvalue() == (_DATA / "fig5.csv").read_text()
 
+    def test_epsilon_preset_reproduces_golden_csv(self):
+        # fig2 makes the most finite-blocklength solves (SC and MRC, M 1-8,
+        # eps 1e-9 to 1e-1), so it pins k_real's root finding at every depth
+        out = io.StringIO()
+        write_csv(preset_rows("fig2"), out)
+        assert out.getvalue() == (_DATA / "fig2.csv").read_text()
+
     def test_known_names(self):
         assert set(PRESET_NAMES) == {"fig2", "fig2pp", "fig3", "fig4", "fig5", "fig6"}
         with pytest.raises(KeyError):
