@@ -126,6 +126,19 @@ class TestPresets:
         write_csv(preset_rows("fig2"), out)
         assert out.getvalue() == (_DATA / "fig2.csv").read_text()
 
+    def test_beta_preset_reproduces_golden_csv(self):
+        # fig4 moves beta with eps outermost and M inside it, so a change in
+        # how the k* presets are assembled shows as reordered rows
+        out = io.StringIO()
+        write_csv(preset_rows("fig4"), out)
+        assert out.getvalue() == (_DATA / "fig4.csv").read_text()
+
+    def test_blocklength_preset_reproduces_golden_csv(self):
+        # fig6 is SC only, on the n axis up to 2000
+        out = io.StringIO()
+        write_csv(preset_rows("fig6"), out)
+        assert out.getvalue() == (_DATA / "fig6.csv").read_text()
+
     def test_known_names(self):
         assert set(PRESET_NAMES) == {"fig2", "fig2pp", "fig3", "fig4", "fig5", "fig6"}
         with pytest.raises(KeyError):
