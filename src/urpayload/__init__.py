@@ -17,9 +17,7 @@ from .numerics import (
     BracketError,
     find_root_monotone,
     integrate_semi_infinite,
-    q_function,
     regularized_gamma_lower,
-    regularized_gamma_upper,
 )
 from .rate_control import (
     LinkConfig,
@@ -27,7 +25,6 @@ from .rate_control import (
     RateSolution,
     Scheme,
     combined_sir_pdf,
-    k_for_threshold,
     lomax_sum_cdf,
     lomax_sum_cdf_lower_bound,
     lomax_sum_pdf,
@@ -47,15 +44,12 @@ from .simulator import (
     SimSpec,
     UndersampledError,
     run_sim,
-    sample_sir,
     sample_sir_block,
     wilson_interval,
 )
 from .sir_model import (
     SirDistribution,
     Topology,
-    beta_from_path_losses,
-    beta_from_topology,
     load_topology,
     sir_cdf_approx,
     sir_cdf_exact,

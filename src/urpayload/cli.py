@@ -17,7 +17,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .numerics import BracketError
 from .rate_control import LinkConfig, Method, Scheme
 from .simulator import Semantics, SimSpec, load_sim_spec, run_sim
 from .sir_model import SirDistribution, load_topology
@@ -337,8 +336,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, BracketError) as exc:
-        # covers ConfigError and UndersampledError too
+    except (ValueError, OSError) as exc:
+        # covers ConfigError, UndersampledError and BracketError too
         sys.stderr.write(f"urp: {exc}\n")
         return EXIT_BAD_CONFIG
 

@@ -27,32 +27,12 @@ __all__ = [
     "find_root_monotone",
     "integrate_semi_infinite",
     "log_grid",
-    "q_function",
     "regularized_gamma_lower",
-    "regularized_gamma_upper",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 
 class BracketError(ValueError):
     """The supplied bracket does not straddle the requested target level."""
-
-
-def q_function(x: float) -> float:
-    """Gaussian upper-tail probability Q(x) = P(N(0,1) > x).
-
-    Evaluated as erfc(x/sqrt(2))/2, which stays accurate for large positive x
-    where 1 - Phi(x) would cancel totally.
-    """
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
-def _check_gamma_args(p: float, x: float) -> None:
-    if not p > 0.0:
-        raise ValueError(f"shape parameter must be positive, got p={p!r}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got x={x!r}")
 
 
 def regularized_gamma_lower(p: float, x: float) -> float:
@@ -62,14 +42,11 @@ def regularized_gamma_lower(p: float, x: float) -> float:
     via scipy's gammainc), never as 1 - Q(p, x), so tiny left-tail values keep
     full relative precision.
     """
-    _check_gamma_args(p, x)
+    if not p > 0.0:
+        raise ValueError(f"shape parameter must be positive, got p={p!r}")
+    if x < 0.0:
+        raise ValueError(f"argument must be nonnegative, got x={x!r}")
     return float(_special.gammainc(p, x))
-
-
-def regularized_gamma_upper(p: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(p, x) = Gamma(p, x) / Gamma(p)."""
-    _check_gamma_args(p, x)
-    return float(_special.gammaincc(p, x))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ __all__ = [
     "RateSolution",
     "Scheme",
     "combined_sir_pdf",
-    "k_for_threshold",
     "lomax_sum_cdf",
     "lomax_sum_cdf_lower_bound",
     "lomax_sum_pdf",
@@ -109,11 +108,6 @@ class RateSolution:
 def theta_for_rate(k: float, n: int) -> float:
     """SIR decoding threshold 2^(k/n) - 1 for payload k over n channel uses."""
     return math.expm1(_LN2 * k / n)
-
-
-def k_for_threshold(theta: float, n: int) -> float:
-    """Inverse of theta_for_rate: payload whose threshold equals theta."""
-    return n * math.log1p(theta) / _LN2
 
 
 def _log1p_theta_weight(t: float, w: float) -> float:

@@ -37,7 +37,6 @@ __all__ = [
     "UndersampledError",
     "load_sim_spec",
     "run_sim",
-    "sample_sir",
     "sample_sir_block",
     "wilson_interval",
 ]
@@ -191,11 +190,6 @@ def sample_sir_block(
     g = _exponential(rng, (trials, weights.size, antennas))
     interference = np.einsum("tja,j->ta", g, weights)
     return h / interference
-
-
-def sample_sir(dist: SirDistribution, antennas: int, rng: np.random.Generator) -> np.ndarray:
-    """One fading draw: the per-antenna SIR values, shape (antennas,)."""
-    return sample_sir_block(dist, antennas, 1, rng)[0]
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

@@ -18,30 +18,13 @@ from pathlib import Path
 __all__ = [
     "SirDistribution",
     "Topology",
-    "beta_from_path_losses",
-    "beta_from_topology",
     "load_topology",
     "parse_topology",
     "sir_cdf_approx",
     "sir_cdf_exact",
-    "sir_log_survival_approx",
-    "sir_log_survival_exact",
     "sir_pdf_approx",
     "sir_pdf_exact",
 ]
-
-
-def beta_from_path_losses(l0: float, lj: list[float] | tuple[float, ...]) -> float:
-    """Generalized beta = l0 * sum_j l_j for arbitrary path-loss models.
-
-    l_j is the path loss (channel gain) of the j-th interfering link and l0
-    the reciprocal gain of the serving link (r0^alpha under power-law loss).
-    """
-    if not l0 > 0.0:
-        raise ValueError(f"serving-link factor must be positive, got {l0}")
-    if len(lj) < 1 or any(l <= 0.0 for l in lj):
-        raise ValueError("interferer path losses must be a nonempty positive list")
-    return l0 * math.fsum(lj)
 
 
 @dataclass(frozen=True)
@@ -83,7 +66,16 @@ class SirDistribution:
     def from_path_losses(
         cls, l0: float, lj: list[float] | tuple[float, ...]
     ) -> "SirDistribution":
-        beta = beta_from_path_losses(l0, lj)
+        """Law with the generalized beta = l0 * sum_j l_j of any path-loss model.
+
+        l_j is the path loss (channel gain) of the j-th interfering link and l0
+        the reciprocal gain of the serving link (r0^alpha under power-law loss).
+        """
+        if not l0 > 0.0:
+            raise ValueError(f"serving-link factor must be positive, got {l0}")
+        if len(lj) < 1 or any(l <= 0.0 for l in lj):
+            raise ValueError("interferer path losses must be a nonempty positive list")
+        beta = l0 * math.fsum(lj)
         return cls(eta=len(lj), beta=beta, path_losses=tuple(l0 * l for l in lj))
 
     @classmethod
@@ -138,11 +130,6 @@ class Topology(SirDistribution):
         super().__init__(len(distances), beta=math.fsum(weights), path_losses=weights)
 
 
-def beta_from_topology(topology: Topology) -> float:
-    """Aggregate interference coupling beta = r0^alpha * sum_j r_j^(-alpha)."""
-    return topology.beta
-
-
 def _check_gamma(gamma: float) -> None:
     if gamma < 0.0:
         raise ValueError(f"SIR threshold must be nonnegative, got {gamma}")
@@ -182,10 +169,8 @@ def sir_pdf_approx(gamma: float, dist: SirDistribution) -> float:
 
 def sir_pdf_exact(gamma: float, dist: SirDistribution) -> float:
     """Derivative of the exact CDF: survival(gamma) * sum_j w_j/(1 + gamma*w_j)."""
-    _check_gamma(gamma)
-    weights = dist.path_losses
-    survival = math.exp(-math.fsum(math.log1p(gamma * w) for w in weights))
-    return survival * math.fsum(w / (1.0 + gamma * w) for w in weights)
+    survival = math.exp(sir_log_survival_exact(gamma, dist))
+    return survival * math.fsum(w / (1.0 + gamma * w) for w in dist.path_losses)
 
 
 def load_topology(path: str | Path) -> SirDistribution:

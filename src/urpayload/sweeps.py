@@ -256,92 +256,41 @@ class BoundCurveRow:
     lower_bound_exact_log: float
 
 
-def _kstar_preset(specs: Sequence[SweepSpec], workers: int) -> list[SweepRow]:
-    return [row for spec in specs for row in run_sweep(spec, workers=workers)]
+@dataclass(frozen=True)
+class _KstarFigure:
+    """A payload figure: one sweep per target, antenna count and scheme.
 
+    Rows come in that loop order. The link field that the axis moves is only
+    a placeholder in `targets`, `antennas` or `blocklength`.
+    """
 
-def _preset_eps_sweep(workers: int) -> list[SweepRow]:
-    # payload vs. target epsilon: n=200, setup B, M in {1,2,4,8}, SC+MRC
-    dist = CDF_SETUPS["B"]
-    eps_values = tuple(np.logspace(-9.0, -1.0, 33))
-    specs = []
-    for antennas in (1, 2, 4, 8):
-        sc_cfg = LinkConfig(antennas, 200, 1e-3, Scheme.SC)
-        mrc_cfg = LinkConfig(antennas, 200, 1e-3, Scheme.MRC)
-        specs.append(
+    axis: Axis
+    values: tuple[float, ...]
+    dist: SirDistribution
+    blocklength: int
+    targets: tuple[float, ...]
+    antennas: tuple[int, ...]
+    methods: tuple[tuple[Scheme, tuple[Method, ...]], ...]  # per scheme
+
+    def __call__(self, workers: int) -> list[SweepRow]:
+        specs = [
             SweepSpec(
-                Axis.EPSILON_TH,
-                eps_values,
-                sc_cfg,
-                dist,
-                (Method.SC_EXACT, Method.SC_APPROX, Method.FB),
+                self.axis,
+                self.values,
+                LinkConfig(m, self.blocklength, eps, scheme),
+                self.dist,
+                methods,
             )
-        )
-        specs.append(
-            SweepSpec(
-                Axis.EPSILON_TH, eps_values, mrc_cfg, dist, (Method.MRC_NUMERIC, Method.FB)
-            )
-        )
-    return _kstar_preset(specs, workers)
+            for eps in self.targets
+            for m in self.antennas
+            for scheme, methods in self.methods
+        ]
+        return [row for spec in specs for row in run_sweep(spec, workers=workers)]
 
 
-def _preset_beta_sweep(workers: int) -> list[SweepRow]:
-    # payload vs. beta: n=200, eta=8, eps in {1e-2, 1e-6}, M in {1,2,4}
-    beta_values = tuple(np.logspace(math.log10(0.05), math.log10(5.0), 21))
-    dist = SirDistribution.from_beta(0.8, 8)
-    specs = []
-    for eps in (1e-2, 1e-6):
-        for antennas in (1, 2, 4):
-            sc_cfg = LinkConfig(antennas, 200, eps, Scheme.SC)
-            mrc_cfg = LinkConfig(antennas, 200, eps, Scheme.MRC)
-            specs.append(
-                SweepSpec(Axis.BETA, beta_values, sc_cfg, dist, (Method.SC_APPROX, Method.FB))
-            )
-            specs.append(
-                SweepSpec(Axis.BETA, beta_values, mrc_cfg, dist, (Method.MRC_NUMERIC, Method.FB))
-            )
-    return _kstar_preset(specs, workers)
-
-
-def _preset_antenna_sweep(workers: int) -> list[SweepRow]:
-    # payload vs. antenna count: n=400, eta=8, beta=0.8, eps in {1e-3,1e-6,1e-9}
-    antenna_values = tuple(float(m) for m in range(1, 17))
-    dist = SirDistribution.from_beta(0.8, 8)
-    specs = []
-    for eps in (1e-3, 1e-6, 1e-9):
-        sc_cfg = LinkConfig(1, 400, eps, Scheme.SC)
-        mrc_cfg = LinkConfig(1, 400, eps, Scheme.MRC)
-        specs.append(
-            SweepSpec(Axis.ANTENNAS, antenna_values, sc_cfg, dist, (Method.SC_APPROX, Method.FB))
-        )
-        specs.append(
-            SweepSpec(
-                Axis.ANTENNAS,
-                antenna_values,
-                mrc_cfg,
-                dist,
-                (Method.MRC_NUMERIC, Method.MRC_CLOSED, Method.FB),
-            )
-        )
-    return _kstar_preset(specs, workers)
-
-
-def _preset_blocklength_sweep(workers: int) -> list[SweepRow]:
-    # rate vs. blocklength: SC, eta=8, beta=0.8, eps in {1e-3, 1e-6}; antenna
-    # counts chosen so both targets stay feasible across the axis
-    n_values = (100.0, 200.0, 300.0, 400.0, 600.0, 800.0, 1200.0, 1600.0, 2000.0)
-    dist = SirDistribution.from_beta(0.8, 8)
-    specs = []
-    for eps in (1e-3, 1e-6):
-        for antennas in (4, 8):
-            cfg = LinkConfig(antennas, 200, eps, Scheme.SC)
-            specs.append(
-                SweepSpec(
-                    Axis.BLOCKLENGTH, n_values, cfg, dist, (Method.SC_APPROX, Method.FB)
-                )
-            )
-    return _kstar_preset(specs, workers)
-
+_EQUAL_WEIGHTS = SirDistribution.from_beta(0.8, 8)
+_SC_FB = (Scheme.SC, (Method.SC_APPROX, Method.FB))
+_MRC_FB = (Scheme.MRC, (Method.MRC_NUMERIC, Method.FB))
 
 def _preset_cdf_curves(workers: int) -> list[CdfCurveRow]:
     del workers  # cheap enough to stay serial
@@ -387,12 +336,49 @@ def _preset_bound_curves(workers: int) -> list[BoundCurveRow]:
 
 
 _PRESETS: dict[str, Callable[[int], list]] = {
-    "fig2": _preset_eps_sweep,
+    # payload vs. target epsilon: n=200, setup B, M in {1,2,4,8}, SC+MRC
+    "fig2": _KstarFigure(
+        Axis.EPSILON_TH,
+        tuple(np.logspace(-9.0, -1.0, 33)),
+        CDF_SETUPS["B"],
+        200,
+        (1e-3,),
+        (1, 2, 4, 8),
+        ((Scheme.SC, (Method.SC_EXACT, Method.SC_APPROX, Method.FB)), _MRC_FB),
+    ),
     "fig2pp": _preset_cdf_curves,
     "fig3": _preset_bound_curves,
-    "fig4": _preset_beta_sweep,
-    "fig5": _preset_antenna_sweep,
-    "fig6": _preset_blocklength_sweep,
+    # payload vs. beta: n=200, eta=8, eps in {1e-2, 1e-6}, M in {1,2,4}
+    "fig4": _KstarFigure(
+        Axis.BETA,
+        tuple(np.logspace(math.log10(0.05), math.log10(5.0), 21)),
+        _EQUAL_WEIGHTS,
+        200,
+        (1e-2, 1e-6),
+        (1, 2, 4),
+        (_SC_FB, _MRC_FB),
+    ),
+    # payload vs. antenna count: n=400, eta=8, beta=0.8, eps in {1e-3,1e-6,1e-9}
+    "fig5": _KstarFigure(
+        Axis.ANTENNAS,
+        tuple(float(m) for m in range(1, 17)),
+        _EQUAL_WEIGHTS,
+        400,
+        (1e-3, 1e-6, 1e-9),
+        (1,),
+        (_SC_FB, (Scheme.MRC, (Method.MRC_NUMERIC, Method.MRC_CLOSED, Method.FB))),
+    ),
+    # rate vs. blocklength: SC, eta=8, beta=0.8, eps in {1e-3, 1e-6}; antenna
+    # counts chosen so both targets stay feasible across the axis
+    "fig6": _KstarFigure(
+        Axis.BLOCKLENGTH,
+        (100.0, 200.0, 300.0, 400.0, 600.0, 800.0, 1200.0, 1600.0, 2000.0),
+        _EQUAL_WEIGHTS,
+        200,
+        (1e-3, 1e-6),
+        (4, 8),
+        (_SC_FB,),
+    ),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))

@@ -223,8 +223,6 @@ def check_montecarlo(
             trials=trials,
             seed=seed,
             workers=workers,
-            epsilon_target=point.epsilon_target,
-            allow_undersampled=True,
         )
         report = run_sim(spec)
         lo, hi = report.ci95

@@ -35,7 +35,7 @@ from urpayload.rate_control import (
     sc_kstar_approx,
 )
 from urpayload.simulator import Semantics
-from urpayload.sir_model import SirDistribution, Topology, beta_from_topology
+from urpayload.sir_model import SirDistribution, Topology
 from urpayload.sweeps import preset_rows
 from urpayload.validation import (
     MonteCarloPoint,
@@ -61,7 +61,7 @@ def report(number: int, label: str, ok: bool, detail: str = "") -> None:
 
 
 def test_01_beta_reproduction():
-    beta = beta_from_topology(FIG2_TOPOLOGY)
+    beta = FIG2_TOPOLOGY.beta
     ok = abs(beta - 0.306102) <= 5e-7
     report(1, "topology aggregate beta = 0.306102 to six significant digits", ok,
            f"beta={beta:.9f}")

@@ -12,7 +12,6 @@ from urpayload.rate_control import (
     Method,
     Scheme,
     combined_sir_pdf,
-    k_for_threshold,
     lomax_sum_cdf,
     lomax_sum_cdf_lower_bound,
     lomax_sum_pdf,
@@ -461,7 +460,8 @@ class TestSolutionInvariants:
     def test_theta_matches_payload(self, main_dist):
         sol = sc_kstar_approx(main_dist, LinkConfig(2, 200, 1e-4, Scheme.SC))
         assert sol.theta == pytest.approx(theta_for_rate(sol.k_star, 200), rel=1e-15)
-        assert k_for_threshold(sol.theta, 200) == pytest.approx(sol.k_star, rel=1e-12)
+        k_from_theta = 200 * math.log1p(sol.theta) / math.log(2)
+        assert k_from_theta == pytest.approx(sol.k_star, rel=1e-12)
 
 
 class TestCombinedPdf:

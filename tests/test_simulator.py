@@ -12,7 +12,6 @@ from urpayload.simulator import (
     UndersampledError,
     load_sim_spec,
     run_sim,
-    sample_sir,
     sample_sir_block,
     wilson_interval,
 )
@@ -42,7 +41,7 @@ def spec_for(topology, **overrides) -> SimSpec:
 
 class TestSampleSir:
     def test_shape_and_positivity(self, rng):
-        values = sample_sir(SETUP_B, 4, rng)
+        values = sample_sir_block(SETUP_B, 4, 1, rng)[0]
         assert values.shape == (4,)
         assert np.all(values > 0.0)
 

@@ -11,8 +11,6 @@ from urpayload.simulator import sample_sir_block
 from urpayload.sir_model import (
     SirDistribution,
     Topology,
-    beta_from_path_losses,
-    beta_from_topology,
     load_topology,
     sir_cdf_approx,
     sir_cdf_exact,
@@ -65,30 +63,30 @@ class TestTopology:
 
 class TestBeta:
     def test_reference_topology_six_digits(self):
-        assert beta_from_topology(SETUP_B) == pytest.approx(0.306102, abs=5e-7)
+        assert SETUP_B.beta == pytest.approx(0.306102, abs=5e-7)
 
     def test_equal_distances_cancel(self):
-        assert beta_from_topology(Topology(1.0, (1.0,), 3.5)) == pytest.approx(1.0)
+        assert Topology(1.0, (1.0,), 3.5).beta == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
         "topology,frozen",
         [(SETUP_A, BETA_SETUP_A), (SETUP_B, BETA_SETUP_B), (SETUP_C, BETA_SETUP_C)],
     )
     def test_against_high_precision_summation(self, topology, frozen):
-        assert beta_from_topology(topology) == pytest.approx(frozen, rel=1e-14)
+        assert topology.beta == pytest.approx(frozen, rel=1e-14)
 
     def test_generalized_path_loss_entry_point(self):
         l0 = SETUP_B.r0**SETUP_B.alpha
         lj = [r ** (-SETUP_B.alpha) for r in SETUP_B.interferer_distances]
-        assert beta_from_path_losses(l0, lj) == pytest.approx(
-            beta_from_topology(SETUP_B), rel=1e-14
+        assert SirDistribution.from_path_losses(l0, lj).beta == pytest.approx(
+            SETUP_B.beta, rel=1e-14
         )
 
     def test_path_loss_validation(self):
         with pytest.raises(ValueError):
-            beta_from_path_losses(0.0, [1.0])
+            SirDistribution.from_path_losses(0.0, [1.0])
         with pytest.raises(ValueError):
-            beta_from_path_losses(1.0, [])
+            SirDistribution.from_path_losses(1.0, [])
 
 
 class TestSirDistribution:
@@ -256,7 +254,7 @@ class TestTopologyFile:
         dist = load_topology(path)
         assert isinstance(dist, SirDistribution)
         reference = Topology(20.0, (30.0, 50.0, 70.0), 3.5)
-        assert dist.beta == pytest.approx(beta_from_topology(reference), rel=1e-12)
+        assert dist.beta == pytest.approx(reference.beta, rel=1e-12)
 
     def test_exactly_one_layout_required(self, tmp_path):
         both = tmp_path / "both.json"
