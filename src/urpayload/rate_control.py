@@ -138,14 +138,10 @@ def sc_error(
     """Selection-combining error probability F_SIR(theta)^M.
 
     With exact=True the product-form CDF of `dist` is used; otherwise its
-    scaled-Lomax CDF. The M-th power is taken as exp(M*log F) once F drops
-    below 1e-3 so deep-tail results keep relative precision.
+    scaled-Lomax CDF. F**M keeps deep-tail results within about an ulp of
+    the true power, where exp(M*log F) loses up to hundreds of ulps.
     """
     cdf = sir_cdf_exact(theta, dist) if exact else sir_cdf_approx(theta, dist)
-    if cdf <= 0.0:
-        return 0.0
-    if cdf < 1e-3:
-        return math.exp(antennas * math.log(cdf))
     return cdf**antennas
 
 

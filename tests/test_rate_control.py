@@ -26,7 +26,12 @@ from urpayload.rate_control import (
     theta_for_rate,
 )
 from urpayload.simulator import sample_sir_block
-from urpayload.sir_model import SirDistribution, sir_cdf_approx, sir_pdf_approx
+from urpayload.sir_model import (
+    SirDistribution,
+    sir_cdf_approx,
+    sir_cdf_exact,
+    sir_pdf_approx,
+)
 
 # Frozen 50-digit evaluation of the closed-form payload for
 # eta=8, beta=0.8, n=400, M=4, eps=1e-6.
@@ -67,6 +72,18 @@ class TestScError:
         single = sir_cdf_approx(theta, main_dist)
         assert err == pytest.approx(single**4, rel=1e-10)
         assert err > 0.0
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_deep_tail_is_the_plain_power(self, main_topology, exact):
+        # F**M is within an ulp of the true power; exp(M*log F) drifts by up
+        # to hundreds of ulps, so the deep tail takes the power too
+        cdf = sir_cdf_exact if exact else sir_cdf_approx
+        for theta in np.logspace(-9.0, -3.5, 23):
+            theta = float(theta)
+            assert cdf(theta, main_topology) < 1e-3
+            for antennas in range(2, 17):
+                expected = cdf(theta, main_topology) ** antennas
+                assert sc_error(theta, main_topology, antennas, exact=exact) == expected
 
     def test_against_fading_simulation(self, main_topology, rng):
         # theta=0.1, M=4: error ~ 8e-7, needs 1e7 draws for a meaningful count
