@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# The FB grid has about 170*sqrt(n) nodes, 1.7 M at this cap, and payloads
+# stay far below 2^52; past 2^53, (k + 1)/n rounds to k/n and the payload
+# search never stops. The figures use n <= 2000.
+_MAX_BLOCKLENGTH = 10**8
 
 
 class Scheme(str, Enum):
@@ -79,6 +83,10 @@ class LinkConfig:
         if not (isinstance(self.blocklength, int) and self.blocklength >= 1):
             raise ValueError(
                 f"blocklength must be a positive integer, got {self.blocklength!r}"
+            )
+        if self.blocklength > _MAX_BLOCKLENGTH:
+            raise ValueError(
+                f"blocklength must be at most {_MAX_BLOCKLENGTH}, got {self.blocklength}"
             )
         if not 0.0 < self.epsilon_th < 1.0:
             raise ValueError(f"epsilon_th must lie in (0, 1), got {self.epsilon_th}")

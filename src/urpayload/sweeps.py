@@ -82,6 +82,9 @@ class SweepSpec:
         object.__setattr__(self, "methods", tuple(Method(m) for m in self.methods))
         if not self.values:
             raise ValueError("sweep needs at least one axis value")
+        integral = all(v.is_integer() for v in self.values)  # False for inf and nan
+        if self.axis in (Axis.ANTENNAS, Axis.BLOCKLENGTH) and not integral:
+            raise ValueError(f"{self.axis.value} values must be integers, got {self.values}")
         diffs = [b - a for a, b in zip(self.values, self.values[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError("axis values must be strictly ordered")

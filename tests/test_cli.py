@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +236,35 @@ class TestRate:
         assert abs(k_star - 4) <= 1
 
 
+HUGE_N = "1000000000000000000000000000000"
+
+
+class TestBlocklengthCap:
+    # each of these hung or crashed before the cap, so they run in their own
+    # process with a timeout: a regression fails instead of hanging
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--eps", "1e-3", "--n", HUGE_N, "--method", "approx"],
+            ["rate", "--eps", "1e-3", "--n", HUGE_N, "--method", "fb"],
+            ["sweep", "--axis", "n", "--values", "100,1e30", "--methods", "approx"],
+        ],
+    )
+    def test_huge_blocklength_is_config_error(self, argv):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "urpayload.cli", *argv, "--beta", "0.8", "--eta", "8"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == EXIT_BAD_CONFIG, result.stderr
+        assert "blocklength must be at most" in result.stderr
+
+
 class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -318,6 +351,19 @@ class TestSweep:
     def test_generic_sweep_needs_axis(self, capsys):
         code, _, err = run_cli(["sweep", *FIG2_FLAGS], capsys)
         assert code == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize(
+        "axis,values",
+        [("M", "1.5,2"), ("n", "200.7,300"), ("M", "1,1e400")],
+    )
+    def test_non_integral_axis_value_is_config_error(self, axis, values, capsys):
+        # these were truncated by int() (or overflowed it) instead of refused
+        argv = ["sweep", "--beta", "0.8", "--eta", "8", "--scheme", "sc"]
+        argv += ["--axis", axis, "--values", values, "--methods", "approx"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_BAD_CONFIG
+        assert f"{axis} values must be integers" in err
+        assert out == ""
 
 
 class TestSimulate:

@@ -54,6 +54,15 @@ def lomax_samples(rng, count, shape, size):
     return (np.power(1.0 - u, -1.0 / shape) - 1.0).sum(axis=1)
 
 
+class TestLinkConfig:
+    def test_blocklength_cap(self):
+        # past the cap the FB grid takes gigabytes and, near n = 1e27, the
+        # payload search never stops
+        assert LinkConfig(1, 10**8, 1e-3).blocklength == 10**8
+        with pytest.raises(ValueError, match="at most"):
+            LinkConfig(1, 10**8 + 1, 1e-3)
+
+
 class TestScError:
     def test_zero_threshold(self, main_dist):
         for antennas in (1, 2, 8):
