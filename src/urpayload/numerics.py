@@ -1,6 +1,6 @@
-"""Shared special functions and generic numerical routines.
+"""The regularized lower incomplete gamma P(p, x) and generic numerical routines.
 
-The special functions and the root finder work on scalars. The root finder
+P(p, x) and the root finder work on scalars. The root finder
 returns exactly what bisection of its bracket returns, for monotone f, from
 far fewer evaluations: interpolation picks the points, and monotonicity
 supplies the signs of the midpoints it passes over. The integration rule
