@@ -158,31 +158,44 @@ def _max_feasible_k(
 ) -> tuple[int, float]:
     """Largest integer k >= 0 with error_at_k(k) <= epsilon_th.
 
-    error_at_k must be nondecreasing in k. The walk starts at the floor of
-    k_guess (an already-close real-valued payload), steps down while the
-    constraint is violated, then probes upward so a floor that landed one
-    short is corrected; equality with the target counts as feasible. Raises
-    ValueError when k_guess is not finite, as for an SIR law so strong that
-    the payload formula overflows.
+    error_at_k must be nondecreasing in k. The search starts at the floor of
+    k_guess (an already-close real-valued payload), gallops away from it in
+    steps of 1, 2, 4, ... until k and k + step straddle the target, then
+    bisects that bracket, so a guess off by d costs O(log d) evaluations and
+    no k is evaluated twice. k* + 1 is always among the evaluated points;
+    equality with the target counts as feasible. Raises ValueError when
+    k_guess is not finite, as for an SIR law so strong that the payload
+    formula overflows.
     """
     if not math.isfinite(k_guess):
         raise ValueError(
             f"payload guess {k_guess} is not finite; the SIR law is outside "
             "the range the payload search covers"
         )
-    k = max(math.floor(k_guess + 1e-9), 0)
-    err = error_at_k(k) if k >= 1 else 0.0
-    while k >= 1 and err > epsilon_th:
-        k -= 1
-        err = error_at_k(k) if k >= 1 else 0.0
-    while True:
-        err_next = error_at_k(k + 1)
-        if err_next <= epsilon_th:
-            k += 1
-            err = err_next
+    errors = {0: 0.0}
+
+    def feasible(k: int) -> bool:
+        if k not in errors:
+            errors[k] = error_at_k(k)
+        return errors[k] <= epsilon_th
+
+    lo = hi = max(math.floor(k_guess + 1e-9), 0)
+    step = 1
+    if feasible(lo):
+        hi = lo + step
+        while feasible(hi):
+            lo, hi, step = hi, hi + 2 * step, 2 * step
+    else:
+        lo = max(hi - step, 0)
+        while not feasible(lo):
+            hi, lo, step = lo, max(lo - 2 * step, 0), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            lo = mid
         else:
-            break
-    return k, err
+            hi = mid
+    return lo, errors[lo]
 
 
 def _finish(

@@ -42,6 +42,12 @@ __all__ = [
 ]
 
 _BLOCK_TRIALS = 1 << 16
+# interferer gains held at once while sampling a block: 2 MiB of float64s
+_CHUNK_GAINS = 1 << 18
+# A block keeps two _BLOCK_TRIALS x M float64 arrays (serving gains, then the
+# SIR, and the interference) per worker, 1 MiB per antenna: 256 MiB at this
+# cap. Far beyond it the allocation alone outgrows memory and the run stalls.
+_MAX_ANTENNAS = 256
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -78,6 +84,10 @@ class SimSpec:
             raise TypeError(f"topology must be a SirDistribution, got {type(self.topology)!r}")
         if self.antennas < 1:
             raise ValueError(f"antennas must be >= 1, got {self.antennas}")
+        if self.antennas > _MAX_ANTENNAS:
+            raise ValueError(
+                f"antennas must be at most {_MAX_ANTENNAS} in simulation, got {self.antennas}"
+            )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
@@ -90,6 +100,8 @@ class SimSpec:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.variance_reduced and self.semantics is not Semantics.FINITE_BLOCKLENGTH:
             raise ValueError("variance_reduced applies to finite-blocklength semantics only")
+        if self.epsilon_target is not None and not 0.0 < self.epsilon_target < 1.0:
+            raise ValueError(f"epsilon_target must lie in (0, 1), got {self.epsilon_target}")
         if self.epsilon_target is not None and not self.allow_undersampled:
             needed = 30.0 / self.epsilon_target
             if self.trials < needed:
@@ -173,8 +185,11 @@ def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, f
 
 
 def _exponential(rng: np.random.Generator, shape) -> np.ndarray:
-    # inverse transform of U ~ [0, 1): -log(1 - U) is Exp(1)
-    return -np.log1p(-rng.random(shape))
+    # inverse transform of U ~ [0, 1): -log(1 - U) is Exp(1), formed in place
+    u = rng.random(shape)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
 
 
 def sample_sir_block(
@@ -184,12 +199,22 @@ def sample_sir_block(
 
     SIR_i = h_i / sum_j g_ji * w_j with h, g unit exponentials and w the
     law's interference weights `path_losses` (r0^alpha * r_j^(-alpha)).
+    The interferer gains are drawn a few trials at a time, at most
+    _CHUNK_GAINS doubles per chunk; the generator fills a (trials, eta,
+    antennas) array in C order, so consecutive trial chunks take the same
+    doubles as one whole-block draw.
     """
     weights = np.asarray(dist.path_losses, dtype=float)
     h = _exponential(rng, (trials, antennas))
-    g = _exponential(rng, (trials, weights.size, antennas))
-    interference = np.einsum("tja,j->ta", g, weights)
-    return h / interference
+    interference = np.empty((trials, antennas))
+    step = max(1, _CHUNK_GAINS // (weights.size * antennas))
+    for start in range(0, trials, step):
+        stop = min(start + step, trials)
+        g = _exponential(rng, (stop - start, weights.size, antennas))
+        # einsum, because tensordot and matmul sum in another order and
+        # differ from it in the last bits
+        np.einsum("tja,j->ta", g, weights, out=interference[start:stop])
+    return np.divide(h, interference, out=h)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

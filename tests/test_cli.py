@@ -239,9 +239,22 @@ class TestRate:
 HUGE_N = "1000000000000000000000000000000"
 
 
+def run_cli_in_subprocess(argv):
+    # for inputs that hung or crashed before they were capped: in a process
+    # of its own with a timeout, a regression fails instead of hanging
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "urpayload.cli", *argv, "--beta", "0.8", "--eta", "8"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 class TestBlocklengthCap:
-    # each of these hung or crashed before the cap, so they run in their own
-    # process with a timeout: a regression fails instead of hanging
     @pytest.mark.parametrize(
         "argv",
         [
@@ -251,18 +264,17 @@ class TestBlocklengthCap:
         ],
     )
     def test_huge_blocklength_is_config_error(self, argv):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "urpayload.cli", *argv, "--beta", "0.8", "--eta", "8"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        result = run_cli_in_subprocess(argv)
         assert result.returncode == EXIT_BAD_CONFIG, result.stderr
         assert "blocklength must be at most" in result.stderr
+
+
+class TestSimulatedAntennaCap:
+    def test_huge_antenna_count_is_config_error(self):
+        # filled a 10 x 10**8 serving-gain array before the cap
+        result = run_cli_in_subprocess(["simulate", "--M", "100000000", "--trials", "10"])
+        assert result.returncode == EXIT_BAD_CONFIG, result.stderr
+        assert "antennas must be at most 256" in result.stderr
 
 
 class TestUsageErrors:
@@ -442,6 +454,14 @@ class TestSimulate:
         assert code == EXIT_BAD_CONFIG
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("eps", ["0", "nan", "-0.5", "1.5", "inf"])
+    def test_target_outside_unit_interval_is_config_error(self, eps, capsys):
+        argv = ["simulate", "--beta", "0.8", "--eta", "8", "--M", "2", "--k", "30", "--n", "200"]
+        code, out, err = run_cli([*argv, "--trials", "1000", "--eps", eps], capsys)
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert "epsilon_target must lie in (0, 1)" in err
 
     def test_spec_file_run(self, tmp_path, capsys):
         spec_path = tmp_path / "run.json"

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -434,6 +435,75 @@ class TestMrcKstar:
     def test_rejects_non_mrc_method(self, main_dist, method):
         with pytest.raises(ValueError, match="MRC method"):
             mrc_kstar(main_dist, LinkConfig(2, 200, 1e-4, Scheme.MRC), method)
+
+
+def plain_walk_max_feasible_k(error_at_k, epsilon_th, k_guess):
+    # reference: one k at a time down from floor(k_guess), then up
+    k = max(math.floor(k_guess + 1e-9), 0)
+    err = error_at_k(k) if k >= 1 else 0.0
+    while k >= 1 and err > epsilon_th:
+        k -= 1
+        err = error_at_k(k) if k >= 1 else 0.0
+    while True:
+        err_next = error_at_k(k + 1)
+        if err_next <= epsilon_th:
+            k += 1
+            err = err_next
+        else:
+            break
+    return k, err
+
+
+class TestMaxFeasibleK:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        breaks=st.lists(st.integers(1, 3000), min_size=1, max_size=20, unique=True),
+        level=st.integers(0, 19),
+        between=st.booleans(),
+        guess=st.floats(0.0, 6000.0),
+    )
+    def test_equals_plain_walk_in_logarithmic_evaluations(self, breaks, level, between, guess):
+        # error_at_k is a monotone step function rising at each break to 1
+        breaks = sorted(breaks)
+        level %= len(breaks)
+        eps = (level + 0.5 * between) / len(breaks)
+        calls = []
+
+        def err(k):
+            calls.append(k)
+            return bisect.bisect_right(breaks, k) / len(breaks)
+
+        expected = plain_walk_max_feasible_k(err, eps, guess)
+        calls.clear()
+        assert rate_control._max_feasible_k(err, eps, guess) == expected
+        assert len(calls) == len(set(calls))
+        assert expected[0] + 1 in calls
+        distance = abs(expected[0] - math.floor(guess + 1e-9))
+        assert len(calls) <= 2 * math.log2(distance + 1) + 2
+
+    @pytest.mark.parametrize(
+        "beta, eta, antennas, n, eps, k_star",
+        [
+            # link_sizing seed-1 queries 812 and 477: the closed quantile is
+            # 318 bits above and 409 below k*; the plain walk made 320 and 411
+            # error evaluations
+            (0.4611835572949915, 9, 12, 1873, 0.08739141123651903, 7833),
+            (0.0003413871937315365, 1, 8, 1722, 0.05209776774114802, 23934),
+        ],
+    )
+    def test_closed_quantile_far_off(self, monkeypatch, beta, eta, antennas, n, eps, k_star):
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return mrc_error(*args)
+
+        monkeypatch.setattr(rate_control, "mrc_error", counting)
+        dist = SirDistribution.from_beta(beta, eta)
+        cfg = LinkConfig(antennas, n, eps, Scheme.MRC)
+        assert mrc_kstar(dist, cfg, Method.MRC_CLOSED).k_star == k_star
+        assert calls <= 20
 
 
 class TestSolutionInvariants:

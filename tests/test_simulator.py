@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,50 @@ class TestSampleSir:
         dist = SirDistribution.from_beta(0.8, 8)
         values = sample_sir_block(dist, 2, 1000, rng)
         assert values.shape == (1000, 2)
+
+
+def one_shot_sample_sir_block(dist, antennas, trials, rng):
+    # reference: the whole block's interferer gains drawn as one array
+    weights = np.asarray(dist.path_losses, dtype=float)
+    h = -np.log1p(-rng.random((trials, antennas)))
+    g = -np.log1p(-rng.random((trials, weights.size, antennas)))
+    return h / np.einsum("tja,j->ta", g, weights)
+
+
+class TestSampleSirBlockChunks:
+    @pytest.mark.parametrize(
+        "eta, antennas, trials",
+        [
+            (1, 1, 1),
+            (3, 2, 1000),
+            (1, 8, 65536),  # two whole chunks
+            (10, 4, 65536),  # 6553 trials per chunk, the last one short
+            (24, 8, 4097),
+            (24, 16, 700),
+            (600, 512, 3),  # eta*M above the chunk: one trial per chunk
+        ],
+    )
+    def test_equals_one_shot_draw(self, eta, antennas, trials):
+        weights = tuple(np.random.default_rng(eta).uniform(0.01, 3.0, eta))
+        dist = SirDistribution.from_path_losses(1.0, weights)
+        chunked_rng = np.random.default_rng([5, eta, antennas, trials])
+        one_shot_rng = np.random.default_rng([5, eta, antennas, trials])
+        chunked = sample_sir_block(dist, antennas, trials, chunked_rng)
+        expected = one_shot_sample_sir_block(dist, antennas, trials, one_shot_rng)
+        assert chunked.shape == (trials, antennas)
+        assert chunked.tobytes() == expected.tobytes()
+        assert chunked_rng.random(3).tobytes() == one_shot_rng.random(3).tobytes()
+
+    def test_block_memory_is_capped(self):
+        # the one-shot draw peaks at 392 MiB here: 65536*24*16 gains, and temporaries
+        dist = SirDistribution.from_beta(0.8, 24)
+        tracemalloc.start()
+        try:
+            sample_sir_block(dist, 16, 65536, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestRunSim:
@@ -185,6 +230,16 @@ class TestRunSim:
             spec_for(SETUP_B, seed=-1)
         with pytest.raises(ValueError):
             spec_for(SETUP_B, threshold_bits=-1)
+
+    def test_antenna_cap(self):
+        assert spec_for(SETUP_B, antennas=256).antennas == 256
+        with pytest.raises(ValueError, match="at most 256"):
+            spec_for(SETUP_B, antennas=257)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, math.inf, math.nan])
+    def test_target_outside_unit_interval(self, eps):
+        with pytest.raises(ValueError, match="epsilon_target"):
+            spec_for(SETUP_B, epsilon_target=eps, allow_undersampled=True)
 
     def test_topology_must_be_a_sir_law(self):
         with pytest.raises(TypeError):
