@@ -5,11 +5,17 @@ above threshold a block can fail, and the normal approximation gives the
 conditional error of k bits over n channel uses at a given SIR. Averaging
 that over the post-combining SIR density yields the average error, and the
 payload search walks integer k from the asymptotic solution until the
-average error meets the target. The density, capacity and dispersion do not
-depend on k, so one search evaluates them on the integration grid once.
+average error meets the target. The average is a fixed trapezoid rule on
+a log-SIR grid. Its conditional error is exactly 1.0 below a narrow window
+of nodes and exactly 0.0 above it, so one average evaluates the error only
+on that window and takes the part below it from prefix sums of the density.
+The capacity, the spread and the window edges depend only on the
+blocklength and are cached per blocklength; the density and its prefix sums
+are evaluated once per search.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,7 +24,13 @@ from typing import Callable
 import numpy as np
 from scipy import special as _special
 
-from .numerics import Bracket, find_root_monotone, integrate_semi_infinite, log_grid
+from .numerics import (
+    Bracket,
+    find_root_monotone,
+    integrate_semi_infinite,
+    log_grid,
+    trapezoid_from_sums,
+)
 from .rate_control import (
     LinkConfig,
     Method,
@@ -53,6 +65,9 @@ _MASS_TOLERANCE = 1e-6
 # under half an ulp of 2) and exactly 0.0 above z = 40 (e^-800 underflows).
 _Q_ONE_BELOW = -8.5
 _Q_ZERO_ABOVE = 40.0
+# The k-independent arrays are cached for blocklengths up to this one, whose
+# grids have at most about 54,000 nodes (1.7 MB of arrays per blocklength).
+_MAX_CACHED_BLOCKLENGTH = 10**5
 
 
 @dataclass(frozen=True)
@@ -114,12 +129,40 @@ def _grid_step(n: int) -> float:
     return min(0.0115, 0.5 / math.sqrt(n))
 
 
+@functools.lru_cache(maxsize=16)
+def _margins(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Capacity, spread and the window edges on the nodes of blocklength n's grid.
+
+    Q((C - r)/s) is exactly 1.0 where C + 8.5*s < r and exactly 0.0 where
+    C - 40*s > r. `rise` is the running maximum of C + 8.5*s, which is C +
+    8.5*s itself, as C and s increase along the grid; `fall` is the suffix
+    minimum of C - 40*s. Both are nondecreasing, so `searchsorted` of the
+    rate r on them bounds the nodes where Q is neither. The last item counts
+    the nodes at the bottom of the grid where s is 0. The arrays are shared,
+    so they are read-only. The cache holds the nine blocklengths of the fig6
+    preset's sweep with room to spare; above _MAX_CACHED_BLOCKLENGTH,
+    `_ErrorAverage` calls the uncached `__wrapped__`, so larger grids are
+    not kept.
+    """
+    x, _ = log_grid(_grid_step(n))
+    capacity = shannon_capacity(x)
+    spread = np.sqrt(channel_dispersion(x) / n)
+    rise = np.maximum.accumulate(capacity - _Q_ONE_BELOW * spread)
+    fall = np.minimum.accumulate((capacity - _Q_ZERO_ABOVE * spread)[::-1])[::-1]
+    for array in (capacity, spread, rise, fall):
+        array.flags.writeable = False
+    return capacity, spread, rise, fall, int(np.count_nonzero(spread == 0.0))
+
+
 class _ErrorAverage:
     """The average error for one density and blocklength, as a function of k.
 
-    Everything that does not depend on k (the density, the capacity and the
-    spread sqrt(V/n)) is evaluated once, on the nodes of the grid the
-    average integrates over.
+    The average is the trapezoid rule of `integrate_semi_infinite` on
+    g = density * Q * x. Q is evaluated only on the window of nodes where it
+    is neither exactly 1.0 nor exactly 0.0 (`_window`); below the window g is
+    density * x, whose prefix sums over the even and over the odd nodes are
+    formed once, and above it g is 0. An average therefore costs time in
+    proportion to the window, not to the grid.
     """
 
     def __init__(self, density: Callable[[np.ndarray], np.ndarray], n: int) -> None:
@@ -131,17 +174,49 @@ class _ErrorAverage:
             )
         self.n = n
         self.step = _grid_step(n)
-        x, _ = log_grid(self.step)
+        x, self._h = log_grid(self.step)
         self.density = density(x)
-        self._capacity = shannon_capacity(x)
-        self._spread = np.sqrt(channel_dispersion(x) / n)
+        margins = _margins if n <= _MAX_CACHED_BLOCKLENGTH else _margins.__wrapped__
+        self._capacity, self._spread, self._rise, self._fall, self._flat = margins(n)
+        self._g = self.density * x
+        # row i: the sums of g over the first i even and the first i odd
+        # nodes, so the first i nodes sum to below[(i+1)//2, 0] + below[i//2, 1]
+        # (the grid has an odd node count; the last node is never below)
+        self._below = np.zeros(((len(x) + 1) // 2, 2))
+        np.cumsum(self._g[:-1].reshape(-1, 2), axis=0, out=self._below[1:])
+
+    def _window(self, k: float) -> tuple[int, int, np.ndarray]:
+        """(lo, hi, Q on nodes lo..hi-1): Q is exactly 1.0 below lo and 0.0 from hi.
+
+        The window is padded by one node on each side. Q is 0.5*erfc(z/sqrt(2))
+        with z = (C - k/n)/s, as in `_q_of_margin`, whose saturated values
+        erfc returns exactly too. A NaN rate sorts above every edge, so the
+        window is the last node, and Q there is NaN.
+        """
+        rate = k / self.n
+        lo = max(int(self._rise.searchsorted(rate, "left")) - 1, 0)
+        hi = min(int(self._fall.searchsorted(rate, "right")) + 1, len(self._rise))
+        q = self._capacity[lo:hi] - rate
+        if lo < self._flat:  # z is +-inf where s is 0, or NaN where C is the rate
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(q, self._spread[lo:hi], out=q)
+        else:
+            np.divide(q, self._spread[lo:hi], out=q)
+        np.divide(q, _SQRT2, out=q)
+        _special.erfc(q, out=q)
+        np.multiply(q, 0.5, out=q)
+        return lo, hi, q
 
     def __call__(self, k: float) -> FbEvaluation:
-        # the rule calls the integrand on log_grid(self.step)'s nodes, the
-        # ones the arrays above were evaluated on
-        value, err_estimate = integrate_semi_infinite(
-            lambda x: self.density * _q_of_margin(self._capacity, self._spread, k / self.n),
-            self.step,
+        lo, hi, q = self._window(k)
+        g = np.multiply(q, self._g[lo:hi], out=q)
+        even_below = self._below[(lo + 1) // 2, 0]
+        value, err_estimate = trapezoid_from_sums(
+            self._h,
+            even_below + self._below[lo // 2, 1] + g.sum(),
+            even_below + g[lo % 2 :: 2].sum(),
+            self._g[0] if lo > 0 else g[0],
+            g[-1] if hi == len(self._g) else 0.0,
         )
         return FbEvaluation(
             k=k,
@@ -158,9 +233,10 @@ def fb_error_average(
 
     `density` must be array-valued and smooth on the scale of the grid step
     in ln SIR (min(0.0115, 0.5/sqrt(n))), as the combined SIR densities are;
-    the average is a fixed trapezoid rule on that grid. This is the path
-    `fb_kstar` takes for each k, with the k-independent arrays evaluated once
-    per search instead of once per call.
+    the average is a fixed trapezoid rule on that grid, with the conditional
+    error evaluated only where it is neither exactly 1 nor exactly 0. This
+    is the path `fb_kstar` takes for each k, with the k-independent arrays
+    evaluated once per search instead of once per call.
     """
     return _ErrorAverage(density, n)(k)
 

@@ -6,7 +6,10 @@ far fewer evaluations: interpolation picks the points, and monotonicity
 supplies the signs of the midpoints it passes over. The integration rule
 takes an array-valued integrand on a fixed log-spaced grid, which
 `log_grid` builds once per step size and shares read-only, so callers can
-evaluate what does not change between integrals on the same nodes once. The
+evaluate what does not change between integrals on the same nodes once. Its
+arithmetic, from the sums of the integrand over all nodes and over the even
+ones, is `trapezoid_from_sums`, so a caller that knows the integrand on most
+nodes ahead (say, as prefix sums) can form those sums itself. The
 common requirement across callers is left-tail fidelity: probabilities down
 to ~1e-12 must keep relative precision, so complements are never formed by
 subtracting from 1.
@@ -28,6 +31,7 @@ __all__ = [
     "integrate_semi_infinite",
     "log_grid",
     "regularized_gamma_lower",
+    "trapezoid_from_sums",
 ]
 
 
@@ -237,7 +241,19 @@ def integrate_semi_infinite(
     """
     x, h = log_grid(step)
     g = f(x) * x
-    ends = 0.5 * (g[0] + g[-1])
-    fine = h * (g.sum() - ends)
-    coarse = 2.0 * h * (g[::2].sum() - ends)
+    return trapezoid_from_sums(h, g.sum(), g[::2].sum(), g[0], g[-1])
+
+
+def trapezoid_from_sums(
+    h: float, total: float, even_total: float, first: float, last: float
+) -> tuple[float, float]:
+    """The rule of `integrate_semi_infinite` from the sums of g = f(x)*x on its grid.
+
+    `total` sums g over all nodes of the grid with spacing h, `even_total`
+    over the even-indexed ones (the grid of T_2h), and `first` and `last` are
+    g at the two ends. Returns (T_h, |T_h - T_2h|).
+    """
+    ends = 0.5 * (first + last)
+    fine = h * (total - ends)
+    coarse = 2.0 * h * (even_total - ends)
     return float(fine), float(abs(fine - coarse))

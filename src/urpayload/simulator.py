@@ -142,14 +142,51 @@ class SimReport:
         )
 
 
+def _whole(doc: dict, key: str, default: Optional[int] = None) -> int:
+    # a finite whole number, as the CLI's counts: 1e4 is 10000; 2.7, a JSON
+    # 1e400 (read as inf) and true are not; integers pass exactly
+    raw = doc.get(key, default)
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    try:
+        value = float(raw) if isinstance(raw, (float, str)) else math.nan
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value.is_integer()):
+        raise ValueError(f"simulation spec field {key!r} must be a whole number, got {raw!r}")
+    return int(value)
+
+
+def _flag(doc: dict, key: str) -> bool:
+    raw = doc.get(key, False)
+    if not isinstance(raw, bool):
+        raise ValueError(f"simulation spec field {key!r} must be true or false, got {raw!r}")
+    return raw
+
+
+def _target(doc: dict) -> Optional[float]:
+    # JSON reads every number in (0, 1) as a float; SimSpec checks the range
+    raw = doc.get("epsilon_target")
+    if raw is not None and not isinstance(raw, float):
+        raise ValueError(
+            f"simulation spec field 'epsilon_target' must be a number in (0, 1), got {raw!r}"
+        )
+    return raw
+
+
 def load_sim_spec(path) -> SimSpec:
     """Load a SimSpec from a JSON document.
 
     Required keys: topology (inline topology document: distances or path
     losses), antennas, scheme, k, n, semantics, trials, seed. Optional:
-    workers, variance_reduced, epsilon_target, allow_undersampled.
+    workers, variance_reduced, epsilon_target, allow_undersampled. Counts
+    must be finite whole numbers, the two flags JSON true or false, and
+    epsilon_target a JSON number; anything else is a ValueError that names
+    the field.
     """
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("simulation spec must be a JSON object")
     missing = [
         key
         for key in ("topology", "antennas", "scheme", "k", "n", "semantics", "trials", "seed")
@@ -159,17 +196,17 @@ def load_sim_spec(path) -> SimSpec:
         raise ValueError(f"simulation spec missing fields: {missing}")
     return SimSpec(
         topology=parse_topology(doc["topology"]),
-        antennas=int(doc["antennas"]),
+        antennas=_whole(doc, "antennas"),
         scheme=Scheme(doc["scheme"]),
-        threshold_bits=int(doc["k"]),
-        blocklength=int(doc["n"]),
+        threshold_bits=_whole(doc, "k"),
+        blocklength=_whole(doc, "n"),
         semantics=Semantics(doc["semantics"]),
-        trials=int(doc["trials"]),
-        seed=int(doc["seed"]),
-        workers=int(doc.get("workers", 1)),
-        variance_reduced=bool(doc.get("variance_reduced", False)),
-        epsilon_target=doc.get("epsilon_target"),
-        allow_undersampled=bool(doc.get("allow_undersampled", False)),
+        trials=_whole(doc, "trials"),
+        seed=_whole(doc, "seed"),
+        workers=_whole(doc, "workers", 1),
+        variance_reduced=_flag(doc, "variance_reduced"),
+        epsilon_target=_target(doc),
+        allow_undersampled=_flag(doc, "allow_undersampled"),
     )
 
 

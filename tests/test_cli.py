@@ -484,6 +484,43 @@ class TestSimulate:
         record = json.loads(out)
         assert record["trials"] == 20_000 and record["seed"] == 9
 
+    @pytest.mark.parametrize(
+        "field,raw",
+        [
+            # a string target was a TypeError traceback (exit 1)
+            ("epsilon_target", '"1e-3"'),
+            # JSON reads 1e400 as inf, and int(inf) was an OverflowError traceback
+            ("trials", "1e400"),
+            # bool("false") is True: 1,000 trials at eps 1e-3 ran and exited 0
+            ("allow_undersampled", '"false"'),
+            ("variance_reduced", '"false"'),  # ran variance-reduced
+            # was truncated to 2 antennas
+            ("antennas", "2.7"),
+        ],
+    )
+    def test_spec_field_of_wrong_type_is_config_error(self, field, raw, tmp_path, capsys):
+        doc = {
+            "topology": {"r0": 20, "alpha": 3.5, "interferers": [30, 70]},
+            "antennas": 1,
+            "scheme": "sc",
+            "k": 6,
+            "n": 200,
+            "semantics": "fb",
+            "trials": 1000,
+            "seed": 9,
+            "epsilon_target": 1e-3,
+            "allow_undersampled": True,
+            "variance_reduced": False,
+        }
+        del doc[field]
+        spec_path = tmp_path / "run.json"
+        # written by hand, as json.dumps would spell 1e400 as Infinity
+        spec_path.write_text(json.dumps(doc)[:-1] + f', "{field}": {raw}}}')
+        code, out, err = run_cli(["simulate", "--spec", str(spec_path)], capsys)
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert repr(field) in err
+
     def test_spec_file_excludes_source_flags(self, tmp_path, topology_file, capsys):
         spec_path = tmp_path / "run.json"
         spec_path.write_text("{}")

@@ -16,7 +16,7 @@ from urpayload.finite_blocklength import (
     fb_kstar,
     shannon_capacity,
 )
-from urpayload.numerics import log_grid
+from urpayload.numerics import integrate_semi_infinite, log_grid
 from urpayload.rate_control import (
     LinkConfig,
     Scheme,
@@ -172,6 +172,77 @@ class TestFbErrorAverage:
         density = combined_sir_pdf(main_dist, 1, Scheme.SC)
         with pytest.warns(UserWarning, match="n >= 100"):
             fb_error_average(density, 4, 50)
+
+
+def full_grid_average(density, k, n):
+    """The average with Q evaluated on every node of the grid: the oracle for
+    the windowed average, which takes the nodes where Q is exactly 1 from
+    prefix sums and skips those where it is exactly 0."""
+    step = _grid_step(n)
+    x, _ = log_grid(step)
+    values = density(x)
+    capacity = shannon_capacity(x)
+    spread = np.sqrt(channel_dispersion(x) / n)
+    value, estimate = integrate_semi_infinite(
+        lambda x: values * _q_of_margin(capacity, spread, k / n), step
+    )
+    return min(max(value, 0.0), 1.0), estimate
+
+
+class TestErrorWindow:
+    @pytest.mark.parametrize("n", [100, 200, 2000, 10**5])
+    def test_window_q_equals_full_grid_q(self, main_dist, n):
+        # 1.0 below the window, erfc on it and 0.0 above it is _q_of_margin
+        # on every node, bit for bit, from k=0 (the window holds the bottom
+        # nodes, where the spread is 0) to past the top node's capacity
+        average = finite_blocklength._ErrorAverage(combined_sir_pdf(main_dist, 2, Scheme.SC), n)
+        x, _ = log_grid(_grid_step(n))
+        capacity = shannon_capacity(x)
+        spread = np.sqrt(channel_dispersion(x) / n)
+        top = n * shannon_capacity(1e12)
+        payloads = np.concatenate(([0.0, 0.5, 1.0], np.geomspace(2.0, 1.2 * top, 120)))
+        ends = set()
+        for k in np.concatenate((payloads, payloads.round())):
+            lo, hi, q = average._window(float(k))
+            assert 0 <= lo < hi <= len(x)
+            full = np.concatenate((np.ones(lo), q, np.zeros(len(x) - hi)))
+            assert full.tobytes() == _q_of_margin(capacity, spread, k / n).tobytes()
+            ends.update({"bottom"} if lo == 0 else set())
+            ends.update({"top"} if hi == len(x) else set())
+        assert ends == {"bottom", "top"}
+
+    def test_window_is_narrow(self, main_dist):
+        average = finite_blocklength._ErrorAverage(combined_sir_pdf(main_dist, 2, Scheme.SC), 200)
+        lo, hi, _ = average._window(100.0)
+        assert hi - lo < len(average.density) // 10
+
+    def test_nan_payload_raises(self, main_dist):
+        density = combined_sir_pdf(main_dist, 2, Scheme.SC)
+        with pytest.raises(ValueError):
+            fb_error_average(density, math.nan, 200)
+
+    @given(
+        beta=st.floats(min_value=0.05, max_value=5.0),
+        eta=st.integers(min_value=1, max_value=24),
+        antennas=st.integers(min_value=1, max_value=16),
+        scheme=st.sampled_from([Scheme.SC, Scheme.MRC]),
+        log_n=st.floats(min_value=2.0, max_value=5.0),
+        log_theta=st.floats(min_value=-5.0, max_value=4.0),
+        whole=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_full_grid_average(
+        self, beta, eta, antennas, scheme, log_n, log_theta, whole
+    ):
+        n = int(round(10.0**log_n))
+        k = n * math.log2(1.0 + 10.0**log_theta)
+        if whole:
+            k = float(round(k))
+        density = combined_sir_pdf(SirDistribution.from_beta(beta, eta), antennas, scheme)
+        got = fb_error_average(density, k, n)
+        want, estimate = full_grid_average(density, k, n)
+        assert got.epsilon_fb == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert got.quadrature_error_estimate == pytest.approx(estimate, rel=0.0, abs=1e-13)
 
 
 def _reference_density(x, dist, antennas, scheme):
