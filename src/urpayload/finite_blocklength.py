@@ -10,8 +10,11 @@ a log-SIR grid. Its conditional error is exactly 1.0 below a narrow window
 of nodes and exactly 0.0 above it, so one average evaluates the error only
 on that window and takes the part below it from prefix sums of the density.
 The capacity, the spread and the window edges depend only on the
-blocklength and are cached per blocklength; the density and its prefix sums
-are evaluated once per search.
+blocklength and are cached per blocklength. The density times x, its prefix
+sums and its mass depend only on the law, the antennas, the scheme and the
+grid, and are evaluated once per law: a bounded cache keeps those of the
+_LAW_CACHE_SIZE laws used last, so the solves of one curve, which share a
+law across targets, reuse them.
 """
 from __future__ import annotations
 
@@ -38,9 +41,8 @@ from .rate_control import (
     Scheme,
     _finish,
     _max_feasible_k,
+    _closed_form_k_real,
     combined_sir_pdf,
-    mrc_kstar,
-    sc_kstar_approx,
 )
 from .sir_model import SirDistribution
 
@@ -66,8 +68,12 @@ _MASS_TOLERANCE = 1e-6
 _Q_ONE_BELOW = -8.5
 _Q_ZERO_ABOVE = 40.0
 # The k-independent arrays are cached for blocklengths up to this one, whose
-# grids have at most about 54,000 nodes (1.7 MB of arrays per blocklength).
+# grids have at most about 54,000 nodes (1.7 MB of arrays per blocklength),
+# and so are the per-law arrays (0.9 MB per law, 28 MB for a full cache).
 _MAX_CACHED_BLOCKLENGTH = 10**5
+# Laws whose per-law arrays are kept: the 21 betas of the fig4 preset's
+# curves with room to spare, 3.8 MB at the presets' grid of 7,411 nodes.
+_LAW_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -154,18 +160,52 @@ def _margins(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, in
     return capacity, spread, rise, fall, int(np.count_nonzero(spread == 0.0))
 
 
+def _prefix_sums(g: np.ndarray) -> np.ndarray:
+    """Sums of g over its first i even and its first i odd nodes, in row i.
+
+    The first i nodes sum to below[(i+1)//2, 0] + below[i//2, 1]. The grid
+    has an odd node count, and its last node is never below a window.
+    """
+    below = np.zeros(((len(g) + 1) // 2, 2))
+    np.cumsum(g[:-1].reshape(-1, 2), axis=0, out=below[1:])
+    return below
+
+
+@functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
+def _law_sums(
+    dist: SirDistribution, antennas: int, scheme: Scheme, step: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """g = density * x on the nodes of `log_grid(step)`, its prefix sums and its mass.
+
+    The density is the post-combining one of `combined_sir_pdf`, and the
+    mass is `integrate_semi_infinite`'s value of it. The key is the whole
+    law, so laws with equal (eta, beta) but other weights are apart. The
+    arrays are shared, so they are read-only, and the density itself is not
+    kept; `fb_kstar` calls the uncached `__wrapped__` above
+    _MAX_CACHED_BLOCKLENGTH.
+    """
+    x, _ = log_grid(step)
+    density = combined_sir_pdf(dist, antennas, scheme)(x)
+    mass, _ = integrate_semi_infinite(lambda _: density, step)
+    g = density * x
+    below = _prefix_sums(g)
+    for array in (g, below):
+        array.flags.writeable = False
+    return g, below, mass
+
+
 class _ErrorAverage:
     """The average error for one density and blocklength, as a function of k.
 
     The average is the trapezoid rule of `integrate_semi_infinite` on
     g = density * Q * x. Q is evaluated only on the window of nodes where it
     is neither exactly 1.0 nor exactly 0.0 (`_window`); below the window g is
-    density * x, whose prefix sums over the even and over the odd nodes are
-    formed once, and above it g is 0. An average therefore costs time in
-    proportion to the window, not to the grid.
+    density * x, whose prefix sums over the even and over the odd nodes
+    (`_prefix_sums`) are formed ahead, and above it g is 0. An average
+    therefore costs time in proportion to the window, not to the grid.
     """
 
-    def __init__(self, density: Callable[[np.ndarray], np.ndarray], n: int) -> None:
+    def __init__(self, g: np.ndarray, below: np.ndarray, n: int) -> None:
         if n < _MIN_VALIDATED_BLOCKLENGTH:
             warnings.warn(
                 f"normal approximation validated for n >= {_MIN_VALIDATED_BLOCKLENGTH}; "
@@ -173,17 +213,11 @@ class _ErrorAverage:
                 stacklevel=3,
             )
         self.n = n
-        self.step = _grid_step(n)
-        x, self._h = log_grid(self.step)
-        self.density = density(x)
+        _, self._h = log_grid(_grid_step(n))
         margins = _margins if n <= _MAX_CACHED_BLOCKLENGTH else _margins.__wrapped__
         self._capacity, self._spread, self._rise, self._fall, self._flat = margins(n)
-        self._g = self.density * x
-        # row i: the sums of g over the first i even and the first i odd
-        # nodes, so the first i nodes sum to below[(i+1)//2, 0] + below[i//2, 1]
-        # (the grid has an odd node count; the last node is never below)
-        self._below = np.zeros(((len(x) + 1) // 2, 2))
-        np.cumsum(self._g[:-1].reshape(-1, 2), axis=0, out=self._below[1:])
+        self._g = g
+        self._below = below
 
     def _window(self, k: float) -> tuple[int, int, np.ndarray]:
         """(lo, hi, Q on nodes lo..hi-1): Q is exactly 1.0 below lo and 0.0 from hi.
@@ -235,38 +269,39 @@ def fb_error_average(
     in ln SIR (min(0.0115, 0.5/sqrt(n))), as the combined SIR densities are;
     the average is a fixed trapezoid rule on that grid, with the conditional
     error evaluated only where it is neither exactly 1 nor exactly 0. This
-    is the path `fb_kstar` takes for each k, with the k-independent arrays
-    evaluated once per search instead of once per call.
+    is the path `fb_kstar` takes for each k, which takes the density's
+    arrays from a per-law cache instead of evaluating them per call.
     """
-    return _ErrorAverage(density, n)(k)
+    x, _ = log_grid(_grid_step(n))
+    g = density(x) * x
+    return _ErrorAverage(g, _prefix_sums(g), n)(k)
 
 
 def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     """Maximum payload under the finite-blocklength error constraint.
 
-    Seeds the search with the asymptotic payload for the configured combining
-    scheme, then walks integer k (down while violating, up while slack
-    remains) to the largest k whose average error stays within the target.
-    The asymptotic guess lands within a few bits, which keeps the number of
-    average-error integrations small. k_real refines the boundary where the
-    average error equals the target, for smooth sweeps: the bisection's
-    answer to 2^-30, from about four averages beyond err(k) and err(k+1).
+    Seeds the search with the closed-form asymptotic real payload for the
+    configured combining scheme, then walks integer k (down while violating,
+    up while slack remains) to the largest k whose average error stays
+    within the target. The guess lands within a few bits, which keeps the
+    number of averages small; the answer depends only on the average error,
+    not on the guess. k_real refines the boundary where the average error
+    equals the target, for smooth sweeps: the bisection's answer to 2^-30,
+    from about four averages beyond err(k) and err(k+1). The density's
+    arrays come from a cache of the _LAW_CACHE_SIZE laws used last.
 
     Raises ValueError when the density's mass on the integration grid is not
     1, i.e. when the SIR law lies outside the range the average covers.
     """
     n, eps = cfg.blocklength, cfg.epsilon_th
-    average = _ErrorAverage(combined_sir_pdf(dist, cfg.antennas, cfg.scheme), n)
-    mass, _ = integrate_semi_infinite(lambda x: average.density, average.step)
+    law_sums = _law_sums if n <= _MAX_CACHED_BLOCKLENGTH else _law_sums.__wrapped__
+    g, below, mass = law_sums(dist, cfg.antennas, cfg.scheme, _grid_step(n))
+    average = _ErrorAverage(g, below, n)
     if not abs(mass - 1.0) <= _MASS_TOLERANCE:
         raise ValueError(
             f"SIR density has mass {mass:.6g} on the integration range, not 1; "
             "the finite-blocklength average cannot cover this law"
         )
-    if cfg.scheme is Scheme.SC:
-        seed = sc_kstar_approx(dist, cfg)
-    else:
-        seed = mrc_kstar(dist, cfg)
 
     # memoized, so the root search starts from the err(k) and err(k+1) the
     # walk has computed; a dict, because k and float(k) are one key there but
@@ -278,7 +313,7 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
             errors[k] = average(k).epsilon_fb
         return errors[k]
 
-    k, e = _max_feasible_k(err, eps, seed.k_real)
+    k, e = _max_feasible_k(err, eps, _closed_form_k_real(dist, cfg))
     if k < 1:
         return _finish(k, 0.0, e, n, Method.FB)
     # real-valued boundary: err(k) <= eps < err(k+1)

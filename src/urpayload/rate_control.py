@@ -253,8 +253,7 @@ def sc_kstar_approx(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     if cfg.scheme is not Scheme.SC:
         raise ValueError("sc_kstar_approx requires an SC-scheme config")
     n, m, eps = cfg.blocklength, cfg.antennas, cfg.epsilon_th
-    growth = math.expm1(_log_tail_complement(eps, m) / dist.eta)
-    k_real = n * math.log1p((dist.eta / dist.beta) * growth) / _LN2
+    k_real = _closed_form_k_real(dist, cfg)
 
     def err(k: int) -> float:
         return sc_error(theta_for_rate(k, n), dist=dist, antennas=m)
@@ -386,6 +385,26 @@ def mrc_quantile_closed(epsilon: float, antennas: int, eta: int) -> float:
     )
 
 
+def _k_real(n: int, dist: SirDistribution, growth: float) -> float:
+    """n*log2(1 + (eta/beta)*growth): the real payload at SIR threshold (eta/beta)*growth."""
+    return n * math.log1p((dist.eta / dist.beta) * growth) / _LN2
+
+
+def _closed_form_k_real(dist: SirDistribution, cfg: LinkConfig) -> float:
+    """The asymptotic real payload in closed form, for either scheme.
+
+    growth is expm1(L/eta) under SC, as `sc_kstar_approx` solves it, and the
+    closed quantile (M!)^(1/M)/eta * L under MRC, as `mrc_kstar` with
+    MRC_CLOSED does, with L = -log(1 - eps^(1/M)); no integer payload is
+    settled.
+    """
+    if cfg.scheme is Scheme.SC:
+        growth = math.expm1(_log_tail_complement(cfg.epsilon_th, cfg.antennas) / dist.eta)
+    else:
+        growth = mrc_quantile_closed(cfg.epsilon_th, cfg.antennas, dist.eta)
+    return _k_real(cfg.blocklength, dist, growth)
+
+
 def mrc_error(theta: float, dist: SirDistribution, antennas: int) -> float:
     """MRC error probability: P(sum of per-antenna SIRs < theta).
 
@@ -418,7 +437,7 @@ def mrc_kstar(
         quantile = mrc_quantile_closed(eps, m, dist.eta)
     else:
         raise ValueError(f"mrc_kstar requires an MRC method, got {method.value}")
-    k_real = n * math.log1p((dist.eta / dist.beta) * quantile) / _LN2
+    k_real = _k_real(n, dist, quantile)
 
     def err(k: int) -> float:
         return mrc_error(theta_for_rate(k, n), dist, m)

@@ -178,6 +178,28 @@ def load_topology(path: str | Path) -> SirDistribution:
     return parse_topology(json.loads(Path(path).read_text()))
 
 
+def _float(value, key: str) -> float:
+    # bool is an int in Python, and JSON's true is no distance
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"topology field {key!r} holds {value!r}, not a number")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past 1.8e308
+        raise ValueError(f"topology field {key!r} is too large for a float") from None
+
+
+def _floats(value, key: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"topology field {key!r} must be a list of numbers, got {value!r}")
+    return tuple(_float(v, key) for v in value)
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def parse_topology(doc: dict) -> SirDistribution:
     """Build the SIR law described by a topology JSON document.
 
@@ -185,8 +207,12 @@ def parse_topology(doc: dict) -> SirDistribution:
       {"r0": 20, "alpha": 3.5, "interferers": [30, 50, ...]}
       {"path_losses": {"l0": 1.2e4, "lj": [1e-5, ...]}}
     Distance inputs return a Topology, which also keeps the distances;
-    path-loss inputs return the plain SirDistribution they determine.
+    path-loss inputs return the plain SirDistribution they determine. The
+    document and `path_losses` must be objects, `interferers` and `lj` lists
+    of numbers, and `r0`, `alpha` and `l0` numbers; anything else is a
+    ValueError that names the field.
     """
+    _object(doc, "topology")
     has_distances = "interferers" in doc
     has_losses = "path_losses" in doc
     if has_distances == has_losses:
@@ -198,12 +224,14 @@ def parse_topology(doc: dict) -> SirDistribution:
         if missing:
             raise ValueError(f"topology file missing fields: {missing}")
         return Topology(
-            r0=doc["r0"],
-            interferer_distances=tuple(doc["interferers"]),
-            alpha=doc["alpha"],
+            r0=_float(doc["r0"], "r0"),
+            interferer_distances=_floats(doc["interferers"], "interferers"),
+            alpha=_float(doc["alpha"], "alpha"),
         )
-    losses = doc["path_losses"]
+    losses = _object(doc["path_losses"], "topology field 'path_losses'")
     missing = [key for key in ("l0", "lj") if key not in losses]
     if missing:
         raise ValueError(f"path_losses object missing fields: {missing}")
-    return SirDistribution.from_path_losses(losses["l0"], tuple(losses["lj"]))
+    return SirDistribution.from_path_losses(
+        _float(losses["l0"], "l0"), _floats(losses["lj"], "lj")
+    )

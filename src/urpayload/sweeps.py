@@ -264,7 +264,9 @@ class _KstarFigure:
     """A payload figure: one sweep per target, antenna count and scheme.
 
     Rows come in that loop order. The link field that the axis moves is only
-    a placeholder in `targets`, `antennas` or `blocklength`.
+    a placeholder in `targets`, `antennas` or `blocklength`. The sweeps run
+    with the targets innermost, as those of one antenna count and scheme
+    solve the same laws, while `fb_kstar`'s per-law cache still holds them.
     """
 
     axis: Axis
@@ -276,19 +278,28 @@ class _KstarFigure:
     methods: tuple[tuple[Scheme, tuple[Method, ...]], ...]  # per scheme
 
     def __call__(self, workers: int) -> list[SweepRow]:
-        specs = [
-            SweepSpec(
-                self.axis,
-                self.values,
-                LinkConfig(m, self.blocklength, eps, scheme),
-                self.dist,
-                methods,
+        rows = {
+            (eps, m, scheme): run_sweep(
+                SweepSpec(
+                    self.axis,
+                    self.values,
+                    LinkConfig(m, self.blocklength, eps, scheme),
+                    self.dist,
+                    methods,
+                ),
+                workers=workers,
             )
-            for eps in self.targets
             for m in self.antennas
             for scheme, methods in self.methods
+            for eps in self.targets
+        }
+        return [
+            row
+            for eps in self.targets
+            for m in self.antennas
+            for scheme, _ in self.methods
+            for row in rows[eps, m, scheme]
         ]
-        return [row for spec in specs for row in run_sweep(spec, workers=workers)]
 
 
 _EQUAL_WEIGHTS = SirDistribution.from_beta(0.8, 8)

@@ -149,6 +149,51 @@ class TestRate:
         assert out == ""
         assert "overflow" in err
 
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            # was a TypeError traceback: 'int' object is not iterable (exit 1)
+            ('{"r0": 20, "alpha": 3.5, "interferers": 5}', "interferers"),
+            ('{"r0": 20, "alpha": 3.5, "interferers": [30, null]}', "interferers"),
+            ('{"r0": "20", "alpha": 3.5, "interferers": [30]}', "r0"),
+            # was an OverflowError traceback from float() of a JSON integer
+            ('{"r0": 1' + "0" * 400 + ', "alpha": 3.5, "interferers": [30]}', "r0"),
+            ('{"path_losses": 5}', "path_losses"),
+            ('{"path_losses": {"l0": 1e4, "lj": 5}}', "lj"),
+            ('{"path_losses": {"l0": true, "lj": [1e-5]}}', "l0"),
+            ("[20, 3.5]", "topology"),
+        ],
+        ids=[
+            "interferers-int",
+            "interferers-null-item",
+            "r0-string",
+            "r0-huge-integer",
+            "path_losses-int",
+            "lj-int",
+            "l0-bool",
+            "document-list",
+        ],
+    )
+    def test_topology_field_of_wrong_type_is_config_error(self, doc, field, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(doc)
+        code, out, err = run_cli(
+            ["rate", "--topology", str(path), "--M", "1", "--eps", "1e-3"], capsys
+        )
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert field in err
+
+    def test_repeated_mass_failure_is_config_error(self, capsys):
+        # the second solve takes the law from the per-law cache and is
+        # refused just the same
+        argv = ["rate", "--beta", "1e-300", "--eta", "10", "--eps", "0.5", "--method", "fb"]
+        for _ in range(3):
+            code, out, err = run_cli(argv, capsys)
+            assert code == EXIT_BAD_CONFIG
+            assert out == ""
+            assert "mass" in err
+
     def test_density_outside_the_grid_is_config_error(self, capsys):
         # beta=1e-300 puts the SIR mass far above any finite integration range
         code, out, err = run_cli(
@@ -520,6 +565,23 @@ class TestSimulate:
         assert code == EXIT_BAD_CONFIG
         assert out == ""
         assert repr(field) in err
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["5", '"B"', '{"r0": 20, "alpha": 3.5, "interferers": 5}'],
+        ids=["int", "string", "interferers-int"],
+    )
+    def test_spec_topology_of_wrong_type_is_config_error(self, raw, tmp_path, capsys):
+        # "topology": 5 was a TypeError traceback (exit 1)
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(
+            '{"antennas": 1, "scheme": "sc", "k": 6, "n": 200, "semantics": "fb", '
+            f'"trials": 1000, "seed": 9, "topology": {raw}}}'
+        )
+        code, out, err = run_cli(["simulate", "--spec", str(spec_path)], capsys)
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert "topology" in err
 
     def test_spec_file_excludes_source_flags(self, tmp_path, topology_file, capsys):
         spec_path = tmp_path / "run.json"

@@ -16,10 +16,14 @@ from urpayload.finite_blocklength import (
     fb_kstar,
     shannon_capacity,
 )
-from urpayload.numerics import integrate_semi_infinite, log_grid
+from urpayload.numerics import Bracket, find_root_monotone, integrate_semi_infinite, log_grid
 from urpayload.rate_control import (
     LinkConfig,
+    Method,
     Scheme,
+    _closed_form_k_real,
+    _finish,
+    _max_feasible_k,
     combined_sir_pdf,
     mrc_kstar,
     sc_kstar_approx,
@@ -174,6 +178,14 @@ class TestFbErrorAverage:
             fb_error_average(density, 4, 50)
 
 
+def _uncached_average(density, n):
+    """The average as a function of k, built from the density as
+    `fb_error_average` builds it, without the per-law cache."""
+    x, _ = log_grid(_grid_step(n))
+    g = density(x) * x
+    return finite_blocklength._ErrorAverage(g, finite_blocklength._prefix_sums(g), n)
+
+
 def full_grid_average(density, k, n):
     """The average with Q evaluated on every node of the grid: the oracle for
     the windowed average, which takes the nodes where Q is exactly 1 from
@@ -195,7 +207,7 @@ class TestErrorWindow:
         # 1.0 below the window, erfc on it and 0.0 above it is _q_of_margin
         # on every node, bit for bit, from k=0 (the window holds the bottom
         # nodes, where the spread is 0) to past the top node's capacity
-        average = finite_blocklength._ErrorAverage(combined_sir_pdf(main_dist, 2, Scheme.SC), n)
+        average = _uncached_average(combined_sir_pdf(main_dist, 2, Scheme.SC), n)
         x, _ = log_grid(_grid_step(n))
         capacity = shannon_capacity(x)
         spread = np.sqrt(channel_dispersion(x) / n)
@@ -212,9 +224,9 @@ class TestErrorWindow:
         assert reached_bottom and reached_top
 
     def test_window_is_narrow(self, main_dist):
-        average = finite_blocklength._ErrorAverage(combined_sir_pdf(main_dist, 2, Scheme.SC), 200)
+        average = _uncached_average(combined_sir_pdf(main_dist, 2, Scheme.SC), 200)
         lo, hi, _ = average._window(100.0)
-        assert hi - lo < len(average.density) // 10
+        assert hi - lo < len(log_grid(_grid_step(200))[0]) // 10
 
     def test_nan_payload_raises(self, main_dist):
         density = combined_sir_pdf(main_dist, 2, Scheme.SC)
@@ -452,3 +464,103 @@ class TestFbKstar:
         asym = mrc_kstar(main_dist, cfg)
         assert 0 < sol.k_star <= asym.k_star + 2
         assert sol.predicted_epsilon <= 1e-5
+
+
+def _walked_solution(dist, cfg, guess):
+    """fb_kstar's answer from the uncached average, with the integer walk
+    started at `guess` instead of the closed-form asymptotic payload."""
+    n, eps = cfg.blocklength, cfg.epsilon_th
+    average = _uncached_average(combined_sir_pdf(dist, cfg.antennas, cfg.scheme), n)
+    errors = {}
+
+    def err(k):
+        if k not in errors:
+            errors[k] = average(k).epsilon_fb
+        return errors[k]
+
+    k, e = _max_feasible_k(err, eps, guess)
+    if k < 1:
+        return _finish(k, 0.0, e, n, Method.FB)
+    k_real = find_root_monotone(err, eps, Bracket(float(k), float(k + 1)), tol=2**-30)
+    return _finish(k, k_real, e, n, Method.FB)
+
+
+def _bits(sol):
+    return (sol.k_star, sol.k_real.hex(), sol.predicted_epsilon.hex(), sol.infeasible)
+
+
+class TestSeedIndependence:
+    @given(
+        beta=st.floats(min_value=0.05, max_value=5.0),
+        eta=st.integers(min_value=1, max_value=24),
+        antennas=st.integers(min_value=1, max_value=16),
+        scheme=st.sampled_from([Scheme.SC, Scheme.MRC]),
+        log_eps=st.floats(min_value=-9.0, max_value=-1.0),
+        n=st.integers(min_value=100, max_value=2000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_payload_does_not_depend_on_the_guess(
+        self, beta, eta, antennas, scheme, log_eps, n
+    ):
+        # the walk and the root search see only err(k), so a guess far below
+        # or far above the closed-form one lands on the same bits
+        dist = SirDistribution.from_beta(beta, eta)
+        cfg = LinkConfig(antennas, n, 10.0**log_eps, scheme)
+        got = _bits(fb_kstar(dist, cfg))
+        seed = _closed_form_k_real(dist, cfg)
+        for guess in (0.0, 4.0 * seed + 10.0):
+            assert _bits(_walked_solution(dist, cfg, guess)) == got
+
+    @pytest.mark.parametrize("scheme", [Scheme.SC, Scheme.MRC])
+    def test_seed_is_the_closed_form_asymptotic_payload(self, scheme):
+        dist = SirDistribution.from_beta(0.8, 8)
+        cfg = LinkConfig(4, 200, 1e-6, scheme)
+        if scheme is Scheme.SC:
+            want = sc_kstar_approx(dist, cfg).k_real
+        else:
+            want = mrc_kstar(dist, cfg, Method.MRC_CLOSED).k_real
+        assert _closed_form_k_real(dist, cfg) == want
+
+
+class TestLawCache:
+    @pytest.mark.parametrize(
+        "antennas,scheme,n", [(1, Scheme.SC, 200), (4, Scheme.MRC, 400), (8, Scheme.SC, 2000)]
+    )
+    def test_cold_and_warm_solves_equal_the_uncached_one(self, antennas, scheme, n):
+        dist = SirDistribution.from_beta(0.8, 8)
+        cfg = LinkConfig(antennas, n, 1e-6, scheme)
+        finite_blocklength._law_sums.cache_clear()
+        cold = fb_kstar(dist, cfg)
+        warm = fb_kstar(dist, cfg)
+        assert finite_blocklength._law_sums.cache_info().hits == 1
+        want = _walked_solution(dist, cfg, _closed_form_k_real(dist, cfg))
+        assert _bits(cold) == _bits(warm) == _bits(want)
+        assert cold == warm == want
+
+    def test_cached_arrays_are_read_only(self):
+        g, below, mass = finite_blocklength._law_sums(
+            SirDistribution.from_beta(0.8, 8), 2, Scheme.SC, _grid_step(200)
+        )
+        assert mass == pytest.approx(1.0, abs=1e-6)
+        for array in (g, below):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_failed_mass_check_raises_on_every_call(self):
+        dist = SirDistribution.from_beta(1e-300, 10)
+        cfg = LinkConfig(1, 200, 0.5, Scheme.SC)
+        finite_blocklength._law_sums.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="mass"):
+                fb_kstar(dist, cfg)
+        assert finite_blocklength._law_sums.cache_info().hits == 2
+
+    def test_laws_with_equal_eta_and_beta_are_apart(self):
+        # the key is the whole law: equal (eta, beta), other weights
+        equal = SirDistribution.from_path_losses(1.0, [0.4, 0.4])
+        unequal = SirDistribution.from_path_losses(1.0, [0.2, 0.6])
+        assert (equal.eta, equal.beta) == (unequal.eta, unequal.beta)
+        finite_blocklength._law_sums.cache_clear()
+        fb_kstar(equal, LinkConfig(2, 200, 1e-3, Scheme.SC))
+        fb_kstar(unequal, LinkConfig(2, 200, 1e-3, Scheme.SC))
+        assert finite_blocklength._law_sums.cache_info().misses == 2

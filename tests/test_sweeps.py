@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from urpayload import finite_blocklength
 from urpayload.rate_control import LinkConfig, Method, Scheme
 from urpayload.sir_model import SirDistribution
 from urpayload.sweeps import (
@@ -138,6 +139,31 @@ class TestPresets:
         out = io.StringIO()
         write_csv(preset_rows("fig6"), out)
         assert out.getvalue() == (_DATA / "fig6.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "name,laws", [("fig2", 8), ("fig4", 126), ("fig5", 32), ("fig6", 4)]
+    )
+    def test_each_law_is_evaluated_once_per_preset(self, name, laws, monkeypatch):
+        # a preset's FB solves share one density evaluation per (law, M,
+        # scheme, grid): fig4 has 21 betas x 3 M x 2 schemes, solved at two
+        # targets, and fig6's n = 2000 has a finer grid than n <= 1600
+        evaluations = []
+        original = finite_blocklength.combined_sir_pdf
+
+        def counting(dist, antennas, scheme):
+            density = original(dist, antennas, scheme)
+
+            def evaluate(x):
+                evaluations.append(len(x))
+                return density(x)
+
+            return evaluate
+
+        monkeypatch.setattr(finite_blocklength, "combined_sir_pdf", counting)
+        finite_blocklength._law_sums.cache_clear()
+        preset_rows(name)
+        finite_blocklength._law_sums.cache_clear()
+        assert len(evaluations) == laws
 
     def test_known_names(self):
         assert set(PRESET_NAMES) == {"fig2", "fig2pp", "fig3", "fig4", "fig5", "fig6"}
