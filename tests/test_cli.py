@@ -240,6 +240,25 @@ class TestRate:
         assert "epsilon_th=0.9999999999999999" in err and "M=16" in err
         assert "math domain error" not in err
 
+    @pytest.mark.parametrize("scheme", ["sc", "mrc"])
+    def test_target_above_the_saturated_fb_error_is_config_error(self, scheme, capsys):
+        # with eta=1 the FB average saturates at 0.99999999999875, so no
+        # payload violates this target, and the walk would gallop until k/n
+        # overflows
+        code, out, err = run_cli(
+            [
+                "rate",
+                *["--beta", "0.8", "--eta", "1", "--M", "1", "--n", "200"],
+                *["--eps", "0.9999999999999999", "--scheme", scheme, "--method", "fb"],
+            ],
+            capsys,
+        )
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert "epsilon_th=0.9999999999999999" in err
+        assert "saturated finite-blocklength error 0.99999999999875" in err
+        assert "Traceback" not in err and "Overflow" not in err
+
     @pytest.mark.parametrize("flags", [[], ["--scheme", "mrc", "--M", "2"]])
     def test_density_overflow_is_quiet_config_error(self, flags, capsys):
         # beta=1e300 overflows x*beta on the grid; the density is 0 there, so

@@ -16,7 +16,13 @@ from urpayload.finite_blocklength import (
     fb_kstar,
     shannon_capacity,
 )
-from urpayload.numerics import Bracket, find_root_monotone, integrate_semi_infinite, log_grid
+from urpayload.numerics import (
+    Bracket,
+    find_root_monotone,
+    integrate_semi_infinite,
+    log_grid,
+    trapezoid_from_sums,
+)
 from urpayload.rate_control import (
     LinkConfig,
     Method,
@@ -25,8 +31,11 @@ from urpayload.rate_control import (
     _finish,
     _max_feasible_k,
     combined_sir_pdf,
+    mrc_error,
     mrc_kstar,
+    sc_error,
     sc_kstar_approx,
+    theta_for_rate,
 )
 from urpayload.sir_model import SirDistribution
 
@@ -183,7 +192,7 @@ def _uncached_average(density, n):
     `fb_error_average` builds it, without the per-law cache."""
     x, _ = log_grid(_grid_step(n))
     g = density(x) * x
-    return finite_blocklength._ErrorAverage(g, finite_blocklength._prefix_sums(g), n)
+    return finite_blocklength._ErrorAverage(0.5 * g, finite_blocklength._prefix_sums(g), n)
 
 
 def full_grid_average(density, k, n):
@@ -204,9 +213,10 @@ def full_grid_average(density, k, n):
 class TestErrorWindow:
     @pytest.mark.parametrize("n", [100, 200, 2000, 10**5])
     def test_window_q_equals_full_grid_q(self, main_dist, n):
-        # 1.0 below the window, erfc on it and 0.0 above it is _q_of_margin
-        # on every node, bit for bit, from k=0 (the window holds the bottom
-        # nodes, where the spread is 0) to past the top node's capacity
+        # 1.0 below the window, half of the window's erfc on it and 0.0
+        # above it is _q_of_margin on every node, bit for bit, from k=0 (the
+        # window holds the bottom nodes, where the spread is 0) to past the
+        # top node's capacity
         average = _uncached_average(combined_sir_pdf(main_dist, 2, Scheme.SC), n)
         x, _ = log_grid(_grid_step(n))
         capacity = shannon_capacity(x)
@@ -217,7 +227,7 @@ class TestErrorWindow:
         for k in np.concatenate((payloads, payloads.round())):
             lo, hi, q = average._window(float(k))
             assert 0 <= lo < hi <= len(x)
-            full = np.concatenate((np.ones(lo), q, np.zeros(len(x) - hi)))
+            full = np.concatenate((np.ones(lo), 0.5 * q, np.zeros(len(x) - hi)))
             assert full.tobytes() == _q_of_margin(capacity, spread, k / n).tobytes()
             reached_bottom |= lo == 0
             reached_top |= hi == len(x)
@@ -255,6 +265,42 @@ class TestErrorWindow:
         want, estimate = full_grid_average(density, k, n)
         assert got.epsilon_fb == pytest.approx(want, rel=1e-13, abs=0.0)
         assert got.quadrature_error_estimate == pytest.approx(estimate, rel=0.0, abs=1e-13)
+
+    @given(
+        log_beta=st.floats(min_value=-3.0, max_value=3.0),
+        eta=st.integers(min_value=1, max_value=24),
+        antennas=st.integers(min_value=1, max_value=16),
+        scheme=st.sampled_from([Scheme.SC, Scheme.MRC]),
+        log_n=st.floats(min_value=2.0, max_value=4.0),
+        log_theta=st.floats(min_value=-6.0, max_value=13.0),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_halved_law_gives_the_unhalved_sums_bit_for_bit(
+        self, log_beta, eta, antennas, scheme, log_n, log_theta
+    ):
+        # the window forms Q*g as erfc*(g/2); the average is the one from
+        # (0.5*erfc)*g, the products before the halving was folded into g
+        n = int(round(10.0**log_n))
+        k = n * math.log2(1.0 + 10.0**log_theta)
+        dist = SirDistribution.from_beta(10.0**log_beta, eta)
+        density = combined_sir_pdf(dist, antennas, scheme)
+        x, h = log_grid(_grid_step(n))
+        g = density(x) * x
+        average = _uncached_average(density, n)
+        got = average(k)
+        lo, hi, erfc = average._window(k)
+        q = (0.5 * erfc) * g[lo:hi]
+        below = finite_blocklength._prefix_sums(g)
+        even_below = below[(lo + 1) // 2, 0]
+        value, estimate = trapezoid_from_sums(
+            h,
+            even_below + below[lo // 2, 1] + q.sum(),
+            even_below + q[lo % 2 :: 2].sum(),
+            g[0] if lo > 0 else q[0],
+            q[-1] if hi == len(g) else 0.0,
+        )
+        assert got.epsilon_fb.hex() == min(max(value, 0.0), 1.0).hex()
+        assert got.quadrature_error_estimate.hex() == estimate.hex()
 
 
 def _reference_density(x, dist, antennas, scheme):
@@ -439,8 +485,9 @@ class TestFbKstar:
 
     @pytest.mark.parametrize("scheme", [Scheme.SC, Scheme.MRC])
     def test_few_averages_per_solve(self, scheme, monkeypatch):
-        # the integer walk down from the asymptotic payload takes 7 averages
-        # here; k_real's bisection to 2^-30 took 30 more, its replay takes 4
+        # the integer walk from the dispersion-corrected seed takes 2
+        # averages here (7 from the closed form); k_real's bisection to
+        # 2^-30 would take 30 more, its replay takes 4
         averaged = []
         original = finite_blocklength._ErrorAverage.__call__
 
@@ -451,7 +498,23 @@ class TestFbKstar:
         monkeypatch.setattr(finite_blocklength._ErrorAverage, "__call__", spy)
         sol = fb_kstar(SirDistribution.from_beta(0.8, 8), LinkConfig(4, 200, 1e-6, scheme))
         assert not sol.infeasible
-        assert len(averaged) <= 12
+        assert len(averaged) <= 6
+
+    def test_target_not_below_the_saturated_error_is_refused(self):
+        # the eta=1 tail leaves about 1.2e-12 of the mass above the grid, so
+        # err(k) rises only to the saturated average, 0.99999999999875; every
+        # payload meets a target there, and the walk would gallop until k/n
+        # overflows
+        dist = SirDistribution.from_beta(0.8, 1)
+        half_g, below, _ = finite_blocklength._law_sums(dist, 1, Scheme.MRC, _grid_step(200))
+        saturated = finite_blocklength._ErrorAverage(half_g, below, 200)(math.inf).epsilon_fb
+        assert saturated < 1.0 - 1e-12
+        for eps in (saturated, 0.9999999999999999):
+            with pytest.raises(ValueError, match=f"epsilon_th={eps!r}.*saturated"):
+                fb_kstar(dist, LinkConfig(1, 200, eps, Scheme.MRC))
+        eps = math.nextafter(saturated, 0.0)
+        sol = fb_kstar(dist, LinkConfig(1, 200, eps, Scheme.MRC))
+        assert sol.predicted_epsilon <= eps and math.isfinite(sol.k_real)
 
     def test_infeasible_flag(self):
         dist = SirDistribution.from_beta(50.0, 2)
@@ -468,7 +531,7 @@ class TestFbKstar:
 
 def _walked_solution(dist, cfg, guess):
     """fb_kstar's answer from the uncached average, with the integer walk
-    started at `guess` instead of the closed-form asymptotic payload."""
+    started at `guess` instead of at `_seed_k`."""
     n, eps = cfg.blocklength, cfg.epsilon_th
     average = _uncached_average(combined_sir_pdf(dist, cfg.antennas, cfg.scheme), n)
     errors = {}
@@ -503,23 +566,64 @@ class TestSeedIndependence:
         self, beta, eta, antennas, scheme, log_eps, n
     ):
         # the walk and the root search see only err(k), so a guess far below
-        # or far above the closed-form one lands on the same bits
+        # or far above the dispersion-corrected seed lands on the same bits
         dist = SirDistribution.from_beta(beta, eta)
         cfg = LinkConfig(antennas, n, 10.0**log_eps, scheme)
         got = _bits(fb_kstar(dist, cfg))
-        seed = _closed_form_k_real(dist, cfg)
-        for guess in (0.0, 4.0 * seed + 10.0):
+        seed = finite_blocklength._seed_k(dist, cfg)
+        assert _bits(_walked_solution(dist, cfg, seed)) == got
+        for guess in (0.0, 4.0 * max(seed, 0.0) + 10.0):
             assert _bits(_walked_solution(dist, cfg, guess)) == got
 
     @pytest.mark.parametrize("scheme", [Scheme.SC, Scheme.MRC])
-    def test_seed_is_the_closed_form_asymptotic_payload(self, scheme):
+    def test_seed_takes_off_the_dispersion_penalty(self, scheme):
+        # k_cf is the closed-form asymptotic payload; the seed takes off
+        # n*lam*V/2, with lam the slope of ln(asymptotic error) per bit
         dist = SirDistribution.from_beta(0.8, 8)
-        cfg = LinkConfig(4, 200, 1e-6, scheme)
+        n = 200
+        cfg = LinkConfig(4, n, 1e-6, scheme)
         if scheme is Scheme.SC:
-            want = sc_kstar_approx(dist, cfg).k_real
+            k_cf = sc_kstar_approx(dist, cfg).k_real
+            error = lambda k: sc_error(theta_for_rate(k, n), dist, 4)  # noqa: E731
         else:
-            want = mrc_kstar(dist, cfg, Method.MRC_CLOSED).k_real
-        assert _closed_form_k_real(dist, cfg) == want
+            k_cf = mrc_kstar(dist, cfg, Method.MRC_CLOSED).k_real
+            error = lambda k: mrc_error(theta_for_rate(k, n), dist, 4)  # noqa: E731
+        assert _closed_form_k_real(dist, cfg) == k_cf
+        slope = math.log(error(k_cf + 0.5) / error(k_cf - 0.5))
+        penalty = n * slope * channel_dispersion(theta_for_rate(k_cf, n)) / 2.0
+        seed = finite_blocklength._seed_k(dist, cfg)
+        assert seed == pytest.approx(k_cf - penalty, rel=1e-12)
+        # here the seed is within a bit of the FB k_real, and the closed form
+        # more than 5 bits above it
+        k_real = fb_kstar(dist, cfg).k_real
+        assert abs(seed - k_real) < 1.0 and k_cf - k_real > 5.0
+
+    @given(
+        beta=st.floats(min_value=0.0, max_value=math.inf, exclude_min=True, exclude_max=True),
+        eta=st.integers(min_value=1, max_value=10**4),
+        antennas=st.integers(min_value=1, max_value=10**6),
+        n=st.integers(min_value=1, max_value=10**8),
+        eps=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        scheme=st.sampled_from([Scheme.SC, Scheme.MRC]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_seed_is_finite_wherever_the_closed_form_is(
+        self, beta, eta, antennas, n, eps, scheme
+    ):
+        # every input `urp rate` takes: the seed neither raises nor warns
+        # (numpy warnings are errors here), and falls back to the closed
+        # form where the slope or its logarithms are undefined
+        cfg = LinkConfig(antennas, n, eps, scheme)
+        try:
+            dist = SirDistribution.from_beta(beta, eta)
+            k_cf = _closed_form_k_real(dist, cfg)
+        except ValueError:  # beta/eta underflows, or eps^(1/M) rounds to 1.0
+            return
+        seed = finite_blocklength._seed_k(dist, cfg)
+        if math.isfinite(k_cf):
+            assert math.isfinite(seed) and seed <= k_cf
+        else:  # a law the mass check refuses
+            assert seed == k_cf
 
 
 class TestLawCache:
@@ -533,7 +637,7 @@ class TestLawCache:
         cold = fb_kstar(dist, cfg)
         warm = fb_kstar(dist, cfg)
         assert finite_blocklength._law_sums.cache_info().hits == 1
-        want = _walked_solution(dist, cfg, _closed_form_k_real(dist, cfg))
+        want = _walked_solution(dist, cfg, finite_blocklength._seed_k(dist, cfg))
         assert _bits(cold) == _bits(warm) == _bits(want)
         assert cold == warm == want
 

@@ -18,7 +18,7 @@ from urpayload.simulator import (
 )
 from urpayload.sir_model import SirDistribution, Topology, sir_cdf_exact
 
-from test_sir_model import SETUP_A, SETUP_B, SETUP_C
+from .test_sir_model import SETUP_A, SETUP_B, SETUP_C
 
 # one-sided Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_CRITICAL_1PCT = 1.628

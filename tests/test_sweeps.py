@@ -1,10 +1,11 @@
 import io
+import math
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-from urpayload import finite_blocklength
+from urpayload import finite_blocklength, sweeps
 from urpayload.rate_control import LinkConfig, Method, Scheme
 from urpayload.sir_model import SirDistribution
 from urpayload.sweeps import (
@@ -164,6 +165,41 @@ class TestPresets:
         preset_rows(name)
         finite_blocklength._law_sums.cache_clear()
         assert len(evaluations) == laws
+
+    @pytest.mark.parametrize(
+        "name,averages", [("fig2", 1298), ("fig4", 1055), ("fig5", 715), ("fig6", 234)]
+    )
+    def test_averages_per_preset(self, name, averages, monkeypatch):
+        # a pin on the FB averages one preset makes: the walks from the
+        # closed-form seed made 1,824, 1,414, 1,013 and 375; a change that
+        # lowers a count pins the new one
+        original = finite_blocklength._ErrorAverage.__call__
+        averaged = []
+
+        def spy(self, k):
+            averaged.append(k)
+            return original(self, k)
+
+        monkeypatch.setattr(finite_blocklength._ErrorAverage, "__call__", spy)
+        preset_rows(name)
+        assert len(averaged) == averages
+
+    def test_seed_starts_on_most_payloads(self, monkeypatch):
+        # the integer walk starts at the seed's floor; over the presets' 648
+        # FB solves it is k* itself in 471, where the closed form was in 157
+        original = sweeps.fb_kstar
+        starts = []
+
+        def solving(dist, cfg):
+            sol = original(dist, cfg)
+            start = max(math.floor(finite_blocklength._seed_k(dist, cfg)), 0)
+            starts.append(start == sol.k_star)
+            return sol
+
+        monkeypatch.setattr(sweeps, "fb_kstar", solving)
+        for name in PRESET_NAMES:
+            preset_rows(name)
+        assert (len(starts), sum(starts)) == (648, 471)
 
     def test_known_names(self):
         assert set(PRESET_NAMES) == {"fig2", "fig2pp", "fig3", "fig4", "fig5", "fig6"}
