@@ -18,9 +18,9 @@ import sys
 import time
 
 from urpayload.rate_control import Scheme
-from urpayload.simulator import Semantics, SimSpec, run_sim
+from urpayload.simulator import Semantics
 from urpayload.sweeps import CDF_SETUPS
-from urpayload.validation import MonteCarloPoint, _analytic_point
+from urpayload.validation import MonteCarloPoint, check_montecarlo
 
 POINTS = (
     MonteCarloPoint("sc_exact_m4", Scheme.SC, 4, 3e-3, Semantics.ASYMPTOTIC),
@@ -40,32 +40,22 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=6)
     args = parser.parse_args()
 
-    topology = CDF_SETUPS["B"]
-    n = 200
-    print(f"# trials={args.trials:g} seed={args.seed} topology=B (beta={topology.beta:.6f})")
+    # check_montecarlo runs every point on topology B at n=200
+    print(f"# trials={args.trials:g} seed={args.seed} topology=B "
+          f"(beta={CDF_SETUPS['B'].beta:.6f})")
     print(f"{'point':<14} {'k':>4} {'prediction':>12} {'empirical':>12} "
           f"{'gap':>8} {'noise':>8} {'secs':>6}")
     for point in POINTS:
-        k, prediction = _analytic_point(point, topology, n)
         start = time.perf_counter()
-        report = run_sim(
-            SimSpec(
-                topology=topology,
-                antennas=point.antennas,
-                scheme=point.scheme,
-                threshold_bits=k,
-                blocklength=n,
-                semantics=point.semantics,
-                trials=args.trials,
-                seed=args.seed,
-                workers=args.workers,
-                allow_undersampled=True,
-            )
+        (result,) = check_montecarlo(
+            trials=args.trials, seed=args.seed, workers=args.workers, points=(point,)
         )
-        gap = (prediction - report.epsilon_hat) / report.epsilon_hat
-        noise = 1.96 / math.sqrt(max(report.errors or 1, 1))
+        d = result.detail
+        gap = d["rel_gap"] if d["rel_gap"] is not None else math.inf
+        errors = round(d["empirical"] * d["trials"])
+        noise = 1.96 / math.sqrt(max(errors, 1))
         print(
-            f"{point.label:<14} {k:>4} {prediction:>12.5e} {report.epsilon_hat:>12.5e} "
+            f"{point.label:<14} {d['k']:>4} {d['prediction']:>12.5e} {d['empirical']:>12.5e} "
             f"{gap:>+8.2%} {noise:>8.2%} {time.perf_counter() - start:>6.0f}"
         )
     return 0

@@ -168,7 +168,7 @@ def _cmd_rate(args) -> int:
             print(
                 f"method={rec['method']} k_star={rec['k_star']} "
                 f"k_real={rec['k_real']:.6f} rate={rec['rate']:.6f} "
-                f"theta={rec['theta']:.6g} predicted_epsilon={rec['predicted_epsilon']:.6g}"
+                f"theta={rec['theta']:.6g} predicted_epsilon={rec['predicted_epsilon']!r}"
                 + (" INFEASIBLE" if rec["infeasible"] else "")
             )
     return EXIT_INFEASIBLE if any(r["infeasible"] for r in records) else EXIT_OK

@@ -18,7 +18,8 @@ blocklength and are cached per blocklength. The density times x, its prefix
 sums and its mass depend only on the law, the antennas, the scheme and the
 grid, and are evaluated once per law: a bounded cache keeps those of the
 _LAW_CACHE_SIZE laws used last, so the solves of one curve, which share a
-law across targets, reuse them.
+law across targets, reuse them. `fb_error_average(dist, antennas, scheme,
+k, n)` and `fb_kstar(dist, cfg)` are both keyed by the law and share it.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special as _special
@@ -111,32 +111,19 @@ def channel_dispersion(sir):
     return (1.0 - 1.0 / np.square(1.0 + np.asarray(sir, dtype=float))) * _LOG2E_SQ
 
 
-def _q_of_margin(capacity, spread, rate: float) -> np.ndarray:
-    """Q((capacity - rate) / spread) as 0.5*erfc(z/sqrt(2)), elementwise.
-
-    erfc runs only where the result is neither exactly 1.0 nor exactly 0.0
-    in double precision; a NaN ratio gives NaN.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.asarray((capacity - rate) / spread)
-        below = z < _Q_ONE_BELOW
-        q = np.array(below, dtype=float)
-        rest = ~(below | (z > _Q_ZERO_ABOVE))
-        q[rest] = 0.5 * _special.erfc(z[rest] / _SQRT2)
-    return q
-
-
 def fb_error_conditional(sir, k: float, n: int):
     """Error probability of k bits over n uses at a known SIR, elementwise.
 
-    Q((C(SIR) - k/n) / sqrt(V(SIR)/n)). At SIR=0 the dispersion vanishes and
-    the limit is 1 for any positive payload.
+    Q((C(SIR) - k/n) / sqrt(V(SIR)/n)) as 0.5*erfc(z/sqrt(2)), which is
+    exactly 1.0 below z = -8.5 and exactly 0.0 above z = 40; a NaN SIR or
+    payload gives NaN. At SIR=0 the dispersion vanishes and the limit is 1
+    for any positive payload.
     """
     sir_arr = np.asarray(sir, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = np.sqrt(channel_dispersion(sir_arr) / n)
-        prob = _q_of_margin(shannon_capacity(sir_arr), spread, k / n)
-    return np.where(sir_arr > 0.0, prob, 1.0 if k > 0 else 0.5)
+        prob = 0.5 * _special.erfc((shannon_capacity(sir_arr) - k / n) / spread / _SQRT2)
+    return np.where(sir_arr == 0.0, 1.0 if k > 0 else 0.5, prob)
 
 
 def _grid_step(n: int) -> float:
@@ -193,11 +180,11 @@ def _law_sums(
     `_ErrorAverage` multiplies by erfc on its window. The key is the whole
     law, so laws with equal (eta, beta) but other weights are apart. The
     arrays are shared, so they are read-only, and the density itself is not
-    kept; `fb_kstar` calls the uncached `__wrapped__` above
+    kept; `_law_average` calls the uncached `__wrapped__` above
     _MAX_CACHED_BLOCKLENGTH.
     """
     x, _ = log_grid(step)
-    density = combined_sir_pdf(dist, antennas, scheme)(x)
+    density = combined_sir_pdf(x, dist, antennas, scheme)
     mass, _ = integrate_semi_infinite(lambda _: density, step)
     g = density * x
     half, below = 0.5 * g, _prefix_sums(g)
@@ -207,7 +194,7 @@ def _law_sums(
 
 
 class _ErrorAverage:
-    """The average error for one density and blocklength, as a function of k.
+    """The average error for one law and blocklength, as a function of k.
 
     The average is the trapezoid rule of `integrate_semi_infinite` on
     g = density * Q * x. Q is evaluated only on the window of nodes where it
@@ -223,12 +210,6 @@ class _ErrorAverage:
     """
 
     def __init__(self, half_g: np.ndarray, below: np.ndarray, n: int) -> None:
-        if n < _MIN_VALIDATED_BLOCKLENGTH:
-            warnings.warn(
-                f"normal approximation validated for n >= {_MIN_VALIDATED_BLOCKLENGTH}; "
-                f"got n={n}",
-                stacklevel=3,
-            )
         self.n = n
         _, self._h = log_grid(_grid_step(n))
         margins = _margins if n <= _MAX_CACHED_BLOCKLENGTH else _margins.__wrapped__
@@ -242,8 +223,8 @@ class _ErrorAverage:
         """(lo, hi, 2Q on nodes lo..hi-1): Q is exactly 1.0 below lo and 0.0 from hi.
 
         The window is padded by one node on each side. 2Q is erfc(z/sqrt(2))
-        with z = (C - k/n)/s, as in `_q_of_margin`, whose saturated values
-        erfc returns exactly too. A NaN rate sorts above every edge, so the
+        with z = (C - k/n)/s, as in `fb_error_conditional`, whose saturated
+        values erfc returns exactly too. A NaN rate sorts above every edge, so the
         window is the last node, and 2Q there is NaN. The values live in the
         evaluator's buffer until its next call.
         """
@@ -281,21 +262,36 @@ class _ErrorAverage:
         )
 
 
-def fb_error_average(
-    density: Callable[[np.ndarray], np.ndarray], k: float, n: int
-) -> FbEvaluation:
-    """Average the conditional error over a post-combining SIR density.
+def _law_average(
+    dist: SirDistribution, antennas: int, scheme: Scheme, n: int
+) -> tuple[_ErrorAverage, float]:
+    """The law's average error at blocklength n, as a function of k, and its mass.
 
-    `density` must be array-valued and smooth on the scale of the grid step
-    in ln SIR (min(0.0115, 0.5/sqrt(n))), as the combined SIR densities are;
-    the average is a fixed trapezoid rule on that grid, with the conditional
-    error evaluated only where it is neither exactly 1 nor exactly 0. This
-    is the path `fb_kstar` takes for each k, which takes the density's
-    arrays from a per-law cache instead of evaluating them per call.
+    `_law_sums` is cached up to _MAX_CACHED_BLOCKLENGTH, and "sc" and
+    Scheme.SC share an entry.
     """
-    x, _ = log_grid(_grid_step(n))
-    g = density(x) * x
-    return _ErrorAverage(0.5 * g, _prefix_sums(g), n)(k)
+    if n < _MIN_VALIDATED_BLOCKLENGTH:
+        warnings.warn(
+            f"normal approximation validated for n >= {_MIN_VALIDATED_BLOCKLENGTH}; "
+            f"got n={n}",
+            stacklevel=3,
+        )
+    law_sums = _law_sums if n <= _MAX_CACHED_BLOCKLENGTH else _law_sums.__wrapped__
+    half_g, below, mass = law_sums(dist, antennas, Scheme(scheme), _grid_step(n))
+    return _ErrorAverage(half_g, below, n), mass
+
+
+def fb_error_average(
+    dist: SirDistribution, antennas: int, scheme: Scheme, k: float, n: int
+) -> FbEvaluation:
+    """Average the conditional error over `combined_sir_pdf`'s density.
+
+    A fixed trapezoid rule on the log-SIR grid of step min(0.0115,
+    0.5/sqrt(n)); `fb_kstar` takes the same average from the same per-law
+    cache, so at k* it is the predicted_epsilon. The mass is not checked.
+    """
+    average, _ = _law_average(dist, antennas, scheme, n)
+    return average(k)
 
 
 def _seed_k(dist: SirDistribution, cfg: LinkConfig) -> float:
@@ -345,9 +341,7 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     on every node, which every payload meets.
     """
     n, eps = cfg.blocklength, cfg.epsilon_th
-    law_sums = _law_sums if n <= _MAX_CACHED_BLOCKLENGTH else _law_sums.__wrapped__
-    half_g, below, mass = law_sums(dist, cfg.antennas, cfg.scheme, _grid_step(n))
-    average = _ErrorAverage(half_g, below, n)
+    average, mass = _law_average(dist, cfg.antennas, cfg.scheme, n)
     if not abs(mass - 1.0) <= _MASS_TOLERANCE:
         raise ValueError(
             f"SIR density has mass {mass:.6g} on the integration range, not 1; "

@@ -446,24 +446,17 @@ def mrc_kstar(
     return _finish(k, k_real, e, n, method)
 
 
-def combined_sir_pdf(
-    dist: SirDistribution, antennas: int, scheme: Scheme
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Density of the post-combining SIR as an array-valued callable.
+def combined_sir_pdf(x, dist: SirDistribution, antennas: int, scheme: Scheme):
+    """Density of the post-combining SIR at x, elementwise.
 
     SC: max of the per-antenna values. MRC: the combined SIR Psi relates to
     the normalized Lomax sum v through Psi = (eta/beta)*v, so
     f_Psi(x) = (beta/eta) * f_v(x*beta/eta). Where x*beta/eta overflows, the
     density is 0.
     """
-    scheme = Scheme(scheme)
-    if scheme is Scheme.SC:
-        return lambda x: sc_pdf(x, dist, antennas)
+    if Scheme(scheme) is Scheme.SC:
+        return sc_pdf(x, dist, antennas)
     scale = dist.beta / dist.eta
-
-    def mrc_pdf(x):
-        with np.errstate(over="ignore"):
-            v = x * scale
-        return scale * lomax_sum_pdf(v, antennas, dist.eta)
-
-    return mrc_pdf
+    with np.errstate(over="ignore"):
+        v = np.multiply(x, scale)
+    return scale * lomax_sum_pdf(v, antennas, dist.eta)

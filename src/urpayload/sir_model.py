@@ -51,7 +51,10 @@ class SirDistribution:
             raise ValueError("path_losses length must equal eta")
         if not all(0.0 < w < math.inf for w in self.path_losses):
             raise ValueError("path losses must all be positive and finite")
-        total = math.fsum(self.path_losses)
+        try:
+            total = math.fsum(self.path_losses)
+        except OverflowError:  # a partial sum passes the largest double
+            raise ValueError(f"sum of path losses overflows near beta={self.beta}") from None
         if not math.isclose(total, self.beta, rel_tol=1e-9):
             raise ValueError(
                 f"beta={self.beta} inconsistent with sum of path losses {total}"
@@ -125,9 +128,10 @@ class Topology(SirDistribution):
         try:
             g0 = r0**alpha
             weights = tuple(g0 * r ** (-alpha) for r in distances)
+            beta = math.fsum(weights)
         except OverflowError as exc:
             raise ValueError(f"path-loss weights overflow: {exc}") from None
-        super().__init__(len(distances), beta=math.fsum(weights), path_losses=weights)
+        super().__init__(len(distances), beta=beta, path_losses=weights)
 
 
 def _check_gamma(gamma: float) -> None:

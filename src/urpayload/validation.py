@@ -17,7 +17,6 @@ from .numerics import Bracket, find_root_monotone
 from .rate_control import (
     LinkConfig,
     Scheme,
-    combined_sir_pdf,
     mrc_error,
     mrc_kstar,
     sc_error,
@@ -186,8 +185,7 @@ def _analytic_point(
     k = max(sol.k_star, 1)
     theta = theta_for_rate(k, n)
     if point.semantics is Semantics.FINITE_BLOCKLENGTH:
-        density = combined_sir_pdf(dist, point.antennas, point.scheme)
-        prediction = fb_error_average(density, k, n).epsilon_fb
+        prediction = fb_error_average(dist, point.antennas, point.scheme, k, n).epsilon_fb
     elif point.scheme is Scheme.SC:
         prediction = sc_error(theta, dist, point.antennas, exact=True)
     else:
@@ -206,7 +204,8 @@ def check_montecarlo(
     SC predictions use the exact product CDF (no modeling error, pure
     sampling noise); MRC and finite-blocklength predictions carry the
     scaled-Lomax approximation, so their points sit deep enough that the
-    modeling bias is well below the interval width.
+    modeling bias is well below the interval width. rel_gap and the binomial
+    z-score of the prediction are None where their denominator is 0.
     """
     topology = CDF_SETUPS["B"]
     n = 200
@@ -226,6 +225,8 @@ def check_montecarlo(
         )
         report = run_sim(spec)
         lo, hi = report.ci95
+        empirical = report.epsilon_hat
+        sigma = math.sqrt(prediction * (1.0 - prediction) / trials)
         results.append(
             CheckResult(
                 f"montecarlo.{point.label}",
@@ -233,8 +234,10 @@ def check_montecarlo(
                 {
                     "k": k,
                     "prediction": prediction,
-                    "empirical": report.epsilon_hat,
+                    "empirical": empirical,
                     "ci95": [lo, hi],
+                    "rel_gap": prediction / empirical - 1.0 if empirical > 0.0 else None,
+                    "z": (prediction - empirical) / sigma if sigma > 0.0 else None,
                     "trials": trials,
                     "seed": seed,
                 },

@@ -30,7 +30,6 @@ from urpayload.finite_blocklength import fb_error_average, fb_kstar
 from urpayload.rate_control import (
     LinkConfig,
     Scheme,
-    combined_sir_pdf,
     mrc_kstar,
     sc_kstar_approx,
 )
@@ -212,11 +211,10 @@ def test_09_search_equals_grid():
         dist = SirDistribution.from_beta(beta, eta)
         cfg = LinkConfig(antennas, n, eps, scheme)
         sol = fb_kstar(dist, cfg)
-        density = combined_sir_pdf(dist, antennas, scheme)
         feasible = [
             k
             for k in range(1, 2 * n + 1)
-            if fb_error_average(density, k, n).epsilon_fb <= eps
+            if fb_error_average(dist, antennas, scheme, k, n).epsilon_fb <= eps
         ]
         oracle = max(feasible) if feasible else 0
         if sol.k_star != oracle:

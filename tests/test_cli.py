@@ -53,6 +53,21 @@ class TestRate:
         k_star = int(out.split("k_star=")[1].split()[0])
         assert abs(k_star - 4) <= 1
 
+    def test_predicted_epsilon_prints_every_digit(self, capsys):
+        # 0.9999999999979963 meets the target; six significant digits would
+        # round it to 1, above the target
+        eps = 0.999999999998
+        code, out, _ = run_cli(
+            [
+                "rate", "--beta", "0.8", "--eta", "1", "--M", "1", "--n", "200",
+                "--eps", repr(eps), "--scheme", "mrc", "--method", "fb",
+            ],
+            capsys,
+        )
+        assert code == EXIT_OK
+        printed = float(out.split("predicted_epsilon=")[1].split()[0])
+        assert printed <= eps
+
     def test_exact_matches_approx_within_one_bit(self, topology_file, capsys):
         # a single antenna cannot reach 1e-4 on this topology, so both
         # methods must agree on infeasibility (and the exit code says so)
@@ -659,3 +674,8 @@ class TestValidate:
         assert len(records) == 9
         assert code == EXIT_OK
         assert all(r["pass"] for r in records)
+        for r in records:
+            prediction, empirical = r["prediction"], r["empirical"]
+            assert r["rel_gap"] == pytest.approx(prediction / empirical - 1.0, rel=1e-12)
+            sigma = (prediction * (1.0 - prediction) / r["trials"]) ** 0.5
+            assert r["z"] == pytest.approx((prediction - empirical) / sigma, rel=1e-12)

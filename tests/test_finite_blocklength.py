@@ -9,7 +9,6 @@ from scipy import integrate, special
 from urpayload import finite_blocklength
 from urpayload.finite_blocklength import (
     _grid_step,
-    _q_of_margin,
     channel_dispersion,
     fb_error_average,
     fb_error_conditional,
@@ -78,6 +77,7 @@ class TestFbErrorConditional:
 
     def test_zero_sir_fails_certainly(self):
         assert fb_error_conditional(0.0, 10, 200) == 1.0
+        assert fb_error_conditional(0.0, 0, 200) == 0.5  # the limit at k = 0
 
     def test_arithmetic_reference(self):
         assert fb_error_conditional(1.0, 100, 200) == pytest.approx(
@@ -114,8 +114,7 @@ def _check_against_sampled_expectation(main_dist, rng, antennas, k, n):
         done += m
     mc_mean = total / size
     mc_sigma = math.sqrt(max(total_sq / size - mc_mean**2, 0.0) / size)
-    density = combined_sir_pdf(main_dist, antennas, Scheme.SC)
-    result = fb_error_average(density, k, n)
+    result = fb_error_average(main_dist, antennas, Scheme.SC, k, n)
     assert abs(result.epsilon_fb - mc_mean) < 3.0 * mc_sigma
 
 
@@ -125,6 +124,8 @@ def _q_through_erfc(z):
 
 
 class TestQOfMargin:
+    """Q of the margin (C - k/n)/s, as `fb_error_conditional` forms it."""
+
     def test_thresholds_are_exact_through_erfc(self):
         assert np.all(_q_through_erfc(np.linspace(-1e3, -8.5, 4001)) == 1.0)
         assert np.all(_q_through_erfc(np.linspace(40.0, 1e3, 4001)) == 0.0)
@@ -137,15 +138,26 @@ class TestQOfMargin:
         spread = np.sqrt(channel_dispersion(x) / n)
         top = n * shannon_capacity(1e12)
         for k in np.unique(np.geomspace(1.0, 1.2 * top, 40).round()):
-            rate = float(k) / n
             with np.errstate(divide="ignore"):
-                z = (capacity - rate) / spread
-            got = _q_of_margin(capacity, spread, rate)
+                z = (capacity - float(k) / n) / spread
+            got = fb_error_conditional(x, float(k), n)
             assert got.tobytes() == _q_through_erfc(z).tobytes()
 
+    def test_saturates_exactly(self):
+        # exactly 1.0 below z = -8.5 and exactly 0.0 above z = 40, with
+        # elements on both sides of both edges
+        sir = np.geomspace(1e-6, 1e12, 20001)
+        n = 200
+        for k in (1, 40, 400, 4000):
+            z = (shannon_capacity(sir) - k / n) / np.sqrt(channel_dispersion(sir) / n)
+            q = fb_error_conditional(sir, k, n)
+            assert np.all(q[z < -8.5] == 1.0) and np.all(q[z > 40.0] == 0.0)
+            assert np.any(z < -8.5) and np.any((z > -8.0) & (q < 1.0))
+            assert np.any(z > 40.0) and np.any((z < 39.0) & (q > 0.0))
+
     def test_nan_passes_through(self):
-        got = _q_of_margin(np.array([0.0, np.nan, 1.0]), np.array([0.0, 1.0, np.nan]), 0.0)
-        assert np.isnan(got).all()
+        assert np.isnan(fb_error_conditional(np.array([0.5, 1.0, 1e6]), math.nan, 200)).all()
+        assert np.isnan(fb_error_conditional(np.array([np.nan]), 10, 200)).all()
 
     def test_conditional_equals_erfc_on_every_element(self, rng):
         # the simulator's per-trial values, zero SIR included
@@ -162,9 +174,8 @@ class TestFbErrorAverage:
     def test_headline_four_bits_at_target(self, main_dist):
         # with two antennas over 200 uses, four bits meet a 7e-5 target and
         # five do not
-        density = combined_sir_pdf(main_dist, 2, Scheme.SC)
-        at_four = fb_error_average(density, 4, 200).epsilon_fb
-        at_five = fb_error_average(density, 5, 200).epsilon_fb
+        at_four = fb_error_average(main_dist, 2, Scheme.SC, 4, 200).epsilon_fb
+        at_five = fb_error_average(main_dist, 2, Scheme.SC, 5, 200).epsilon_fb
         assert at_four <= 7e-5 < at_five
 
     def test_against_sampled_expectation(self, main_dist, rng):
@@ -176,37 +187,44 @@ class TestFbErrorAverage:
         _check_against_sampled_expectation(main_dist, rng, antennas=1, k=1, n=10**5)
 
     def test_quadrature_estimate_is_tight(self, main_dist):
-        density = combined_sir_pdf(main_dist, 2, Scheme.SC)
-        result = fb_error_average(density, 4, 200)
+        result = fb_error_average(main_dist, 2, Scheme.SC, 4, 200)
         assert result.quadrature_error_estimate < 1e-10
         assert 0.0 <= result.epsilon_fb <= 1.0
 
     def test_short_blocklength_warns(self, main_dist):
-        density = combined_sir_pdf(main_dist, 1, Scheme.SC)
-        with pytest.warns(UserWarning, match="n >= 100"):
-            fb_error_average(density, 4, 50)
+        with pytest.warns(UserWarning, match="n >= 100") as record:
+            fb_error_average(main_dist, 1, Scheme.SC, 4, 50)
+        assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("scheme", [Scheme.SC, Scheme.MRC])
+    def test_equals_the_solution_at_kstar_from_the_cache(self, main_dist, scheme):
+        # the average the search settled k* on, bit for bit, and from the
+        # law arrays the solve cached; "sc" and Scheme.SC share that entry
+        cfg = LinkConfig(4, 200, 1e-5, scheme)
+        finite_blocklength._law_sums.cache_clear()
+        sol = fb_kstar(main_dist, cfg)
+        got = fb_error_average(main_dist, 4, scheme.value, sol.k_star, 200)
+        assert finite_blocklength._law_sums.cache_info().hits == 1
+        assert got.epsilon_fb.hex() == sol.predicted_epsilon.hex()
 
 
-def _uncached_average(density, n):
-    """The average as a function of k, built from the density as
-    `fb_error_average` builds it, without the per-law cache."""
-    x, _ = log_grid(_grid_step(n))
-    g = density(x) * x
-    return finite_blocklength._ErrorAverage(0.5 * g, finite_blocklength._prefix_sums(g), n)
+def _uncached_average(dist, antennas, scheme, n):
+    """The average as a function of k, from the law's arrays built afresh
+    instead of taken from the per-law cache."""
+    half_g, below, _ = finite_blocklength._law_sums.__wrapped__(
+        dist, antennas, scheme, _grid_step(n)
+    )
+    return finite_blocklength._ErrorAverage(half_g, below, n)
 
 
-def full_grid_average(density, k, n):
+def full_grid_average(dist, antennas, scheme, k, n):
     """The average with Q evaluated on every node of the grid: the oracle for
     the windowed average, which takes the nodes where Q is exactly 1 from
     prefix sums and skips those where it is exactly 0."""
     step = _grid_step(n)
     x, _ = log_grid(step)
-    values = density(x)
-    capacity = shannon_capacity(x)
-    spread = np.sqrt(channel_dispersion(x) / n)
-    value, estimate = integrate_semi_infinite(
-        lambda x: values * _q_of_margin(capacity, spread, k / n), step
-    )
+    values = combined_sir_pdf(x, dist, antennas, scheme) * fb_error_conditional(x, k, n)
+    value, estimate = integrate_semi_infinite(lambda _: values, step)
     return min(max(value, 0.0), 1.0), estimate
 
 
@@ -214,13 +232,11 @@ class TestErrorWindow:
     @pytest.mark.parametrize("n", [100, 200, 2000, 10**5])
     def test_window_q_equals_full_grid_q(self, main_dist, n):
         # 1.0 below the window, half of the window's erfc on it and 0.0
-        # above it is _q_of_margin on every node, bit for bit, from k=0 (the
-        # window holds the bottom nodes, where the spread is 0) to past the
-        # top node's capacity
-        average = _uncached_average(combined_sir_pdf(main_dist, 2, Scheme.SC), n)
+        # above it is fb_error_conditional on every node, bit for bit, from
+        # k=0 (the window holds the bottom nodes, where the spread is 0) to
+        # past the top node's capacity
+        average = _uncached_average(main_dist, 2, Scheme.SC, n)
         x, _ = log_grid(_grid_step(n))
-        capacity = shannon_capacity(x)
-        spread = np.sqrt(channel_dispersion(x) / n)
         top = n * shannon_capacity(1e12)
         payloads = np.concatenate(([0.0, 0.5, 1.0], np.geomspace(2.0, 1.2 * top, 120)))
         reached_bottom = reached_top = False
@@ -228,20 +244,19 @@ class TestErrorWindow:
             lo, hi, q = average._window(float(k))
             assert 0 <= lo < hi <= len(x)
             full = np.concatenate((np.ones(lo), 0.5 * q, np.zeros(len(x) - hi)))
-            assert full.tobytes() == _q_of_margin(capacity, spread, k / n).tobytes()
+            assert full.tobytes() == fb_error_conditional(x, float(k), n).tobytes()
             reached_bottom |= lo == 0
             reached_top |= hi == len(x)
         assert reached_bottom and reached_top
 
     def test_window_is_narrow(self, main_dist):
-        average = _uncached_average(combined_sir_pdf(main_dist, 2, Scheme.SC), 200)
+        average = _uncached_average(main_dist, 2, Scheme.SC, 200)
         lo, hi, _ = average._window(100.0)
         assert hi - lo < len(log_grid(_grid_step(200))[0]) // 10
 
     def test_nan_payload_raises(self, main_dist):
-        density = combined_sir_pdf(main_dist, 2, Scheme.SC)
         with pytest.raises(ValueError):
-            fb_error_average(density, math.nan, 200)
+            fb_error_average(main_dist, 2, Scheme.SC, math.nan, 200)
 
     @given(
         beta=st.floats(min_value=0.05, max_value=5.0),
@@ -260,9 +275,9 @@ class TestErrorWindow:
         k = n * math.log2(1.0 + 10.0**log_theta)
         if whole:
             k = float(round(k))
-        density = combined_sir_pdf(SirDistribution.from_beta(beta, eta), antennas, scheme)
-        got = fb_error_average(density, k, n)
-        want, estimate = full_grid_average(density, k, n)
+        dist = SirDistribution.from_beta(beta, eta)
+        got = fb_error_average(dist, antennas, scheme, k, n)
+        want, estimate = full_grid_average(dist, antennas, scheme, k, n)
         assert got.epsilon_fb == pytest.approx(want, rel=1e-13, abs=0.0)
         assert got.quadrature_error_estimate == pytest.approx(estimate, rel=0.0, abs=1e-13)
 
@@ -283,10 +298,9 @@ class TestErrorWindow:
         n = int(round(10.0**log_n))
         k = n * math.log2(1.0 + 10.0**log_theta)
         dist = SirDistribution.from_beta(10.0**log_beta, eta)
-        density = combined_sir_pdf(dist, antennas, scheme)
         x, h = log_grid(_grid_step(n))
-        g = density(x) * x
-        average = _uncached_average(density, n)
+        g = combined_sir_pdf(x, dist, antennas, scheme) * x
+        average = _uncached_average(dist, antennas, scheme, n)
         got = average(k)
         lo, hi, erfc = average._window(k)
         q = (0.5 * erfc) * g[lo:hi]
@@ -374,8 +388,7 @@ class TestFbErrorAverageReference:
         cfg = LinkConfig(antennas, n, eps, scheme)
         asym = sc_kstar_approx(dist, cfg) if scheme is Scheme.SC else mrc_kstar(dist, cfg)
         k = max(asym.k_star, 1)
-        density = combined_sir_pdf(dist, antennas, scheme)
-        got = fb_error_average(density, k, n).epsilon_fb
+        got = fb_error_average(dist, antennas, scheme, k, n).epsilon_fb
         want = _reference_average(dist, antennas, scheme, k, n)
         assert got == pytest.approx(want, rel=1e-8)
 
@@ -421,11 +434,10 @@ class TestFbKstar:
         dist = SirDistribution.from_beta(0.8, 8)
         cfg = LinkConfig(2, 400, eps, Scheme.SC)
         sol = fb_kstar(dist, cfg)
-        density = combined_sir_pdf(dist, 2, Scheme.SC)
         feasible = [
             k
             for k in range(1, 801)
-            if fb_error_average(density, k, 400).epsilon_fb <= eps
+            if fb_error_average(dist, 2, Scheme.SC, k, 400).epsilon_fb <= eps
         ]
         if feasible:
             assert sol.k_star == max(feasible)
@@ -453,8 +465,9 @@ class TestFbKstar:
         assert fb.k_star <= asym.k_star + 2
 
     def test_error_strictly_increasing_in_payload(self, main_dist):
-        density = combined_sir_pdf(main_dist, 2, Scheme.SC)
-        values = [fb_error_average(density, k, 200).epsilon_fb for k in range(1, 40, 4)]
+        values = [
+            fb_error_average(main_dist, 2, Scheme.SC, k, 200).epsilon_fb for k in range(1, 40, 4)
+        ]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_rate_gap_shrinks_with_blocklength(self):
@@ -533,7 +546,7 @@ def _walked_solution(dist, cfg, guess):
     """fb_kstar's answer from the uncached average, with the integer walk
     started at `guess` instead of at `_seed_k`."""
     n, eps = cfg.blocklength, cfg.epsilon_th
-    average = _uncached_average(combined_sir_pdf(dist, cfg.antennas, cfg.scheme), n)
+    average = _uncached_average(dist, cfg.antennas, cfg.scheme, n)
     errors = {}
 
     def err(k):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from urpayload.finite_blocklength import fb_error_average
-from urpayload.rate_control import Scheme, combined_sir_pdf, sc_error, theta_for_rate
+from urpayload.rate_control import Scheme, sc_error, theta_for_rate
 from urpayload.simulator import (
     Semantics,
     SimSpec,
@@ -170,8 +170,7 @@ class TestRunSim:
                 seed=3,
             )
         )
-        density = combined_sir_pdf(main_dist, 2, Scheme.SC)
-        predicted = fb_error_average(density, k, n).epsilon_fb
+        predicted = fb_error_average(main_dist, 2, Scheme.SC, k, n).epsilon_fb
         lo, hi = report.ci95
         # widen by the small model bias bound: the density is the scaled-Lomax
         # model, the simulator samples the physical link

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +124,12 @@ class TestSirDistribution:
             Topology(math.inf, (30.0, 50.0), 3.5)
         with pytest.raises(ValueError):
             Topology(20.0, (30.0, math.nan), 3.5)
+
+    def test_sum_overflowing_in_fsum_rejected(self):
+        # three thirds of the largest double: fsum's partial sums overflow
+        # although the sum itself rounds into range
+        with pytest.raises(ValueError, match="overflows"):
+            SirDistribution.from_beta(sys.float_info.max, 3)
 
 
 class TestExactCdf:

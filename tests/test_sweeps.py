@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from collections import defaultdict
@@ -141,6 +142,22 @@ class TestPresets:
         write_csv(preset_rows("fig6"), out)
         assert out.getvalue() == (_DATA / "fig6.csv").read_text()
 
+    def test_cdf_preset_reproduces_golden_csv(self):
+        # fig2pp is the exact and approximate SIR CDF and density on three
+        # topologies; it has no FB rows
+        out = io.StringIO()
+        write_csv(preset_rows("fig2pp"), out)
+        assert out.getvalue() == (_DATA / "fig2pp.csv").read_text()
+
+    def test_bound_preset_reproduces_pinned_hash(self):
+        # fig3's 440 KB body (the Lomax-sum CDF and its two lower bounds on
+        # 5,000 points) is pinned by its SHA-256 instead of a golden file
+        out = io.StringIO()
+        write_csv(preset_rows("fig3"), out)
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "866a4e38f980da6b3794521ed43f042bfc25398ebbbc307d2ef6a9f8c976e19d"
+        )
+
     @pytest.mark.parametrize(
         "name,laws", [("fig2", 8), ("fig4", 126), ("fig5", 32), ("fig6", 4)]
     )
@@ -151,14 +168,9 @@ class TestPresets:
         evaluations = []
         original = finite_blocklength.combined_sir_pdf
 
-        def counting(dist, antennas, scheme):
-            density = original(dist, antennas, scheme)
-
-            def evaluate(x):
-                evaluations.append(len(x))
-                return density(x)
-
-            return evaluate
+        def counting(x, dist, antennas, scheme):
+            evaluations.append(len(x))
+            return original(x, dist, antennas, scheme)
 
         monkeypatch.setattr(finite_blocklength, "combined_sir_pdf", counting)
         finite_blocklength._law_sums.cache_clear()
