@@ -11,15 +11,21 @@ IEEE T-IT 2010): where the log of the asymptotic error is linear in the
 rate, the Gaussian margin multiplies the error by a constant, which costs
 n*lam*V/2 bits (`_seed_k`). The average is a fixed trapezoid rule on
 a log-SIR grid. Its conditional error is exactly 1.0 below a narrow window
-of nodes and exactly 0.0 above it, so one average evaluates the error only
-on that window and takes the part below it from prefix sums of the density.
-The capacity, the spread and the window edges depend only on the
-blocklength and are cached per blocklength. The density times x, its prefix
-sums and its mass depend only on the law, the antennas, the scheme and the
-grid, and are evaluated once per law: a bounded cache keeps those of the
-_LAW_CACHE_SIZE laws used last, so the solves of one curve, which share a
-law across targets, reuse them. `fb_error_average(dist, antennas, scheme,
-k, n)` and `fb_kstar(dist, cfg)` are both keyed by the law and share it.
+of nodes, so one average evaluates the error only on that window and takes
+the part below it from prefix sums of the density. The window stops where
+the rate margin is _Z_TOP = 12 spreads, where the error is below Q(12) ~
+1.8e-33, and a certificate decides per call whether the nodes above may be
+dropped: they hold at most Q(12) times the law's mass, and the cut stands
+where that is at most 2^-60 of the average, i.e. for averages above about
+2e-15. Below that, the average is summed again on the window that runs to
+z = 40, above which the error is exactly 0.0. The capacity, the spread and
+the window edges depend only on the blocklength and are cached per
+blocklength. The density times x, its prefix sums and its mass depend only
+on the law, the antennas, the scheme and the grid, and are evaluated once
+per law: a bounded cache keeps those of the _LAW_CACHE_SIZE laws used last,
+so the solves of one curve, which share a law across targets, reuse them.
+`fb_error_average(dist, antennas, scheme, k, n)` and `fb_kstar(dist, cfg)`
+are both keyed by the law and share it.
 """
 from __future__ import annotations
 
@@ -76,10 +82,25 @@ _MIN_VALIDATED_BLOCKLENGTH = 100
 _MASS_TOLERANCE = 1e-6
 # 0.5*erfc(z/sqrt(2)) is exactly 1.0 below z = -8.5 (erfc(6.01) ~ 2e-17 is
 # under half an ulp of 2) and exactly 0.0 above z = 40 (e^-800 underflows).
+# The window runs to z = 40 only where the certificate below fails.
 _Q_ONE_BELOW = -8.5
 _Q_ZERO_ABOVE = 40.0
+# The window's tight top edge. Every node above it has z > _Z_TOP, so Q <
+# _Q_AT_TOP there (rounding the edge moves z by a few ulps and Q by under
+# 1e-13 of itself), and the trapezoid weights are at most those of the mass:
+# the nodes above add at most _Q_AT_TOP * mass to the average. They are
+# dropped where that is at most _CUT_TOLERANCE = 2^-60 of the average, 1/128
+# of the 2^-53 that rounding one sum already allows, which holds for averages
+# above _Q_AT_TOP * 2^60 ~ 2.0e-15 at mass 1. Twelve spreads keep that floor
+# far below the smallest average the figure presets take (5.6e-10) and
+# evaluate Q on about a third fewer nodes than z = 40 does (z = 9 would lift
+# the floor to 0.13); a 0 or NaN average, or a smaller one, is summed again
+# up to z = 40, which gives the bits of the uncut window.
+_Z_TOP = 12.0
+_Q_AT_TOP = 0.5 * math.erfc(_Z_TOP / _SQRT2)
+_CUT_TOLERANCE = 2.0**-60
 # The k-independent arrays are cached for blocklengths up to this one, whose
-# grids have at most about 54,000 nodes (1.7 MB of arrays per blocklength),
+# grids have at most about 54,000 nodes (2.2 MB of arrays per blocklength),
 # and so are the per-law arrays (0.9 MB per law, 28 MB for a full cache).
 _MAX_CACHED_BLOCKLENGTH = 10**5
 # Laws whose per-law arrays are kept: the 21 betas of the fig4 preset's
@@ -134,28 +155,33 @@ def _grid_step(n: int) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _margins(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+def _margins(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Capacity, spread and the window edges on the nodes of blocklength n's grid.
 
-    Q((C - r)/s) is exactly 1.0 where C + 8.5*s < r and exactly 0.0 where
-    C - 40*s > r. `rise` is the running maximum of C + 8.5*s, which is C +
-    8.5*s itself, as C and s increase along the grid; `fall` is the suffix
-    minimum of C - 40*s. Both are nondecreasing, so `searchsorted` of the
-    rate r on them bounds the nodes where Q is neither. The last item counts
-    the nodes at the bottom of the grid where s is 0. The arrays are shared,
-    so they are read-only. The cache holds the nine blocklengths of the fig6
-    preset's sweep with room to spare; above _MAX_CACHED_BLOCKLENGTH,
-    `_ErrorAverage` calls the uncached `__wrapped__`, so larger grids are
-    not kept.
+    Q((C - r)/s) is exactly 1.0 where C + 8.5*s < r, below Q(_Z_TOP) where
+    C - _Z_TOP*s > r and exactly 0.0 where C - 40*s > r. `rise` is the
+    running maximum of C + 8.5*s, which is C + 8.5*s itself, as C and s
+    increase along the grid; `tight` and `fall` are the suffix minima of
+    C - _Z_TOP*s and C - 40*s. All three are nondecreasing, so `searchsorted`
+    of the rate r on `rise` and on `tight` or `fall` bounds the nodes where
+    Q is neither 1.0 nor below Q(_Z_TOP), or neither 1.0 nor 0.0. The last
+    item counts the nodes at the bottom of the grid where s is 0. The arrays
+    are shared, so they are read-only. The cache holds the nine blocklengths
+    of the fig6 preset's sweep with room to spare; above
+    _MAX_CACHED_BLOCKLENGTH, `_ErrorAverage` calls the uncached
+    `__wrapped__`, so larger grids are not kept.
     """
     x, _ = log_grid(_grid_step(n))
     capacity = shannon_capacity(x)
     spread = np.sqrt(channel_dispersion(x) / n)
     rise = np.maximum.accumulate(capacity - _Q_ONE_BELOW * spread)
-    fall = np.minimum.accumulate((capacity - _Q_ZERO_ABOVE * spread)[::-1])[::-1]
-    for array in (capacity, spread, rise, fall):
+    tight, fall = (
+        np.minimum.accumulate((capacity - z * spread)[::-1])[::-1]
+        for z in (_Z_TOP, _Q_ZERO_ABOVE)
+    )
+    for array in (capacity, spread, rise, tight, fall):
         array.flags.writeable = False
-    return capacity, spread, rise, fall, int(np.count_nonzero(spread == 0.0))
+    return capacity, spread, rise, tight, fall, int(np.count_nonzero(spread == 0.0))
 
 
 def _prefix_sums(g: np.ndarray) -> np.ndarray:
@@ -197,40 +223,50 @@ class _ErrorAverage:
     """The average error for one law and blocklength, as a function of k.
 
     The average is the trapezoid rule of `integrate_semi_infinite` on
-    g = density * Q * x. Q is evaluated only on the window of nodes where it
-    is neither exactly 1.0 nor exactly 0.0 (`_window`); below the window g is
-    density * x, whose prefix sums over the even and over the odd nodes
-    (`_prefix_sums`) are formed ahead, and above it g is 0. An average
-    therefore costs time in proportion to the window, not to the grid. On
-    the window, Q * g = (0.5*erfc) * g is formed as erfc * (g/2) from the
-    law's halved g. Halving a normal double is exact, so each product is the
-    unhalved form's, except where erfc is subnormal (Q < 2^-1022) and the
-    product is rounded once instead of twice; the sums come out the same
-    doubles. The window's values go into one buffer per evaluator.
+    g = density * Q * x. Q is evaluated only on a window of nodes
+    (`_window`): below it Q is exactly 1.0 and g is density * x, whose
+    prefix sums over the even and over the odd nodes (`_prefix_sums`) are
+    formed ahead, and above it g is taken as 0. An average therefore costs
+    time in proportion to the window, not to the grid. The window first
+    ends at the tight edge z = _Z_TOP, above which Q < Q(_Z_TOP); the nodes
+    it skips add at most Q(_Z_TOP) times the law's mass, and where that
+    bound is not at most _CUT_TOLERANCE of the value (or the value is 0 or
+    NaN), the average is summed again on the window that ends at z = 40,
+    above which Q is exactly 0.0. On the window, Q * g = (0.5*erfc) * g is
+    formed as erfc * (g/2) from the law's halved g. Halving a normal double
+    is exact, so each product is the unhalved form's, except where erfc is
+    subnormal (Q < 2^-1022) and the product is rounded once instead of
+    twice; the sums come out the same doubles. The window's values go into
+    one buffer per evaluator.
     """
 
-    def __init__(self, half_g: np.ndarray, below: np.ndarray, n: int) -> None:
+    def __init__(self, half_g: np.ndarray, below: np.ndarray, mass: float, n: int) -> None:
         self.n = n
+        self.mass = mass
         _, self._h = log_grid(_grid_step(n))
         margins = _margins if n <= _MAX_CACHED_BLOCKLENGTH else _margins.__wrapped__
-        self._capacity, self._spread, self._rise, self._fall, self._flat = margins(n)
+        self._capacity, self._spread, self._rise, self._tight, self._fall, self._flat = (
+            margins(n)
+        )
         self._half_g = half_g
         self._below = below
         self._first = below.item(1, 0)  # g at node 0
         self._buffer = np.empty(len(half_g))
 
-    def _window(self, k: float) -> tuple[int, int, np.ndarray]:
-        """(lo, hi, 2Q on nodes lo..hi-1): Q is exactly 1.0 below lo and 0.0 from hi.
+    def _window(self, k: float, top: np.ndarray) -> tuple[int, int, np.ndarray]:
+        """(lo, hi, 2Q on nodes lo..hi-1) for the top edge `top`, `_tight` or `_fall`.
 
-        The window is padded by one node on each side. 2Q is erfc(z/sqrt(2))
-        with z = (C - k/n)/s, as in `fb_error_conditional`, whose saturated
-        values erfc returns exactly too. A NaN rate sorts above every edge, so the
-        window is the last node, and 2Q there is NaN. The values live in the
-        evaluator's buffer until its next call.
+        Q is exactly 1.0 below lo; from hi it is below Q(_Z_TOP) for the
+        tight edge and exactly 0.0 for `_fall`. The window is padded by one
+        node on each side. 2Q is erfc(z/sqrt(2)) with z = (C - k/n)/s, as in
+        `fb_error_conditional`, whose saturated values erfc returns exactly
+        too. A NaN rate sorts above every edge, so the window is the last
+        node, and 2Q there is NaN. The values live in the evaluator's buffer
+        until its next call.
         """
         rate = k / self.n
         lo = max(int(self._rise.searchsorted(rate, "left")) - 1, 0)
-        hi = min(int(self._fall.searchsorted(rate, "right")) + 1, len(self._rise))
+        hi = min(int(top.searchsorted(rate, "right")) + 1, len(self._rise))
         q = np.subtract(self._capacity[lo:hi], rate, out=self._buffer[: hi - lo])
         if lo < self._flat:  # z is +-inf where s is 0, or NaN where C is the rate
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -241,31 +277,33 @@ class _ErrorAverage:
         _special.erfc(q, out=q)
         return lo, hi, q
 
-    def __call__(self, k: float) -> FbEvaluation:
-        lo, hi, q = self._window(k)
+    def _sum(self, k: float, top: np.ndarray) -> tuple[float, float]:
+        """The trapezoid rule and its error estimate with Q taken as 0 above `top`."""
+        lo, hi, q = self._window(k, top)
         g = np.multiply(q, self._half_g[lo:hi], out=q)
         # Python floats: the same IEEE sums as numpy scalars', at a fraction
         # of the overhead
         even_below = self._below.item((lo + 1) // 2, 0)
-        value, err_estimate = trapezoid_from_sums(
+        return trapezoid_from_sums(
             self._h,
             even_below + self._below.item(lo // 2, 1) + float(g.sum()),
             even_below + float(g[lo % 2 :: 2].sum()),
             self._first if lo > 0 else g[0],
             g[-1] if hi == len(self._half_g) else 0.0,
         )
-        return FbEvaluation(
-            k=k,
-            n=self.n,
-            epsilon_fb=min(max(value, 0.0), 1.0),
-            quadrature_error_estimate=err_estimate,
-        )
+
+    def __call__(self, k: float) -> tuple[float, float]:
+        """(average error clamped to [0, 1], quadrature error estimate) at payload k."""
+        value, err_estimate = self._sum(k, self._tight)
+        if not _Q_AT_TOP * self.mass <= _CUT_TOLERANCE * value:
+            value, err_estimate = self._sum(k, self._fall)
+        return min(max(value, 0.0), 1.0), err_estimate
 
 
 def _law_average(
     dist: SirDistribution, antennas: int, scheme: Scheme, n: int
-) -> tuple[_ErrorAverage, float]:
-    """The law's average error at blocklength n, as a function of k, and its mass.
+) -> _ErrorAverage:
+    """The law's average error at blocklength n, as a function of k.
 
     `_law_sums` is cached up to _MAX_CACHED_BLOCKLENGTH, and "sc" and
     Scheme.SC share an entry.
@@ -277,8 +315,7 @@ def _law_average(
             stacklevel=3,
         )
     law_sums = _law_sums if n <= _MAX_CACHED_BLOCKLENGTH else _law_sums.__wrapped__
-    half_g, below, mass = law_sums(dist, antennas, Scheme(scheme), _grid_step(n))
-    return _ErrorAverage(half_g, below, n), mass
+    return _ErrorAverage(*law_sums(dist, antennas, Scheme(scheme), _grid_step(n)), n)
 
 
 def fb_error_average(
@@ -290,8 +327,8 @@ def fb_error_average(
     0.5/sqrt(n)); `fb_kstar` takes the same average from the same per-law
     cache, so at k* it is the predicted_epsilon. The mass is not checked.
     """
-    average, _ = _law_average(dist, antennas, scheme, n)
-    return average(k)
+    epsilon, err_estimate = _law_average(dist, antennas, scheme, n)(k)
+    return FbEvaluation(k=k, n=n, epsilon_fb=epsilon, quadrature_error_estimate=err_estimate)
 
 
 def _seed_k(dist: SirDistribution, cfg: LinkConfig) -> float:
@@ -341,10 +378,10 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     on every node, which every payload meets.
     """
     n, eps = cfg.blocklength, cfg.epsilon_th
-    average, mass = _law_average(dist, cfg.antennas, cfg.scheme, n)
-    if not abs(mass - 1.0) <= _MASS_TOLERANCE:
+    average = _law_average(dist, cfg.antennas, cfg.scheme, n)
+    if not abs(average.mass - 1.0) <= _MASS_TOLERANCE:
         raise ValueError(
-            f"SIR density has mass {mass:.6g} on the integration range, not 1; "
+            f"SIR density has mass {average.mass:.6g} on the integration range, not 1; "
             "the finite-blocklength average cannot cover this law"
         )
     # err(k) rises to the saturated average, which is within rounding of the
@@ -352,7 +389,7 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     # or above it leaves no infeasible k, and the walk would gallop until k/n
     # overflows
     if eps > 1.0 - 2 * _MASS_TOLERANCE:
-        saturated = average(math.inf).epsilon_fb
+        saturated, _ = average(math.inf)
         if not eps < saturated:
             raise ValueError(
                 f"epsilon_th={eps!r} is not below the saturated finite-blocklength "
@@ -366,7 +403,7 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
 
     def err(k: float) -> float:
         if k not in errors:
-            errors[k] = average(k).epsilon_fb
+            errors[k], _ = average(k)
         return errors[k]
 
     k, e = _max_feasible_k(err, eps, _seed_k(dist, cfg))

@@ -82,7 +82,9 @@ class SweepSpec:
         object.__setattr__(self, "methods", tuple(Method(m) for m in self.methods))
         if not self.values:
             raise ValueError("sweep needs at least one axis value")
-        integral = all(v.is_integer() for v in self.values)  # False for inf and nan
+        if any(math.isnan(v) for v in self.values):
+            raise ValueError(f"{self.axis.value} values must not be NaN, got {self.values}")
+        integral = all(v.is_integer() for v in self.values)  # False for inf
         if self.axis in (Axis.ANTENNAS, Axis.BLOCKLENGTH) and not integral:
             raise ValueError(f"{self.axis.value} values must be integers, got {self.values}")
         diffs = [b - a for a, b in zip(self.values, self.values[1:])]

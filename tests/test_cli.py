@@ -68,6 +68,20 @@ class TestRate:
         printed = float(out.split("predicted_epsilon=")[1].split()[0])
         assert printed <= eps
 
+    def test_deep_target_digits(self, capsys):
+        # an average of about 1e-40 is below the floor where the FB window
+        # may stop at its tight edge, so it is summed up to z = 40
+        code, out, _ = run_cli(
+            [
+                "rate", "--beta", "0.001", "--eta", "8", "--M", "16", "--n", "200",
+                "--eps", "1e-40", "--scheme", "mrc", "--method", "fb",
+            ],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert "k_star=886 " in out
+        assert out.rstrip().endswith("predicted_epsilon=9.542305642705016e-41")
+
     def test_exact_matches_approx_within_one_bit(self, topology_file, capsys):
         # a single antenna cannot reach 1e-4 on this topology, so both
         # methods must agree on infeasibility (and the exit code says so)
@@ -455,6 +469,15 @@ class TestSweep:
         assert code == EXIT_BAD_CONFIG
         assert f"{axis} values must be integers" in err
         assert out == ""
+
+    def test_nan_axis_value_is_named(self, capsys):
+        # NaN compares false both ways, so it was reported as misordered
+        argv = ["sweep", "--beta", "0.8", "--eta", "8", "--M", "2", "--n", "200"]
+        argv += ["--axis", "beta", "--values", "nan,0.5", "--methods", "fb"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_BAD_CONFIG
+        assert "beta values must not be NaN, got (nan, 0.5)" in err
+        assert "ordered" not in err and out == ""
 
 
 class TestSimulate:

@@ -211,10 +211,8 @@ class TestFbErrorAverage:
 def _uncached_average(dist, antennas, scheme, n):
     """The average as a function of k, from the law's arrays built afresh
     instead of taken from the per-law cache."""
-    half_g, below, _ = finite_blocklength._law_sums.__wrapped__(
-        dist, antennas, scheme, _grid_step(n)
-    )
-    return finite_blocklength._ErrorAverage(half_g, below, n)
+    law_sums = finite_blocklength._law_sums.__wrapped__(dist, antennas, scheme, _grid_step(n))
+    return finite_blocklength._ErrorAverage(*law_sums, n)
 
 
 def full_grid_average(dist, antennas, scheme, k, n):
@@ -228,31 +226,65 @@ def full_grid_average(dist, antennas, scheme, k, n):
     return min(max(value, 0.0), 1.0), estimate
 
 
+def _window_payloads(n):
+    """Payloads from k=0 (the window holds the bottom nodes, where the
+    spread is 0) to past the top node's capacity, real and whole."""
+    top = n * shannon_capacity(1e12)
+    payloads = np.concatenate(([0.0, 0.5, 1.0], np.geomspace(2.0, 1.2 * top, 120)))
+    return [float(k) for k in np.concatenate((payloads, payloads.round()))]
+
+
+def _cut_certified(average, value):
+    """Whether the evaluator keeps a tight-window sum of `value`."""
+    return finite_blocklength._Q_AT_TOP * average.mass <= finite_blocklength._CUT_TOLERANCE * value
+
+
 class TestErrorWindow:
     @pytest.mark.parametrize("n", [100, 200, 2000, 10**5])
     def test_window_q_equals_full_grid_q(self, main_dist, n):
-        # 1.0 below the window, half of the window's erfc on it and 0.0
-        # above it is fb_error_conditional on every node, bit for bit, from
-        # k=0 (the window holds the bottom nodes, where the spread is 0) to
-        # past the top node's capacity
+        # on the window that ends at z = 40, 1.0 below the window, half of
+        # the window's erfc on it and 0.0 above it is fb_error_conditional on
+        # every node, bit for bit
         average = _uncached_average(main_dist, 2, Scheme.SC, n)
         x, _ = log_grid(_grid_step(n))
-        top = n * shannon_capacity(1e12)
-        payloads = np.concatenate(([0.0, 0.5, 1.0], np.geomspace(2.0, 1.2 * top, 120)))
         reached_bottom = reached_top = False
-        for k in np.concatenate((payloads, payloads.round())):
-            lo, hi, q = average._window(float(k))
+        for k in _window_payloads(n):
+            lo, hi, q = average._window(k, average._fall)
             assert 0 <= lo < hi <= len(x)
             full = np.concatenate((np.ones(lo), 0.5 * q, np.zeros(len(x) - hi)))
-            assert full.tobytes() == fb_error_conditional(x, float(k), n).tobytes()
+            assert full.tobytes() == fb_error_conditional(x, k, n).tobytes()
             reached_bottom |= lo == 0
             reached_top |= hi == len(x)
         assert reached_bottom and reached_top
 
+    @pytest.mark.parametrize("n", [100, 200, 2000, 10**5])
+    def test_tight_window_q_equals_full_grid_q(self, main_dist, n):
+        # on the window that ends at the tight edge, fb_error_conditional is
+        # exactly 1.0 below it, half of the window's erfc on it, bit for
+        # bit, and at most Q(z_top) above it; the tight edge ends the window
+        # before the z = 40 edge for most payloads
+        average = _uncached_average(main_dist, 2, Scheme.SC, n)
+        x, _ = log_grid(_grid_step(n))
+        reached_bottom = reached_top = False
+        shorter = 0
+        for k in _window_payloads(n):
+            lo, hi, q = average._window(k, average._tight)
+            assert 0 <= lo < hi <= len(x)
+            conditional = fb_error_conditional(x, k, n)
+            assert np.all(conditional[:lo] == 1.0)
+            assert (0.5 * q).tobytes() == conditional[lo:hi].tobytes()
+            assert np.all(conditional[hi:] <= finite_blocklength._Q_AT_TOP)
+            reached_bottom |= lo == 0
+            reached_top |= hi == len(x)
+            shorter += hi < average._window(k, average._fall)[1]
+        assert reached_bottom and reached_top
+        assert shorter > len(_window_payloads(n)) // 2
+
     def test_window_is_narrow(self, main_dist):
         average = _uncached_average(main_dist, 2, Scheme.SC, 200)
-        lo, hi, _ = average._window(100.0)
-        assert hi - lo < len(log_grid(_grid_step(200))[0]) // 10
+        for top in (average._tight, average._fall):
+            lo, hi, _ = average._window(100.0, top)
+            assert hi - lo < len(log_grid(_grid_step(200))[0]) // 10
 
     def test_nan_payload_raises(self, main_dist):
         with pytest.raises(ValueError):
@@ -282,6 +314,49 @@ class TestErrorWindow:
         assert got.quadrature_error_estimate == pytest.approx(estimate, rel=0.0, abs=1e-13)
 
     @given(
+        beta=st.floats(min_value=0.05, max_value=5.0),
+        eta=st.integers(min_value=1, max_value=24),
+        antennas=st.integers(min_value=1, max_value=16),
+        scheme=st.sampled_from([Scheme.SC, Scheme.MRC]),
+        log_n=st.floats(min_value=2.0, max_value=5.0),
+        log_theta=st.floats(min_value=-5.0, max_value=4.0),
+        whole=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_z40_window_average(
+        self, beta, eta, antennas, scheme, log_n, log_theta, whole
+    ):
+        # cutting the window at the tight edge moves the average by at most
+        # rounding where the certificate holds, and not at all where the
+        # evaluator sums again on the window that ends at z = 40
+        n = int(round(10.0**log_n))
+        k = n * math.log2(1.0 + 10.0**log_theta)
+        if whole:
+            k = float(round(k))
+        dist = SirDistribution.from_beta(beta, eta)
+        got = fb_error_average(dist, antennas, scheme, k, n)
+        average = _uncached_average(dist, antennas, scheme, n)
+        want, estimate = average._sum(k, average._fall)
+        want = min(max(want, 0.0), 1.0)
+        if _cut_certified(average, average._sum(k, average._tight)[0]):
+            assert got.epsilon_fb == pytest.approx(want, rel=1e-14, abs=0.0)
+        else:
+            assert got.epsilon_fb.hex() == want.hex()
+            assert got.quadrature_error_estimate.hex() == estimate.hex()
+
+    def test_deep_average_is_summed_on_the_z40_window(self):
+        # an average of about 1e-40 is far below the certificate's floor of
+        # about 2e-15, so it is the z = 40 window's to the last bit
+        dist = SirDistribution.from_beta(0.001, 8)
+        average = _uncached_average(dist, 16, Scheme.MRC, 200)
+        tight, _ = average._sum(886.0, average._tight)
+        assert not _cut_certified(average, tight)
+        got = fb_error_average(dist, 16, Scheme.MRC, 886, 200)
+        want, estimate = average._sum(886.0, average._fall)
+        assert got.epsilon_fb.hex() == want.hex() == (9.542305642705016e-41).hex()
+        assert got.quadrature_error_estimate.hex() == estimate.hex()
+
+    @given(
         log_beta=st.floats(min_value=-3.0, max_value=3.0),
         eta=st.integers(min_value=1, max_value=24),
         antennas=st.integers(min_value=1, max_value=16),
@@ -300,21 +375,29 @@ class TestErrorWindow:
         dist = SirDistribution.from_beta(10.0**log_beta, eta)
         x, h = log_grid(_grid_step(n))
         g = combined_sir_pdf(x, dist, antennas, scheme) * x
-        average = _uncached_average(dist, antennas, scheme, n)
-        got = average(k)
-        lo, hi, erfc = average._window(k)
-        q = (0.5 * erfc) * g[lo:hi]
         below = finite_blocklength._prefix_sums(g)
-        even_below = below[(lo + 1) // 2, 0]
-        value, estimate = trapezoid_from_sums(
-            h,
-            even_below + below[lo // 2, 1] + q.sum(),
-            even_below + q[lo % 2 :: 2].sum(),
-            g[0] if lo > 0 else q[0],
-            q[-1] if hi == len(g) else 0.0,
-        )
-        assert got.epsilon_fb.hex() == min(max(value, 0.0), 1.0).hex()
-        assert got.quadrature_error_estimate.hex() == estimate.hex()
+        average = _uncached_average(dist, antennas, scheme, n)
+
+        def rebuilt(top):
+            lo, hi, erfc = average._window(k, top)
+            q = (0.5 * erfc) * g[lo:hi]
+            even_below = below[(lo + 1) // 2, 0]
+            return trapezoid_from_sums(
+                h,
+                even_below + below[lo // 2, 1] + q.sum(),
+                even_below + q[lo % 2 :: 2].sum(),
+                g[0] if lo > 0 else q[0],
+                q[-1] if hi == len(g) else 0.0,
+            )
+
+        # the window the evaluator summed: the tight one where the
+        # certificate holds, the one that ends at z = 40 otherwise
+        value, estimate = rebuilt(average._tight)
+        if not _cut_certified(average, value):
+            value, estimate = rebuilt(average._fall)
+        got, got_estimate = average(k)
+        assert got.hex() == min(max(value, 0.0), 1.0).hex()
+        assert got_estimate.hex() == estimate.hex()
 
 
 def _reference_density(x, dist, antennas, scheme):
@@ -519,8 +602,8 @@ class TestFbKstar:
         # payload meets a target there, and the walk would gallop until k/n
         # overflows
         dist = SirDistribution.from_beta(0.8, 1)
-        half_g, below, _ = finite_blocklength._law_sums(dist, 1, Scheme.MRC, _grid_step(200))
-        saturated = finite_blocklength._ErrorAverage(half_g, below, 200)(math.inf).epsilon_fb
+        law_sums = finite_blocklength._law_sums(dist, 1, Scheme.MRC, _grid_step(200))
+        saturated, _ = finite_blocklength._ErrorAverage(*law_sums, 200)(math.inf)
         assert saturated < 1.0 - 1e-12
         for eps in (saturated, 0.9999999999999999):
             with pytest.raises(ValueError, match=f"epsilon_th={eps!r}.*saturated"):
@@ -551,7 +634,7 @@ def _walked_solution(dist, cfg, guess):
 
     def err(k):
         if k not in errors:
-            errors[k] = average(k).epsilon_fb
+            errors[k], _ = average(k)
         return errors[k]
 
     k, e = _max_feasible_k(err, eps, guess)

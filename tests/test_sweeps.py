@@ -151,11 +151,11 @@ class TestPresets:
 
     def test_bound_preset_reproduces_pinned_hash(self):
         # fig3's 440 KB body (the Lomax-sum CDF and its two lower bounds on
-        # 5,000 points) is pinned by its SHA-256 instead of a golden file
+        # 5,000 points) is pinned by its SHA-256, which CI also checks
         out = io.StringIO()
         write_csv(preset_rows("fig3"), out)
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
-            "866a4e38f980da6b3794521ed43f042bfc25398ebbbc307d2ef6a9f8c976e19d"
+            (_DATA / "fig3.sha256").read_text().strip()
         )
 
     @pytest.mark.parametrize(
