@@ -234,6 +234,18 @@ def _window_payloads(n):
     return [float(k) for k in np.concatenate((payloads, payloads.round()))]
 
 
+# laws, blocklengths and payloads from 1e-5 to 1e4 in SIR threshold
+_AVERAGE_DOMAIN = dict(
+    beta=st.floats(min_value=0.05, max_value=5.0),
+    eta=st.integers(min_value=1, max_value=24),
+    antennas=st.integers(min_value=1, max_value=16),
+    scheme=st.sampled_from([Scheme.SC, Scheme.MRC]),
+    log_n=st.floats(min_value=2.0, max_value=5.0),
+    log_theta=st.floats(min_value=-5.0, max_value=4.0),
+    whole=st.booleans(),
+)
+
+
 def _cut_certified(average, value):
     """Whether the evaluator keeps a tight-window sum of `value`."""
     return finite_blocklength._Q_AT_TOP * average.mass <= finite_blocklength._CUT_TOLERANCE * value
@@ -267,7 +279,8 @@ class TestErrorWindow:
         x, _ = log_grid(_grid_step(n))
         reached_bottom = reached_top = False
         shorter = 0
-        for k in _window_payloads(n):
+        payloads = _window_payloads(n)
+        for k in payloads:
             lo, hi, q = average._window(k, average._tight)
             assert 0 <= lo < hi <= len(x)
             conditional = fb_error_conditional(x, k, n)
@@ -278,7 +291,7 @@ class TestErrorWindow:
             reached_top |= hi == len(x)
             shorter += hi < average._window(k, average._fall)[1]
         assert reached_bottom and reached_top
-        assert shorter > len(_window_payloads(n)) // 2
+        assert shorter > len(payloads) // 2
 
     def test_window_is_narrow(self, main_dist):
         average = _uncached_average(main_dist, 2, Scheme.SC, 200)
@@ -290,15 +303,7 @@ class TestErrorWindow:
         with pytest.raises(ValueError):
             fb_error_average(main_dist, 2, Scheme.SC, math.nan, 200)
 
-    @given(
-        beta=st.floats(min_value=0.05, max_value=5.0),
-        eta=st.integers(min_value=1, max_value=24),
-        antennas=st.integers(min_value=1, max_value=16),
-        scheme=st.sampled_from([Scheme.SC, Scheme.MRC]),
-        log_n=st.floats(min_value=2.0, max_value=5.0),
-        log_theta=st.floats(min_value=-5.0, max_value=4.0),
-        whole=st.booleans(),
-    )
+    @given(**_AVERAGE_DOMAIN)
     @settings(max_examples=120, deadline=None)
     def test_equals_full_grid_average(
         self, beta, eta, antennas, scheme, log_n, log_theta, whole
@@ -313,15 +318,7 @@ class TestErrorWindow:
         assert got.epsilon_fb == pytest.approx(want, rel=1e-13, abs=0.0)
         assert got.quadrature_error_estimate == pytest.approx(estimate, rel=0.0, abs=1e-13)
 
-    @given(
-        beta=st.floats(min_value=0.05, max_value=5.0),
-        eta=st.integers(min_value=1, max_value=24),
-        antennas=st.integers(min_value=1, max_value=16),
-        scheme=st.sampled_from([Scheme.SC, Scheme.MRC]),
-        log_n=st.floats(min_value=2.0, max_value=5.0),
-        log_theta=st.floats(min_value=-5.0, max_value=4.0),
-        whole=st.booleans(),
-    )
+    @given(**_AVERAGE_DOMAIN)
     @settings(max_examples=120, deadline=None)
     def test_equals_the_z40_window_average(
         self, beta, eta, antennas, scheme, log_n, log_theta, whole
