@@ -87,8 +87,8 @@ _Q_ONE_BELOW = -8.5
 _Q_ZERO_ABOVE = 40.0
 # The window's tight top edge. Every node above it has z > _Z_TOP, so Q <
 # _Q_AT_TOP there (rounding the edge moves z by a few ulps and Q by under
-# 1e-13 of itself), and the trapezoid weights are at most those of the mass:
-# the nodes above add at most _Q_AT_TOP * mass to the average. They are
+# 1e-13 of itself), and each node adds Q times its term of the mass's
+# trapezoid sum: the nodes above add at most _Q_AT_TOP * mass. They are
 # dropped where that is at most _CUT_TOLERANCE = 2^-60 of the average, 1/128
 # of the 2^-53 that rounding one sum already allows, which holds for averages
 # above _Q_AT_TOP * 2^60 ~ 2.0e-15 at mass 1. Twelve spreads keep that floor
