@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from scipy import special as _special
 
 from .numerics import (
     Bracket,
@@ -352,22 +353,73 @@ def _check_probability(epsilon: float) -> None:
         raise ValueError(f"probability must lie in (0, 1), got {epsilon}")
 
 
-def mrc_quantile_numeric(epsilon: float, antennas: int, eta: int) -> float:
-    """Invert lomax_sum_cdf at epsilon (bracket doubled from M) to 1e-15 relative.
+# The seeded cell must hold x0*(1 +- _SEED_GUARD). gammaincinv puts x0 far
+# closer to the root than this, so the root lies in the cell, and the cell's
+# ends lie far outside the few ulps where lomax_sum_cdf's sign wobbles.
+_SEED_GUARD = 2.0**-30
+# The seeded cell is narrowed no further than about this width relative to x0.
+_SEED_CELL = 2.0**-24
 
-    find_root_monotone returns the bisection's quantile, from about half the
-    CDF evaluations bisection makes.
+
+def mrc_quantile_numeric(epsilon: float, antennas: int, eta: int) -> float:
+    """Invert lomax_sum_cdf at epsilon to 1e-15 relative: bisection's double.
+
+    The answer is what bisection of [0, hi] down to tol = 1e-15*hi returns,
+    where hi is the first M*2^j whose CDF reaches epsilon. lomax_sum_cdf is
+    P(M, eta*M*log1p(x/M)), so gammaincinv gives an estimate
+    x0 = M*expm1(gammaincinv(M, epsilon)/(eta*M)) of the root. x0 serves twice:
+
+    - The doubling starts at the largest M*2^j below x0 when that point's
+      CDF is below epsilon, so one or two CDF calls find hi.
+    - The bisection's first levels are replayed without CDF calls, down to
+      the cell (one of its intervals) that still holds x0*(1 +- 2^-30): about
+      2^-24*x0 wide, and at least four of the bisection's last intervals. If
+      the CDF is strictly below epsilon at the cell's low end and strictly
+      above it at its high end, a monotone CDF sends bisection of [0, hi]
+      into this cell through the same midpoints, so bisection of the cell
+      alone returns the same double.
+
+    Where the estimate settles nothing (x0 zero, infinite or NaN, or a cell
+    end where the CDF is not strictly on its side, as on the plateau where
+    it rounds to epsilon near 1), the search runs on all of [0, hi].
+    find_root_monotone returns the bisection's double from a handful of CDF
+    calls, and no point's CDF is evaluated twice.
     """
     _check_probability(epsilon)
+    _check_count_shape(antennas, eta)
+    values: dict[float, float] = {}
+
+    def cdf(x: float) -> float:
+        value = values.get(x)
+        if value is None:
+            value = values[x] = lomax_sum_cdf(x, antennas, eta)
+        return value
+
+    gamma_root = _special.gammaincinv(antennas, epsilon)
+    seed = antennas * math.expm1(gamma_root / (eta * antennas))
+    seeded = 0.0 < seed < math.inf
     hi = float(antennas)
-    while lomax_sum_cdf(hi, antennas, eta) < epsilon:
+    if seeded and seed > hi:
+        below = math.ldexp(hi, math.frexp(seed / antennas)[1] - 1)
+        if cdf(below) < epsilon:
+            hi = below
+    while cdf(hi) < epsilon:
         hi *= 2.0
-    return find_root_monotone(
-        lambda x: lomax_sum_cdf(x, antennas, eta),
-        epsilon,
-        Bracket(0.0, hi),
-        tol=1e-15 * hi,
-    )
+    tol = 1e-15 * hi
+    if seeded:
+        low, high = seed * (1.0 - _SEED_GUARD), seed * (1.0 + _SEED_GUARD)
+        lo, top = 0.0, hi
+        while top - lo > max(2.0 * _SEED_CELL * seed, 8.0 * tol):
+            mid = 0.5 * (lo + top)
+            if mid <= low:
+                lo = mid
+            elif mid >= high:
+                top = mid
+            else:
+                break
+        if cdf(lo) < epsilon < cdf(top):
+            return find_root_monotone(cdf, epsilon, Bracket(lo, top), tol=tol)
+    return find_root_monotone(cdf, epsilon, Bracket(0.0, hi), tol=tol)
 
 
 def mrc_quantile_closed(epsilon: float, antennas: int, eta: int) -> float:

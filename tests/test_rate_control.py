@@ -1,9 +1,10 @@
 import bisect
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -47,6 +48,32 @@ DEEP_CI = (9.740572e-05, 1.013127e-04)
 # density model and a 1e7-sample histogram (count=2, shape=8, region where
 # the CDF stays below 0.05) measured at 1.8%.
 HIST_REL_TOL = 0.03
+
+
+def plain_bisection_quantile(eps, antennas, eta):
+    # reference: double hi from M until the CDF reaches eps, then bisect
+    # [0, hi] down to 1e-15*hi, evaluating every midpoint
+    def f(x):
+        return lomax_sum_cdf(x, antennas, eta) - eps
+
+    hi = float(antennas)
+    while f(hi) < 0.0:
+        hi *= 2.0
+    if f(hi) == 0.0:
+        return hi
+    lo, tol = 0.0, 1e-15 * hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        value = f(mid)
+        if value == 0.0:
+            return mid
+        if value < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def lomax_samples(rng, count, shape, size):
@@ -379,6 +406,51 @@ class TestMrcQuantiles:
         # lomax_sum_cdf wobbles by an ulp near this root, so a root finder
         # that trusted its signs down to tol = 1e-15*hi would land elsewhere
         assert mrc_quantile_numeric(0.012408587106085648, 14, 1) == 9.034758826139438
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eps=st.floats(min_value=-300.0, max_value=0.0, exclude_max=True)
+        .map(lambda e: 10.0**e)
+        .filter(lambda eps: eps < 1.0),
+        antennas=st.integers(1, 256),
+        eta=st.integers(1, 1000),
+    )
+    # tol = 1e-15 is absolute at hi = M = 1, so the seeded cell must stay
+    # wider than the bisection's last interval
+    @example(eps=5.936539067597797e-08, antennas=1, eta=13)
+    # the CDF equals eps on a plateau, so a cell end there is not the answer
+    @example(eps=0.9999999999999999, antennas=1, eta=24)
+    # the estimate is subnormal, so its guard band is empty
+    @example(eps=5e-324, antennas=1, eta=1)
+    def test_equals_plain_bisection(self, eps, antennas, eta):
+        assert mrc_quantile_numeric(eps, antennas, eta) == plain_bisection_quantile(
+            eps, antennas, eta
+        )
+
+    @pytest.mark.parametrize("antennas, eta", [(2, 0), (0, 8)])
+    def test_count_and_shape_checked_first(self, antennas, eta):
+        with pytest.raises(ValueError, match="positive integer"):
+            mrc_quantile_numeric(1e-3, antennas, eta)
+
+    def test_few_cdf_evaluations(self, monkeypatch):
+        # link_sizing's draw; doubling and bisecting all of [0, hi] made 26.7
+        # calls per quantile
+        calls, points = 0, []
+
+        def counting(x, count, shape):
+            points.append(x)
+            return lomax_sum_cdf(x, count, shape)
+
+        monkeypatch.setattr(rate_control, "lomax_sum_cdf", counting)
+        draw = random.Random(1)
+        quantiles = 300
+        for _ in range(quantiles):
+            antennas, eta = draw.randint(1, 16), draw.randint(1, 24)
+            points.clear()
+            mrc_quantile_numeric(10.0 ** draw.uniform(-9.0, -1.0), antennas, eta)
+            assert len(points) == len(set(points))
+            calls += len(points)
+        assert calls / quantiles <= 12
 
     def test_closed_single_count_reduction(self):
         eps, eta = 1e-4, 9
