@@ -357,8 +357,6 @@ def _check_probability(epsilon: float) -> None:
 # closer to the root than this, so the root lies in the cell, and the cell's
 # ends lie far outside the few ulps where lomax_sum_cdf's sign wobbles.
 _SEED_GUARD = 2.0**-30
-# The seeded cell is narrowed no further than about this width relative to x0.
-_SEED_CELL = 2.0**-24
 
 
 def mrc_quantile_numeric(epsilon: float, antennas: int, eta: int) -> float:
@@ -367,17 +365,15 @@ def mrc_quantile_numeric(epsilon: float, antennas: int, eta: int) -> float:
     The answer is what bisection of [0, hi] down to tol = 1e-15*hi returns,
     where hi is the first M*2^j whose CDF reaches epsilon. lomax_sum_cdf is
     P(M, eta*M*log1p(x/M)), so gammaincinv gives an estimate
-    x0 = M*expm1(gammaincinv(M, epsilon)/(eta*M)) of the root. x0 serves twice:
-
-    - The doubling starts at the largest M*2^j below x0 when that point's
-      CDF is below epsilon, so one or two CDF calls find hi.
-    - The bisection's first levels are replayed without CDF calls, down to
-      the cell (one of its intervals) that still holds x0*(1 +- 2^-30): about
-      2^-24*x0 wide, and at least four of the bisection's last intervals. If
-      the CDF is strictly below epsilon at the cell's low end and strictly
-      above it at its high end, a monotone CDF sends bisection of [0, hi]
-      into this cell through the same midpoints, so bisection of the cell
-      alone returns the same double.
+    x0 = M*expm1(gammaincinv(M, epsilon)/(eta*M)) of the root. The
+    bisection's first levels are replayed without CDF calls, down to the cell
+    (one of its intervals) that still holds all of x0*(1 +- 2^-30): it stops
+    where the next midpoint would fall inside that band, or where the cell
+    is 8*tol wide, so it holds at least four of the bisection's last
+    intervals. If the CDF is strictly below epsilon at the cell's low end
+    and strictly above it at its high end, a monotone CDF sends bisection of
+    [0, hi] into this cell through the same midpoints, so bisection of the
+    cell alone returns the same double.
 
     Where the estimate settles nothing (x0 zero, infinite or NaN, or a cell
     end where the CDF is not strictly on its side, as on the plateau where
@@ -399,17 +395,13 @@ def mrc_quantile_numeric(epsilon: float, antennas: int, eta: int) -> float:
     seed = antennas * math.expm1(gamma_root / (eta * antennas))
     seeded = 0.0 < seed < math.inf
     hi = float(antennas)
-    if seeded and seed > hi:
-        below = math.ldexp(hi, math.frexp(seed / antennas)[1] - 1)
-        if cdf(below) < epsilon:
-            hi = below
     while cdf(hi) < epsilon:
         hi *= 2.0
     tol = 1e-15 * hi
     if seeded:
         low, high = seed * (1.0 - _SEED_GUARD), seed * (1.0 + _SEED_GUARD)
         lo, top = 0.0, hi
-        while top - lo > max(2.0 * _SEED_CELL * seed, 8.0 * tol):
+        while top - lo > 8.0 * tol:
             mid = 0.5 * (lo + top)
             if mid <= low:
                 lo = mid

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from urpayload import rate_control
+from urpayload.numerics import Bracket
 from urpayload.rate_control import (
     LinkConfig,
     Method,
@@ -35,6 +36,8 @@ from urpayload.sir_model import (
     sir_pdf_approx,
 )
 
+from .test_numerics import bisection
+
 # Frozen 50-digit evaluation of the closed-form payload for
 # eta=8, beta=0.8, n=400, M=4, eps=1e-6.
 SC_APPROX_K_REAL_REFERENCE = 22.770864341666658
@@ -53,27 +56,12 @@ HIST_REL_TOL = 0.03
 def plain_bisection_quantile(eps, antennas, eta):
     # reference: double hi from M until the CDF reaches eps, then bisect
     # [0, hi] down to 1e-15*hi, evaluating every midpoint
-    def f(x):
-        return lomax_sum_cdf(x, antennas, eta) - eps
-
     hi = float(antennas)
-    while f(hi) < 0.0:
+    while lomax_sum_cdf(hi, antennas, eta) < eps:
         hi *= 2.0
-    if f(hi) == 0.0:
-        return hi
-    lo, tol = 0.0, 1e-15 * hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        value = f(mid)
-        if value == 0.0:
-            return mid
-        if value < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisection(
+        lambda x: lomax_sum_cdf(x, antennas, eta), eps, Bracket(0.0, hi), 1e-15 * hi
+    )[0]
 
 
 def lomax_samples(rng, count, shape, size):
