@@ -15,7 +15,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--only", nargs="*", default=None, help="subset of preset names")
+    parser.add_argument(
+        "--only", nargs="*", choices=PRESET_NAMES, default=None, help="subset of preset names"
+    )
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)

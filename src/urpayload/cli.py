@@ -180,7 +180,7 @@ def _cmd_sweep(args) -> int:
         try:
             rows = preset_rows(args.preset, workers=args.workers)
         except KeyError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(exc.args[0]) from None
         comments.append(f"preset: {args.preset}")
     else:
         if args.axis is None or args.values is None:

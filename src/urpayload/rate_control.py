@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special as _special
@@ -21,7 +21,6 @@ from scipy import special as _special
 from .numerics import (
     Bracket,
     find_root_monotone,
-    regularized_gamma_lower,
 )
 from .sir_model import (
     SirDistribution,
@@ -36,7 +35,9 @@ __all__ = [
     "Scheme",
     "combined_sir_pdf",
     "lomax_sum_cdf",
+    "lomax_sum_cdf_curve",
     "lomax_sum_cdf_lower_bound",
+    "lomax_sum_cdf_lower_bound_curve",
     "lomax_sum_pdf",
     "mrc_error",
     "mrc_kstar",
@@ -316,6 +317,33 @@ def lomax_sum_pdf(x, count: int, shape: int):
     return np.where(np.isposinf(log_arg), 0.0, np.exp(log_pdf))
 
 
+def _gamma_argument(x: float, count: int, shape: int) -> float:
+    # shape*M*log1p(x/M): P(M, .) of it is the Lomax-sum CDF at x
+    return shape * count * math.log1p(x / count)
+
+
+def _bound_factor(count: int, shape: int) -> float:
+    # (M!)^(-1/M)*shape*M; formed before the product with the argument, as
+    # the bound's t = c*shape*M*arg groups left to right
+    return math.exp(-math.lgamma(count + 1) / count) * shape * count
+
+
+def _bound_at(x: float, count: int, factor: float, linearize: bool) -> float:
+    arg = x / count if linearize else math.log1p(x / count)
+    t = factor * arg
+    if t <= 0.0:
+        return 0.0
+    inner = -math.expm1(-t)
+    return math.exp(count * math.log(inner))
+
+
+def _check_arguments(xs: Sequence[float], count: int, shape: int) -> None:
+    _check_count_shape(count, shape)
+    for x in xs:
+        if x < 0.0:
+            raise ValueError(f"argument must be nonnegative, got {x}")
+
+
 def lomax_sum_cdf(x: float, count: int, shape: int) -> float:
     """CDF approximation for a sum of Lomax(shape, 1) variables.
 
@@ -325,7 +353,14 @@ def lomax_sum_cdf(x: float, count: int, shape: int) -> float:
     _check_count_shape(count, shape)
     if x < 0.0:
         raise ValueError(f"argument must be nonnegative, got {x}")
-    return regularized_gamma_lower(count, shape * count * math.log1p(x / count))
+    return float(_special.gammainc(count, _gamma_argument(x, count, shape)))
+
+
+def lomax_sum_cdf_curve(xs: Sequence[float], count: int, shape: int) -> list[float]:
+    """lomax_sum_cdf at each of xs, bit for bit, from one gammainc call."""
+    _check_arguments(xs, count, shape)
+    args = [_gamma_argument(x, count, shape) for x in xs]
+    return _special.gammainc(count, args).tolist()
 
 
 def lomax_sum_cdf_lower_bound(
@@ -340,12 +375,16 @@ def lomax_sum_cdf_lower_bound(
     _check_count_shape(count, shape)
     if x < 0.0:
         raise ValueError(f"argument must be nonnegative, got {x}")
-    arg = x / count if linearize else math.log1p(x / count)
-    t = math.exp(-math.lgamma(count + 1) / count) * shape * count * arg
-    if t <= 0.0:
-        return 0.0
-    inner = -math.expm1(-t)
-    return math.exp(count * math.log(inner))
+    return _bound_at(x, count, _bound_factor(count, shape), linearize)
+
+
+def lomax_sum_cdf_lower_bound_curve(
+    xs: Sequence[float], count: int, shape: int, linearize: bool = False
+) -> list[float]:
+    """lomax_sum_cdf_lower_bound at each of xs, bit for bit."""
+    _check_arguments(xs, count, shape)
+    factor = _bound_factor(count, shape)
+    return [_bound_at(x, count, factor, linearize) for x in xs]
 
 
 def _check_probability(epsilon: float) -> None:

@@ -10,8 +10,8 @@ never includes timestamps.
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -26,8 +26,11 @@ from .rate_control import (
     Method,
     RateSolution,
     Scheme,
-    lomax_sum_cdf,
-    lomax_sum_cdf_lower_bound,
+    # unused here since fig3 is built per curve; bench/tracing.py still
+    # wraps sweeps.lomax_sum_cdf
+    lomax_sum_cdf,  # noqa: F401
+    lomax_sum_cdf_curve,
+    lomax_sum_cdf_lower_bound_curve,
     mrc_kstar,
     sc_kstar_approx,
     sc_kstar_exact,
@@ -194,11 +197,19 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
     return str(value)
+
+
+def _cells_of(fields: Sequence[str]) -> Callable[[object], tuple]:
+    if len(fields) > 1:
+        return operator.attrgetter(*fields)
+    return lambda row: tuple(getattr(row, name) for name in fields)
 
 
 def write_csv(rows: Sequence, out, comments: Sequence[str] = ()) -> None:
@@ -206,21 +217,28 @@ def write_csv(rows: Sequence, out, comments: Sequence[str] = ()) -> None:
     if not rows:
         raise ValueError("no rows to write")
     fields = [f.name for f in dataclasses.fields(type(rows[0]))]
+    cells_of = _cells_of(fields)
+    reprs: dict[float, str] = {}  # presets repeat many floats within a table
 
-    def emit(handle: io.TextIOBase) -> None:
-        for line in comments:
-            handle.write(f"# {line}\n")
-        handle.write(",".join(fields) + "\n")
-        for row in rows:
-            handle.write(
-                ",".join(_format_cell(getattr(row, name)) for name in fields) + "\n"
-            )
+    def cell(value) -> str:
+        # zeros stay uncached: 0.0 == -0.0, but their reprs differ
+        if type(value) is float and value:
+            text = reprs.get(value)
+            if text is None:
+                text = reprs[value] = repr(value)
+            return text
+        return _format_cell(value)
 
+    text = "".join(
+        [f"# {line}\n" for line in comments]
+        + [",".join(fields) + "\n"]
+        + [",".join(map(cell, cells_of(row))) + "\n" for row in rows]
+    )
     if isinstance(out, (str, Path)):
         with open(out, "w") as handle:
-            emit(handle)
+            handle.write(text)
     else:
-        emit(out)
+        out.write(text)
 
 
 # --- figure presets ---------------------------------------------------------
@@ -330,24 +348,16 @@ def _preset_cdf_curves(workers: int) -> list[CdfCurveRow]:
 def _preset_bound_curves(workers: int) -> list[BoundCurveRow]:
     del workers
     rows = []
-    grid = np.logspace(-4.0, math.log10(5.0), 200)
+    grid = np.logspace(-4.0, math.log10(5.0), 200).tolist()
     for antennas in _BOUND_GRID_ANTENNAS:
         for eta in _BOUND_GRID_ETA:
-            for x in grid:
-                rows.append(
-                    BoundCurveRow(
-                        antennas=antennas,
-                        eta=eta,
-                        x=float(x),
-                        cdf=lomax_sum_cdf(float(x), antennas, eta),
-                        lower_bound=lomax_sum_cdf_lower_bound(
-                            float(x), antennas, eta, linearize=True
-                        ),
-                        lower_bound_exact_log=lomax_sum_cdf_lower_bound(
-                            float(x), antennas, eta, linearize=False
-                        ),
-                    )
-                )
+            curves = zip(
+                grid,
+                lomax_sum_cdf_curve(grid, antennas, eta),
+                lomax_sum_cdf_lower_bound_curve(grid, antennas, eta, linearize=True),
+                lomax_sum_cdf_lower_bound_curve(grid, antennas, eta, linearize=False),
+            )
+            rows.extend(BoundCurveRow(antennas, eta, *point) for point in curves)
     return rows
 
 

@@ -451,7 +451,7 @@ class TestSweep:
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(["sweep", "--preset", "fig99"], capsys)
         assert code == EXIT_BAD_CONFIG
-        assert "unknown preset" in err
+        assert err.startswith("urp: unknown preset 'fig99'; known: fig2,")
 
     def test_generic_sweep_needs_axis(self, capsys):
         code, _, err = run_cli(["sweep", *FIG2_FLAGS], capsys)

@@ -16,7 +16,9 @@ from urpayload.rate_control import (
     Scheme,
     combined_sir_pdf,
     lomax_sum_cdf,
+    lomax_sum_cdf_curve,
     lomax_sum_cdf_lower_bound,
+    lomax_sum_cdf_lower_bound_curve,
     lomax_sum_pdf,
     mrc_error,
     mrc_kstar,
@@ -342,6 +344,42 @@ class TestLomaxSumCdf:
             lomax_sum_cdf(1.0, 2.5, 8)
         with pytest.raises(ValueError):
             lomax_sum_cdf(1.0, 2, 8.5)
+
+
+class TestLomaxSumCurves:
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=40),
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=100),
+    )
+    def test_curves_equal_the_scalar_functions(self, xs, count, shape):
+        def bits(values):
+            return [v.hex() for v in values]
+
+        assert bits(lomax_sum_cdf_curve(xs, count, shape)) == bits(
+            lomax_sum_cdf(x, count, shape) for x in xs
+        )
+        for linearize in (True, False):
+            assert bits(lomax_sum_cdf_lower_bound_curve(xs, count, shape, linearize)) == bits(
+                lomax_sum_cdf_lower_bound(x, count, shape, linearize) for x in xs
+            )
+
+    @pytest.mark.parametrize("x,count,shape", [(1.0, 0, 8), (1.0, 2, 0), (-1.0, 2, 8)])
+    @pytest.mark.parametrize(
+        "curve,scalar",
+        [
+            (lomax_sum_cdf_curve, lomax_sum_cdf),
+            (lomax_sum_cdf_lower_bound_curve, lomax_sum_cdf_lower_bound),
+        ],
+    )
+    def test_curves_reject_what_the_scalar_functions_reject(
+        self, curve, scalar, x, count, shape
+    ):
+        with pytest.raises(ValueError) as expected:
+            scalar(x, count, shape)
+        with pytest.raises(ValueError) as raised:
+            curve([0.5, x], count, shape)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestLomaxSumLowerBound:

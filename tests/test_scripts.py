@@ -7,7 +7,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
@@ -19,12 +19,12 @@ def run_script(name, *args):
         env=env,
         timeout=120,
     )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
+    assert result.returncode == returncode, result.stderr
+    return result
 
 
 def test_measure_model_bias():
-    out = run_script("measure_model_bias.py", "--trials", "65536", "--workers", "1")
+    out = run_script("measure_model_bias.py", "--trials", "65536", "--workers", "1").stdout
     lines = out.splitlines()
     assert lines[0].startswith("# trials=65536 seed=99 topology=B")
     assert [line.split()[0] for line in lines[2:]] == [
@@ -41,7 +41,20 @@ def test_measure_model_bias():
 def test_reproduce_figures(tmp_path):
     out = run_script(
         "reproduce_figures.py", "--only", "fig2pp", "fig3", "--out-dir", str(tmp_path)
-    )
+    ).stdout
     assert "fig2pp.csv: 300 rows" in out
     assert "fig3.csv: 5000 rows" in out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2pp.csv", "fig3.csv"]
+
+
+def test_reproduce_figures_rejects_unknown_preset_before_writing(tmp_path):
+    # fig2pp comes first and would be written if names were checked one by one
+    out_dir = tmp_path / "results"
+    result = run_script(
+        "reproduce_figures.py", "--only", "fig2pp", "fig99", "--out-dir", str(out_dir),
+        returncode=2,
+    )
+    assert result.stderr.startswith("usage:")
+    assert "invalid choice: 'fig99'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out_dir.exists()

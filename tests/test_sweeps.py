@@ -1,13 +1,23 @@
+import dataclasses
 import hashlib
 import io
 import math
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from urpayload import finite_blocklength, sweeps
-from urpayload.rate_control import LinkConfig, Method, Scheme
+from urpayload.rate_control import (
+    LinkConfig,
+    Method,
+    Scheme,
+    lomax_sum_cdf,
+    lomax_sum_cdf_lower_bound,
+)
 from urpayload.sir_model import SirDistribution
 from urpayload.sweeps import (
     Axis,
@@ -85,6 +95,42 @@ class TestRunSweep:
         assert rows[0].k_star >= rows[1].k_star
 
 
+@dataclasses.dataclass(frozen=True)
+class _Cells:
+    a: object
+    b: object
+    c: object
+    d: object
+
+
+@dataclasses.dataclass(frozen=True)
+class _Cell:
+    a: object
+
+
+# The first column holds signed zeros next to other floats: 0.0 == -0.0, so a
+# cache keyed by value would write one where the other belongs. Floats come
+# from a short list as well, so that values repeat within a table.
+_ZEROS_AND_FLOATS = st.sampled_from([0.0, -0.0, 0.5, -2.5, 1e-300])
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | _ZEROS_AND_FLOATS
+_CELLS = st.one_of(
+    _FLOATS,
+    st.booleans(),
+    st.integers(),
+    st.text(),
+    _FLOATS.map(np.float64),
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+
+
+def _rows_of(cls):
+    first = _ZEROS_AND_FLOATS | st.floats()
+    width = len(dataclasses.fields(cls))
+    row = st.tuples(first, *[_CELLS] * (width - 1)).map(lambda cells: cls(*cells))
+    return st.lists(row, min_size=1, max_size=20)
+
+
 class TestCsvWriter:
     def test_byte_stable_output(self, dist):
         cfg = LinkConfig(2, 200, 1e-3, Scheme.SC)
@@ -108,6 +154,28 @@ class TestCsvWriter:
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError):
             write_csv([], io.StringIO())
+
+    def test_numpy_scalars_written_as_python_values(self):
+        row = _Cells(np.float64(0.1), np.bool_(True), np.int64(-7), np.float32(0.5))
+        other = _Cells(np.float64(-0.0), np.bool_(False), np.uint8(255), np.float64(np.inf))
+        buf = io.StringIO()
+        write_csv([row, other], buf)
+        assert buf.getvalue() == "a,b,c,d\n0.1,true,-7,0.5\n-0.0,false,255,inf\n"
+
+    @given(st.sampled_from([_Cells, _Cell]).flatmap(_rows_of), st.lists(st.text(), max_size=2))
+    def test_matches_per_cell_formatting(self, rows, comments):
+        fields = [f.name for f in dataclasses.fields(type(rows[0]))]
+        expected = "".join(
+            [f"# {line}\n" for line in comments]
+            + [",".join(fields) + "\n"]
+            + [
+                ",".join(sweeps._format_cell(getattr(row, name)) for name in fields) + "\n"
+                for row in rows
+            ]
+        )
+        buf = io.StringIO()
+        write_csv(rows, buf, comments)
+        assert buf.getvalue() == expected
 
 
 _DATA = Path(__file__).parent / "data"
@@ -244,6 +312,19 @@ class TestPresets:
         assert setups == {"A", "B", "C"}
         for r in rows:
             assert r.cdf_approx >= r.cdf_exact - 1e-15
+
+    def test_bound_preset_matches_scalar_functions(self):
+        # fig3 is built one curve at a time; every cell must be the scalar
+        # functions' own double at the row's (M, eta, x)
+        rows = preset_rows("fig3")
+        assert len(rows) == 5000
+        for r in rows:
+            m, eta, x = r.antennas, r.eta, r.x
+            assert [v.hex() for v in (r.cdf, r.lower_bound, r.lower_bound_exact_log)] == [
+                lomax_sum_cdf(x, m, eta).hex(),
+                lomax_sum_cdf_lower_bound(x, m, eta, linearize=True).hex(),
+                lomax_sum_cdf_lower_bound(x, m, eta, linearize=False).hex(),
+            ]
 
     def test_bound_curve_preset_ordering(self):
         rows = preset_rows("fig3")
