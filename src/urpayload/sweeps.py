@@ -221,12 +221,15 @@ def write_csv(rows: Sequence, out, comments: Sequence[str] = ()) -> None:
     reprs: dict[float, str] = {}  # presets repeat many floats within a table
 
     def cell(value) -> str:
-        # zeros stay uncached: 0.0 == -0.0, but their reprs differ
-        if type(value) is float and value:
+        # _format_cell's result, with the commonest cell types first
+        kind = type(value)
+        if kind is float and value:  # zeros stay uncached: 0.0 == -0.0
             text = reprs.get(value)
             if text is None:
                 text = reprs[value] = repr(value)
             return text
+        if kind is int or kind is str:
+            return str(value)
         return _format_cell(value)
 
     text = "".join(
