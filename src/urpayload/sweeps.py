@@ -26,7 +26,7 @@ from .rate_control import (
     Method,
     RateSolution,
     Scheme,
-    # unused here since fig3 is built per curve; bench/tracing.py still
+    # not called here: fig3 uses the curve forms, but bench/tracing.py
     # wraps sweeps.lomax_sum_cdf
     lomax_sum_cdf,  # noqa: F401
     lomax_sum_cdf_curve,
