@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate every figure dataset as CSV under results/.
 
-Usage: python scripts/reproduce_figures.py [--out-dir results] [--workers N]
+Usage: python scripts/reproduce_figures.py [--out-dir results] [--only NAME ...]
 """
 import argparse
 import sys
@@ -14,7 +14,6 @@ from urpayload.sweeps import PRESET_NAMES, preset_rows, write_csv
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
         "--only", nargs="*", choices=PRESET_NAMES, default=None, help="subset of preset names"
     )
@@ -25,7 +24,7 @@ def main() -> int:
     names = args.only or PRESET_NAMES
     for name in names:
         start = time.perf_counter()
-        rows = preset_rows(name, workers=args.workers)
+        rows = preset_rows(name)
         path = out_dir / f"{name}.csv"
         write_csv(rows, path, comments=["generator: scripts/reproduce_figures.py",
                                         f"preset: {name}"])

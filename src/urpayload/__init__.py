@@ -17,7 +17,6 @@ from .numerics import (
     BracketError,
     find_root_monotone,
     integrate_semi_infinite,
-    regularized_gamma_lower,
 )
 from .rate_control import (
     LinkConfig,
@@ -26,7 +25,7 @@ from .rate_control import (
     Scheme,
     combined_sir_pdf,
     lomax_sum_cdf,
-    lomax_sum_cdf_lower_bound,
+    lomax_sum_cdf_lower_bound_curve,
     lomax_sum_pdf,
     mrc_error,
     mrc_kstar,

@@ -178,7 +178,7 @@ def _cmd_sweep(args) -> int:
     comments = ["generator: urp sweep"]
     if args.preset:
         try:
-            rows = preset_rows(args.preset, workers=args.workers)
+            rows = preset_rows(args.preset)
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from None
         comments.append(f"preset: {args.preset}")
@@ -198,7 +198,7 @@ def _cmd_sweep(args) -> int:
             dist=dist,
             methods=tuple(methods),
         )
-        rows = run_sweep(spec, workers=args.workers)
+        rows = run_sweep(spec)
         comments.append(
             f"axis: {args.axis}; scheme: {scheme.value}; M: {cfg.antennas}; "
             f"n: {cfg.blocklength}; eps: {eps}; eta: {dist.eta}; beta: {dist.beta!r}"
@@ -282,7 +282,6 @@ def build_parser() -> _Parser:
         default=_env_or("methods", str, "approx"),
         help="comma list of exact|approx|numeric|closed|fb",
     )
-    sweep.add_argument("--workers", type=int, default=_env_or("workers", int, 1))
     sweep.add_argument("--out", default=_env("out"), help="CSV path (default stdout)")
     sweep.set_defaults(handler=_cmd_sweep)
 

@@ -40,6 +40,7 @@ from scipy import special as _special
 from .numerics import (
     Bracket,
     find_root_monotone,
+    grid_is_kept,
     integrate_semi_infinite,
     log_grid,
     trapezoid_from_sums,
@@ -99,12 +100,11 @@ _Q_ZERO_ABOVE = 40.0
 _Z_TOP = 12.0
 _Q_AT_TOP = 0.5 * math.erfc(_Z_TOP / _SQRT2)
 _CUT_TOLERANCE = 2.0**-60
-# The k-independent arrays are cached for blocklengths up to this one, whose
-# grids have at most about 54,000 nodes (2.2 MB of arrays per blocklength),
-# and so are the per-law arrays (0.9 MB per law, 28 MB for a full cache).
-_MAX_CACHED_BLOCKLENGTH = 10**5
 # Laws whose per-law arrays are kept: the 21 betas of the fig4 preset's
 # curves with room to spare, 3.8 MB at the presets' grid of 7,411 nodes.
+# The per-blocklength and per-law arrays are cached only on grids that
+# `grid_is_kept` (n up to about 10^5): 2.2 MB per blocklength and 0.9 MB per
+# law there, 28 MB for a full law cache.
 _LAW_CACHE_SIZE = 32
 
 
@@ -155,8 +155,8 @@ def _grid_step(n: int) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _margins(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Capacity, spread and the window edges on the nodes of blocklength n's grid.
+def _margins(n: int) -> tuple:
+    """Grid spacing, capacity, spread and the window edges on blocklength n's grid.
 
     Q((C - r)/s) is exactly 1.0 where C + 8.5*s < r, below Q(_Z_TOP) where
     C - _Z_TOP*s > r and exactly 0.0 where C - 40*s > r. `rise` is the
@@ -167,11 +167,10 @@ def _margins(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np
     Q is neither 1.0 nor below Q(_Z_TOP), or neither 1.0 nor 0.0. The last
     item counts the nodes at the bottom of the grid where s is 0. The arrays
     are shared, so they are read-only. The cache holds the nine blocklengths
-    of the fig6 preset's sweep with room to spare; above
-    _MAX_CACHED_BLOCKLENGTH, `_ErrorAverage` calls the uncached
-    `__wrapped__`, so larger grids are not kept.
+    of the fig6 preset's sweep with room to spare; where the grid is not
+    kept, `_law_average` calls the uncached `__wrapped__`.
     """
-    x, _ = log_grid(_grid_step(n))
+    x, h = log_grid(_grid_step(n))
     capacity = shannon_capacity(x)
     spread = np.sqrt(channel_dispersion(x) / n)
     rise = np.maximum.accumulate(capacity - _Q_ONE_BELOW * spread)
@@ -181,7 +180,7 @@ def _margins(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np
     )
     for array in (capacity, spread, rise, tight, fall):
         array.flags.writeable = False
-    return capacity, spread, rise, tight, fall, int(np.count_nonzero(spread == 0.0))
+    return h, capacity, spread, rise, tight, fall, int(np.count_nonzero(spread == 0.0))
 
 
 def _prefix_sums(g: np.ndarray) -> np.ndarray:
@@ -206,8 +205,8 @@ def _law_sums(
     `_ErrorAverage` multiplies by erfc on its window. The key is the whole
     law, so laws with equal (eta, beta) but other weights are apart. The
     arrays are shared, so they are read-only, and the density itself is not
-    kept; `_law_average` calls the uncached `__wrapped__` above
-    _MAX_CACHED_BLOCKLENGTH.
+    kept; where the grid is not kept, `_law_average` calls the uncached
+    `__wrapped__`.
     """
     x, _ = log_grid(step)
     density = combined_sir_pdf(x, dist, antennas, scheme)
@@ -240,13 +239,13 @@ class _ErrorAverage:
     one buffer per evaluator.
     """
 
-    def __init__(self, half_g: np.ndarray, below: np.ndarray, mass: float, n: int) -> None:
+    def __init__(
+        self, half_g: np.ndarray, below: np.ndarray, mass: float, margins: tuple, n: int
+    ) -> None:
         self.n = n
         self.mass = mass
-        _, self._h = log_grid(_grid_step(n))
-        margins = _margins if n <= _MAX_CACHED_BLOCKLENGTH else _margins.__wrapped__
-        self._capacity, self._spread, self._rise, self._tight, self._fall, self._flat = (
-            margins(n)
+        self._h, self._capacity, self._spread, self._rise, self._tight, self._fall, self._flat = (
+            margins
         )
         self._half_g = half_g
         self._below = below
@@ -305,8 +304,8 @@ def _law_average(
 ) -> _ErrorAverage:
     """The law's average error at blocklength n, as a function of k.
 
-    `_law_sums` is cached up to _MAX_CACHED_BLOCKLENGTH, and "sc" and
-    Scheme.SC share an entry.
+    `_law_sums` and `_margins` are cached where `grid_is_kept` keeps the
+    grid, so larger grids are not held; "sc" and Scheme.SC share an entry.
     """
     if n < _MIN_VALIDATED_BLOCKLENGTH:
         warnings.warn(
@@ -314,8 +313,11 @@ def _law_average(
             f"got n={n}",
             stacklevel=3,
         )
-    law_sums = _law_sums if n <= _MAX_CACHED_BLOCKLENGTH else _law_sums.__wrapped__
-    return _ErrorAverage(*law_sums(dist, antennas, Scheme(scheme), _grid_step(n)), n)
+    step = _grid_step(n)
+    law_sums, margins = _law_sums, _margins
+    if not grid_is_kept(step):
+        law_sums, margins = _law_sums.__wrapped__, _margins.__wrapped__
+    return _ErrorAverage(*law_sums(dist, antennas, Scheme(scheme), step), margins(n), n)
 
 
 def fb_error_average(

@@ -1,18 +1,18 @@
-"""The regularized lower incomplete gamma P(p, x) and generic numerical routines.
+"""Generic numerical routines: a monotone root finder and a log-grid integration rule.
 
-P(p, x) and the root finder work on scalars. The root finder
-returns exactly what bisection of its bracket returns, for monotone f, from
-far fewer evaluations: interpolation picks the points, and monotonicity
-supplies the signs of the midpoints it passes over. The integration rule
-takes an array-valued integrand on a fixed log-spaced grid, which
-`log_grid` builds once per step size and shares read-only, so callers can
-evaluate what does not change between integrals on the same nodes once. Its
-arithmetic, from the sums of the integrand over all nodes and over the even
-ones, is `trapezoid_from_sums`, so a caller that knows the integrand on most
-nodes ahead (say, as prefix sums) can form those sums itself. The
-common requirement across callers is left-tail fidelity: probabilities down
-to ~1e-12 must keep relative precision, so complements are never formed by
-subtracting from 1.
+The root finder works on scalars. It returns exactly what bisection of its
+bracket returns, for monotone f, from far fewer evaluations: interpolation
+picks the points, and monotonicity supplies the signs of the midpoints it
+passes over. The integration rule takes an array-valued integrand on a
+fixed log-spaced grid, which `log_grid` builds once per step size and
+shares read-only (up to a node count that `grid_is_kept` decides), so
+callers can evaluate what does not change between integrals on the same
+nodes once. Its arithmetic, from the sums of the integrand over all nodes
+and over the even ones, is `trapezoid_from_sums`, so a caller that knows the
+integrand on most nodes ahead (say, as prefix sums) can form those sums
+itself. The common requirement across callers is left-tail fidelity:
+probabilities down to ~1e-12 must keep relative precision, so complements
+are never formed by subtracting from 1.
 """
 from __future__ import annotations
 
@@ -22,35 +22,20 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as _special
 
 __all__ = [
     "Bracket",
     "BracketError",
     "find_root_monotone",
+    "grid_is_kept",
     "integrate_semi_infinite",
     "log_grid",
-    "regularized_gamma_lower",
     "trapezoid_from_sums",
 ]
 
 
 class BracketError(ValueError):
     """The supplied bracket does not straddle the requested target level."""
-
-
-def regularized_gamma_lower(p: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(p, x) = gamma(p, x) / Gamma(p).
-
-    Evaluated directly (series / continued-fraction split around x = p + 1,
-    via scipy's gammainc), never as 1 - Q(p, x), so tiny left-tail values keep
-    full relative precision.
-    """
-    if not p > 0.0:
-        raise ValueError(f"shape parameter must be positive, got p={p!r}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got x={x!r}")
-    return float(_special.gammainc(p, x))
 
 
 @dataclass(frozen=True)
@@ -210,21 +195,43 @@ def find_root_monotone(
 
 # integration range in u = ln x; what lies outside is the callers' to check
 _LOG_X_RANGE = (math.log(1e-25), math.log(1e12))
+# Grids of up to this many nodes are kept: the finite-blocklength grid's
+# node count at n = 10^5 (0.4 MB). Larger ones, up to 1.7 M nodes at
+# n = 10^8, are built on each call.
+_MAX_KEPT_NODES = 53_885
 
 
-@functools.lru_cache(maxsize=8)
+def _intervals(step: float) -> int:
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step!r}")
+    lo, hi = _LOG_X_RANGE
+    return 2 * math.ceil((hi - lo) / (2.0 * step))
+
+
+def grid_is_kept(step: float) -> bool:
+    """Whether `log_grid` keeps the grid of `step`: at most _MAX_KEPT_NODES nodes.
+
+    Callers that cache arrays on a grid keep them under the same rule.
+    """
+    return _intervals(step) + 1 <= _MAX_KEPT_NODES
+
+
 def log_grid(step: float) -> tuple[np.ndarray, float]:
     """Nodes x and spacing h in u = ln x of the rule `integrate_semi_infinite` uses.
 
     The nodes are equally spaced in u over x in [1e-25, 1e12], on an even
-    number of intervals no wider than `step`. Each step's grid is built once
-    and shared, so the node array is read-only.
+    number of intervals no wider than `step`. A grid that `grid_is_kept` is
+    built once and shared, so the node array is read-only; a larger one is
+    built on each call.
     """
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
+    build = _build_grid if grid_is_kept(step) else _build_grid.__wrapped__
+    return build(step)
+
+
+@functools.lru_cache(maxsize=8)
+def _build_grid(step: float) -> tuple[np.ndarray, float]:
     lo, hi = _LOG_X_RANGE
-    intervals = 2 * math.ceil((hi - lo) / (2.0 * step))
-    u, h = np.linspace(lo, hi, intervals + 1, retstep=True)
+    u, h = np.linspace(lo, hi, _intervals(step) + 1, retstep=True)
     x = np.exp(u)
     x.flags.writeable = False
     return x, h

@@ -36,7 +36,6 @@ __all__ = [
     "combined_sir_pdf",
     "lomax_sum_cdf",
     "lomax_sum_cdf_curve",
-    "lomax_sum_cdf_lower_bound",
     "lomax_sum_cdf_lower_bound_curve",
     "lomax_sum_pdf",
     "mrc_error",
@@ -322,21 +321,6 @@ def _gamma_argument(x: float, count: int, shape: int) -> float:
     return shape * count * math.log1p(x / count)
 
 
-def _bound_factor(count: int, shape: int) -> float:
-    # (M!)^(-1/M)*shape*M; formed before the product with the argument, as
-    # the bound's t = c*shape*M*arg groups left to right
-    return math.exp(-math.lgamma(count + 1) / count) * shape * count
-
-
-def _bound_at(x: float, count: int, factor: float, linearize: bool) -> float:
-    arg = x / count if linearize else math.log1p(x / count)
-    t = factor * arg
-    if t <= 0.0:
-        return 0.0
-    inner = -math.expm1(-t)
-    return math.exp(count * math.log(inner))
-
-
 def _check_arguments(xs: Sequence[float], count: int, shape: int) -> None:
     _check_count_shape(count, shape)
     for x in xs:
@@ -363,28 +347,23 @@ def lomax_sum_cdf_curve(xs: Sequence[float], count: int, shape: int) -> list[flo
     return _special.gammainc(count, args).tolist()
 
 
-def lomax_sum_cdf_lower_bound(
-    x: float, count: int, shape: int, linearize: bool = False
-) -> float:
-    """Lower bound (1 - e^(-(M!)^(-1/M) * shape*M*ln(1+x/M)))^M on lomax_sum_cdf.
-
-    Equality holds at count=1. linearize=True substitutes x/M for ln(1+x/M),
-    the variant some left-tail comparisons plot; the default keeps the exact
-    logarithm.
-    """
-    _check_count_shape(count, shape)
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    return _bound_at(x, count, _bound_factor(count, shape), linearize)
-
-
 def lomax_sum_cdf_lower_bound_curve(
     xs: Sequence[float], count: int, shape: int, linearize: bool = False
 ) -> list[float]:
-    """lomax_sum_cdf_lower_bound at each of xs, bit for bit."""
+    """The lower bound (1 - e^(-c*shape*M*ln(1+x/M)))^M on lomax_sum_cdf at each of xs.
+
+    M is count and c = (M!)^(-1/M). Equality holds at count=1, and the bound
+    is 0 at x=0. linearize=True substitutes x/M for ln(1+x/M), the variant
+    some left-tail comparisons plot; the default keeps the exact logarithm.
+    Each value is formed with scalar math calls, c*shape*M first.
+    """
     _check_arguments(xs, count, shape)
-    factor = _bound_factor(count, shape)
-    return [_bound_at(x, count, factor, linearize) for x in xs]
+    factor = math.exp(-math.lgamma(count + 1) / count) * shape * count
+    bounds = []
+    for x in xs:
+        t = factor * (x / count if linearize else math.log1p(x / count))
+        bounds.append(math.exp(count * math.log(-math.expm1(-t))) if t > 0.0 else 0.0)
+    return bounds
 
 
 def _check_probability(epsilon: float) -> None:
@@ -399,17 +378,18 @@ _SEED_GUARD = 2.0**-30
 
 
 def mrc_quantile_numeric(epsilon: float, antennas: int, eta: int) -> float:
-    """Invert lomax_sum_cdf at epsilon to 1e-15 relative: bisection's double.
+    """Invert lomax_sum_cdf at epsilon to within 1e-15*hi absolute: bisection's double.
 
     The answer is what bisection of [0, hi] down to tol = 1e-15*hi returns,
-    where hi is the first M*2^j whose CDF reaches epsilon. lomax_sum_cdf is
-    P(M, eta*M*log1p(x/M)), so gammaincinv gives an estimate
-    x0 = M*expm1(gammaincinv(M, epsilon)/(eta*M)) of the root. The
-    bisection's first levels are replayed without CDF calls, down to the cell
-    (one of its intervals) that still holds all of x0*(1 +- 2^-30): it stops
-    where the next midpoint would fall inside that band, or where the cell
-    is 8*tol wide, so it holds at least four of the bisection's last
-    intervals. If the CDF is strictly below epsilon at the cell's low end
+    where hi is the first M*2^j whose CDF reaches epsilon. hi >= M, so for a
+    root far below M the relative error can be far above 1e-15 (2.4e-6 at a
+    root of 1.4e-10*M). lomax_sum_cdf is P(M, eta*M*log1p(x/M)), so
+    gammaincinv gives an estimate x0 = M*expm1(gammaincinv(M, epsilon)/(eta*M))
+    of the root. The bisection's first levels are replayed without CDF
+    calls, down to the cell (one of its intervals) that still holds all of
+    x0*(1 +- 2^-30): it stops where the next midpoint would fall inside that
+    band, or where the cell is 8*tol wide, so it holds at least four of the
+    bisection's last intervals. If the CDF is strictly below epsilon at the cell's low end
     and strictly above it at its high end, a monotone CDF sends bisection of
     [0, hi] into this cell through the same midpoints, so bisection of the
     cell alone returns the same double.

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -185,15 +184,9 @@ def _rows_at_value(spec: SweepSpec, value: float) -> list[SweepRow]:
     return rows
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
-    """Evaluate the sweep; rows come back in axis order regardless of workers."""
-    if workers <= 1 or len(spec.values) == 1:
-        chunks = [_rows_at_value(spec, v) for v in spec.values]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_rows_at_value, spec, v) for v in spec.values]
-            chunks = [f.result() for f in futures]
-    return [row for chunk in chunks for row in chunk]
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Evaluate the sweep; rows come back in axis order."""
+    return [row for v in spec.values for row in _rows_at_value(spec, v)]
 
 
 def _format_cell(value) -> str:
@@ -300,7 +293,7 @@ class _KstarFigure:
     antennas: tuple[int, ...]
     methods: tuple[tuple[Scheme, tuple[Method, ...]], ...]  # per scheme
 
-    def __call__(self, workers: int) -> list[SweepRow]:
+    def __call__(self) -> list[SweepRow]:
         rows = {
             (eps, m, scheme): run_sweep(
                 SweepSpec(
@@ -309,8 +302,7 @@ class _KstarFigure:
                     LinkConfig(m, self.blocklength, eps, scheme),
                     self.dist,
                     methods,
-                ),
-                workers=workers,
+                )
             )
             for m in self.antennas
             for scheme, methods in self.methods
@@ -329,8 +321,7 @@ _EQUAL_WEIGHTS = SirDistribution.from_beta(0.8, 8)
 _SC_FB = (Scheme.SC, (Method.SC_APPROX, Method.FB))
 _MRC_FB = (Scheme.MRC, (Method.MRC_NUMERIC, Method.FB))
 
-def _preset_cdf_curves(workers: int) -> list[CdfCurveRow]:
-    del workers  # cheap enough to stay serial
+def _preset_cdf_curves() -> list[CdfCurveRow]:
     rows = []
     gammas = np.logspace(-4.0, 1.0, 100)
     for name, topology in CDF_SETUPS.items():
@@ -348,8 +339,7 @@ def _preset_cdf_curves(workers: int) -> list[CdfCurveRow]:
     return rows
 
 
-def _preset_bound_curves(workers: int) -> list[BoundCurveRow]:
-    del workers
+def _preset_bound_curves() -> list[BoundCurveRow]:
     rows = []
     grid = np.logspace(-4.0, math.log10(5.0), 200).tolist()
     for antennas in _BOUND_GRID_ANTENNAS:
@@ -364,7 +354,7 @@ def _preset_bound_curves(workers: int) -> list[BoundCurveRow]:
     return rows
 
 
-_PRESETS: dict[str, Callable[[int], list]] = {
+_PRESETS: dict[str, Callable[[], list]] = {
     # payload vs. target epsilon: n=200, setup B, M in {1,2,4,8}, SC+MRC
     "fig2": _KstarFigure(
         Axis.EPSILON_TH,
@@ -415,8 +405,9 @@ PRESET_NAMES = tuple(sorted(_PRESETS))
 
 def preset_rows(name: str, workers: int = 1) -> list:
     """Rows for a named figure preset; raises KeyError on unknown names."""
+    del workers  # unused: bench/workloads.py passes it; ROADMAP item 7's bench change drops it
     try:
         build = _PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}") from None
-    return build(workers)
+    return build()

@@ -448,6 +448,13 @@ class TestSweep:
             assert code == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_workers_flag_is_usage_error(self):
+        # sweeps run serially and take no --workers
+        result = run_cli_in_subprocess(["sweep", "--preset", "fig6", "--workers", "2"])
+        assert result.returncode == EXIT_USAGE
+        assert "unrecognized arguments: --workers 2" in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
+
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(["sweep", "--preset", "fig99"], capsys)
         assert code == EXIT_BAD_CONFIG

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from urpayload import finite_blocklength
+from urpayload import finite_blocklength, numerics
 from urpayload.finite_blocklength import (
     _grid_step,
     channel_dispersion,
@@ -212,7 +212,8 @@ def _uncached_average(dist, antennas, scheme, n):
     """The average as a function of k, from the law's arrays built afresh
     instead of taken from the per-law cache."""
     law_sums = finite_blocklength._law_sums.__wrapped__(dist, antennas, scheme, _grid_step(n))
-    return finite_blocklength._ErrorAverage(*law_sums, n)
+    margins = finite_blocklength._margins.__wrapped__(n)
+    return finite_blocklength._ErrorAverage(*law_sums, margins, n)
 
 
 def full_grid_average(dist, antennas, scheme, k, n):
@@ -599,8 +600,7 @@ class TestFbKstar:
         # payload meets a target there, and the walk would gallop until k/n
         # overflows
         dist = SirDistribution.from_beta(0.8, 1)
-        law_sums = finite_blocklength._law_sums(dist, 1, Scheme.MRC, _grid_step(200))
-        saturated, _ = finite_blocklength._ErrorAverage(*law_sums, 200)(math.inf)
+        saturated, _ = finite_blocklength._law_average(dist, 1, Scheme.MRC, 200)(math.inf)
         assert saturated < 1.0 - 1e-12
         for eps in (saturated, 0.9999999999999999):
             with pytest.raises(ValueError, match=f"epsilon_th={eps!r}.*saturated"):
@@ -751,6 +751,23 @@ class TestLawCache:
             with pytest.raises(ValueError, match="mass"):
                 fb_kstar(dist, cfg)
         assert finite_blocklength._law_sums.cache_info().hits == 2
+
+    def test_grids_above_the_node_limit_are_not_kept(self):
+        # the grid of n = 2*10^5 has 76,203 nodes: a solve there leaves the
+        # grid, blocklength and law caches as it found them, while a solve at
+        # a preset's blocklength goes through all three
+        caches = (numerics._build_grid, finite_blocklength._margins, finite_blocklength._law_sums)
+
+        def lookups():
+            return [cache.cache_info().hits + cache.cache_info().misses for cache in caches]
+
+        dist = SirDistribution.from_beta(0.8125, 8)  # a law no other test caches
+        before = [cache.cache_info() for cache in caches]
+        fb_kstar(dist, LinkConfig(1, 2 * 10**5, 1e-3, Scheme.SC))
+        assert [cache.cache_info() for cache in caches] == before
+        counted = lookups()
+        fb_kstar(dist, LinkConfig(1, 2000, 1e-3, Scheme.SC))
+        assert all(after > count for after, count in zip(lookups(), counted))
 
     def test_laws_with_equal_eta_and_beta_are_apart(self):
         # the key is the whole law: equal (eta, beta), other weights

@@ -7,35 +7,49 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from urpayload import numerics
 from urpayload.numerics import (
     Bracket,
     BracketError,
     find_root_monotone,
+    grid_is_kept,
     integrate_semi_infinite,
     log_grid,
-    regularized_gamma_lower,
 )
+from urpayload.rate_control import lomax_sum_cdf
 
 # Frozen from a 50-digit brute-force series for the lower incomplete gamma.
 P_3_01 = 1.5465307026467168e-4
 
 
+def gamma_p(p, x):
+    """P(p, x) for whole p through lomax_sum_cdf, the package's route to it.
+
+    The Lomax-sum CDF at count p and shape 1 is P(p, p*log1p(y/p)), and
+    y = p*expm1(x/p) makes that argument x to within its rounding.
+    """
+    count = int(p)  # a count below 1 goes to lomax_sum_cdf's own check
+    return lomax_sum_cdf(count * math.expm1(x / count) if count > 0 else x, count, 1)
+
+
 class TestRegularizedGamma:
+    """The regularized lower incomplete gamma as `lomax_sum_cdf` evaluates it."""
+
     def test_at_origin(self):
-        assert regularized_gamma_lower(1.0, 0.0) == 0.0
+        assert gamma_p(1.0, 0.0) == 0.0
 
     @given(st.floats(min_value=0.0, max_value=50.0))
     def test_unit_shape_is_exponential(self, x):
         # P(1, x) = 1 - e^-x, formed without cancellation
-        assert regularized_gamma_lower(1.0, x) == pytest.approx(-math.expm1(-x), rel=1e-12)
+        assert gamma_p(1.0, x) == pytest.approx(-math.expm1(-x), rel=1e-12)
 
     def test_left_tail_reference_value(self):
-        assert regularized_gamma_lower(3.0, 0.1) == pytest.approx(P_3_01, rel=1e-12)
+        assert lomax_sum_cdf(3 * math.expm1(0.1 / 3), 3, 1) == pytest.approx(P_3_01, rel=1e-12)
 
     @pytest.mark.parametrize("p", range(1, 17))
     def test_complement_identity(self, p):
         for x in np.linspace(0.0, 50.0, 101):
-            total = regularized_gamma_lower(p, x) + special.gammaincc(p, x)
+            total = gamma_p(p, x) + special.gammaincc(p, x)
             assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16])
@@ -43,13 +57,13 @@ class TestRegularizedGamma:
         # 1 - P(m, x) = e^-x * sum_{j<m} x^j / j!
         for x in np.linspace(0.01, 40.0, 40):
             explicit = math.exp(-x) * math.fsum(x**j / math.factorial(j) for j in range(m))
-            complement = 1.0 - regularized_gamma_lower(m, x)
+            complement = 1.0 - gamma_p(m, x)
             assert complement == pytest.approx(explicit, rel=1e-10, abs=1e-15)
 
     @pytest.mark.parametrize("p,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5)])
     def test_domain_errors(self, p, x):
         with pytest.raises(ValueError):
-            regularized_gamma_lower(p, x)
+            gamma_p(p, x)
 
 
 class TestFindRootMonotone:
@@ -271,6 +285,17 @@ class TestLogGrid:
 
     def test_repeated_step_returns_the_same_grid(self):
         assert log_grid(0.0115) is log_grid(0.0115)
+
+    def test_only_grids_up_to_the_node_limit_are_kept(self):
+        # the finite-blocklength grid of n = 10^5 (53,885 nodes) is kept, and
+        # that of n = 2*10^5 (76,203 nodes) is built on each call
+        kept, large = 0.5 / math.sqrt(1e5), 0.5 / math.sqrt(2e5)
+        assert grid_is_kept(kept) and not grid_is_kept(large)
+        before = numerics._build_grid.cache_info()
+        (x, h), (again, h_again) = log_grid(large), log_grid(large)
+        assert numerics._build_grid.cache_info() == before
+        assert x is not again and np.array_equal(x, again) and h == h_again
+        assert len(x) == 76_203 and not x.flags.writeable
 
     def test_spans_the_integration_range(self):
         x, h = log_grid(0.0115)

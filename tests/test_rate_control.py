@@ -17,7 +17,6 @@ from urpayload.rate_control import (
     combined_sir_pdf,
     lomax_sum_cdf,
     lomax_sum_cdf_curve,
-    lomax_sum_cdf_lower_bound,
     lomax_sum_cdf_lower_bound_curve,
     lomax_sum_pdf,
     mrc_error,
@@ -353,30 +352,16 @@ class TestLomaxSumCurves:
         st.integers(min_value=1, max_value=100),
     )
     def test_curves_equal_the_scalar_functions(self, xs, count, shape):
-        def bits(values):
-            return [v.hex() for v in values]
-
-        assert bits(lomax_sum_cdf_curve(xs, count, shape)) == bits(
-            lomax_sum_cdf(x, count, shape) for x in xs
-        )
-        for linearize in (True, False):
-            assert bits(lomax_sum_cdf_lower_bound_curve(xs, count, shape, linearize)) == bits(
-                lomax_sum_cdf_lower_bound(x, count, shape, linearize) for x in xs
-            )
+        assert [v.hex() for v in lomax_sum_cdf_curve(xs, count, shape)] == [
+            lomax_sum_cdf(x, count, shape).hex() for x in xs
+        ]
 
     @pytest.mark.parametrize("x,count,shape", [(1.0, 0, 8), (1.0, 2, 0), (-1.0, 2, 8)])
-    @pytest.mark.parametrize(
-        "curve,scalar",
-        [
-            (lomax_sum_cdf_curve, lomax_sum_cdf),
-            (lomax_sum_cdf_lower_bound_curve, lomax_sum_cdf_lower_bound),
-        ],
-    )
-    def test_curves_reject_what_the_scalar_functions_reject(
-        self, curve, scalar, x, count, shape
-    ):
+    @pytest.mark.parametrize("curve", [lomax_sum_cdf_curve, lomax_sum_cdf_lower_bound_curve])
+    def test_curves_reject_what_the_scalar_functions_reject(self, curve, x, count, shape):
+        # with lomax_sum_cdf's messages
         with pytest.raises(ValueError) as expected:
-            scalar(x, count, shape)
+            lomax_sum_cdf(x, count, shape)
         with pytest.raises(ValueError) as raised:
             curve([0.5, x], count, shape)
         assert str(raised.value) == str(expected.value)
@@ -386,25 +371,35 @@ class TestLomaxSumLowerBound:
     @given(st.floats(min_value=0.0, max_value=50.0))
     def test_equality_at_single_count(self, x):
         shape = 11
-        assert lomax_sum_cdf_lower_bound(x, 1, shape) == pytest.approx(
-            lomax_sum_cdf(x, 1, shape), abs=1e-12
-        )
+        (bound,) = lomax_sum_cdf_lower_bound_curve([x], 1, shape)
+        assert bound == pytest.approx(lomax_sum_cdf(x, 1, shape), abs=1e-12)
 
     def test_zero_at_origin(self):
-        assert lomax_sum_cdf_lower_bound(0.0, 4, 8) == 0.0
+        assert lomax_sum_cdf_lower_bound_curve([0.0], 4, 8) == [0.0]
+
+    @pytest.mark.parametrize("linearize", [False, True])
+    @pytest.mark.parametrize("count,shape", [(2, 4), (4, 8), (10, 20)])
+    def test_closed_form(self, count, shape, linearize):
+        # (1 - e^(-(M!)^(-1/M) * shape*M*arg))^M, arg = ln(1+x/M) or x/M
+        xs = [1e-4, 0.03, 0.5, 2.0, 5.0]
+        c = math.factorial(count) ** (-1.0 / count)
+        args = [x / count if linearize else math.log1p(x / count) for x in xs]
+        want = [(1.0 - math.exp(-c * shape * count * arg)) ** count for arg in args]
+        assert lomax_sum_cdf_lower_bound_curve(xs, count, shape, linearize) == pytest.approx(
+            want, rel=1e-12
+        )
 
     def test_below_cdf_on_grid(self):
-        for x in np.linspace(1e-4, 2.0, 200):
-            assert lomax_sum_cdf_lower_bound(float(x), 4, 8) <= lomax_sum_cdf(
-                float(x), 4, 8
-            )
+        xs = np.linspace(1e-4, 2.0, 200).tolist()
+        bounds = lomax_sum_cdf_lower_bound_curve(xs, 4, 8)
+        assert all(bound <= cdf for bound, cdf in zip(bounds, lomax_sum_cdf_curve(xs, 4, 8)))
 
     def test_linearized_variant_is_larger(self):
         # x/M >= ln(1+x/M) makes the linearized exponent bigger
-        for x in (0.01, 0.1, 1.0):
-            assert lomax_sum_cdf_lower_bound(x, 4, 8, linearize=True) >= (
-                lomax_sum_cdf_lower_bound(x, 4, 8, linearize=False)
-            )
+        xs = [0.01, 0.1, 1.0]
+        linear = lomax_sum_cdf_lower_bound_curve(xs, 4, 8, linearize=True)
+        exact_log = lomax_sum_cdf_lower_bound_curve(xs, 4, 8, linearize=False)
+        assert all(a >= b for a, b in zip(linear, exact_log))
 
 
 class TestMrcQuantiles:

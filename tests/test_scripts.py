@@ -1,10 +1,12 @@
 """Smoke runs of the scripts under scripts/, each as its own process."""
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
 
 
 def run_script(name, *args, returncode=0):
@@ -45,6 +47,25 @@ def test_reproduce_figures(tmp_path):
     assert "fig2pp.csv: 300 rows" in out
     assert "fig3.csv: 5000 rows" in out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2pp.csv", "fig3.csv"]
+
+    def body(name):
+        lines = (tmp_path / name).read_text().splitlines(keepends=True)
+        return "".join(line for line in lines if not line.startswith("#"))
+
+    assert body("fig2pp.csv") == (DATA / "fig2pp.csv").read_text()
+    assert hashlib.sha256(body("fig3.csv").encode()).hexdigest() == (
+        (DATA / "fig3.sha256").read_text().strip()
+    )
+
+
+def test_reproduce_figures_has_no_workers_flag(tmp_path):
+    result = run_script(
+        "reproduce_figures.py", "--workers", "2", "--out-dir", str(tmp_path / "results"),
+        returncode=2,
+    )
+    assert "unrecognized arguments: --workers 2" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "results").exists()
 
 
 def test_reproduce_figures_rejects_unknown_preset_before_writing(tmp_path):
