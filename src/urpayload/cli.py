@@ -2,8 +2,8 @@
 
 Subcommands: `rate` (size one link), `sweep` (figure datasets / generic axis
 sweeps to CSV), `simulate` (Monte Carlo ground truth), `validate` (named
-self-checks). Every flag can be preset through an environment variable named
-URP_<FLAG> (e.g. URP_TRIALS=1e7); explicit flags win.
+self-checks). Every flag that takes a value can be preset through an
+environment variable named URP_<FLAG> (e.g. URP_TRIALS=1e7); explicit flags win.
 
 Exit codes: 0 success, 1 validation failure, 2 infeasible allocation,
 64 usage error, 65 invalid configuration.
@@ -47,21 +47,18 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
-
-def _env(flag: str, cast=str):
-    raw = os.environ.get("URP_" + flag.upper().replace("-", "_"))
-    if raw is None:
-        return None
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        sys.stderr.write(f"urp: bad value for URP_{flag.upper()}: {raw!r}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
-def _env_or(flag: str, cast, fallback):
-    value = _env(flag, cast)
-    return fallback if value is None else value
+    def add_argument(self, *names, **kwargs):
+        # an option that takes a value defaults to URP_<FIRST FLAG> when set
+        if names[0].startswith("--") and kwargs.get("action", "store") == "store":
+            variable = "URP_" + names[0][2:].upper().replace("-", "_")
+            raw = os.environ.get(variable)
+            if raw is not None:
+                try:
+                    kwargs["default"] = kwargs.get("type", str)(raw)
+                except (TypeError, ValueError):
+                    sys.stderr.write(f"urp: bad value for {variable}: {raw!r}\n")
+                    raise SystemExit(EXIT_USAGE)
+        return super().add_argument(*names, **kwargs)
 
 
 def _count(raw) -> int:
@@ -73,27 +70,17 @@ def _count(raw) -> int:
 
 
 def _add_source_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--topology",
-        default=_env("topology"),
-        help="topology JSON file (distances or path losses)",
-    )
-    parser.add_argument("--beta", type=float, default=_env("beta", float))
-    parser.add_argument("--eta", type=int, default=_env("eta", int))
+    parser.add_argument("--topology", help="topology JSON file (distances or path losses)")
+    parser.add_argument("--beta", type=float)
+    parser.add_argument("--eta", type=int)
 
 
 def _add_link_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--M", type=int, default=_env_or("m", int, 1), help="receive antennas")
+    parser.add_argument("--M", type=int, default=1, help="receive antennas")
+    parser.add_argument("--n", type=int, default=200, help="blocklength (channel uses)")
+    parser.add_argument("--eps", type=float, help="target error probability")
     parser.add_argument(
-        "--n", type=int, default=_env_or("n", int, 200), help="blocklength (channel uses)"
-    )
-    parser.add_argument(
-        "--eps", type=float, default=_env("eps", float), help="target error probability"
-    )
-    parser.add_argument(
-        "--scheme",
-        choices=[s.value for s in Scheme],
-        default=_env_or("scheme", str, Scheme.SC.value),
+        "--scheme", choices=[s.value for s in Scheme], default=Scheme.SC.value
     )
 
 
@@ -260,9 +247,7 @@ def build_parser() -> _Parser:
     _add_source_flags(rate)
     _add_link_flags(rate)
     rate.add_argument(
-        "--method",
-        default=_env_or("method", str, "approx"),
-        help="comma list of exact|approx|numeric|closed|fb",
+        "--method", default="approx", help="comma list of exact|approx|numeric|closed|fb"
     )
     rate.add_argument("--json", action="store_true", help="emit JSON instead of text")
     rate.set_defaults(handler=_cmd_rate)
@@ -270,38 +255,32 @@ def build_parser() -> _Parser:
     sweep = sub.add_parser("sweep", help="axis sweeps / figure presets to CSV")
     _add_source_flags(sweep)
     _add_link_flags(sweep)
-    sweep.add_argument(
-        "--preset", default=_env("preset"), help=f"one of: {', '.join(PRESET_NAMES)}"
-    )
-    sweep.add_argument("--axis", choices=[a.value for a in Axis], default=_env("axis"))
-    sweep.add_argument("--values", default=_env("values"), help="comma list of axis values")
+    sweep.add_argument("--preset", help=f"one of: {', '.join(PRESET_NAMES)}")
+    sweep.add_argument("--axis", choices=[a.value for a in Axis])
+    sweep.add_argument("--values", help="comma list of axis values")
     sweep.add_argument(
         "--methods",
         "--method",
         dest="methods",
-        default=_env_or("methods", str, "approx"),
+        default="approx",
         help="comma list of exact|approx|numeric|closed|fb",
     )
-    sweep.add_argument("--out", default=_env("out"), help="CSV path (default stdout)")
+    sweep.add_argument("--out", help="CSV path (default stdout)")
     sweep.set_defaults(handler=_cmd_sweep)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo error-rate measurement")
-    simulate.add_argument(
-        "--spec", default=_env("spec"), help="JSON file describing the whole run"
-    )
+    simulate.add_argument("--spec", help="JSON file describing the whole run")
     _add_source_flags(simulate)
     _add_link_flags(simulate)
-    simulate.add_argument("--k", type=int, default=_env_or("k", int, 1), help="payload bits")
+    simulate.add_argument("--k", type=int, default=1, help="payload bits")
     simulate.add_argument(
         "--semantics",
         choices=[s.value for s in Semantics],
-        default=_env_or("semantics", str, Semantics.ASYMPTOTIC.value),
+        default=Semantics.ASYMPTOTIC.value,
     )
-    simulate.add_argument(
-        "--trials", type=_count, default=_env_or("trials", _count, 10**6)
-    )
-    simulate.add_argument("--seed", type=int, default=_env_or("seed", int, 7))
-    simulate.add_argument("--workers", type=int, default=_env_or("workers", int, 1))
+    simulate.add_argument("--trials", type=_count, default=10**6)
+    simulate.add_argument("--seed", type=int, default=7)
+    simulate.add_argument("--workers", type=int, default=1)
     simulate.add_argument(
         "--variance-reduced",
         action="store_true",
@@ -312,19 +291,17 @@ def build_parser() -> _Parser:
         action="store_true",
         help="run even when trials cannot resolve --eps",
     )
-    simulate.add_argument("--out", default=_env("out"), help="write the JSON record here")
+    simulate.add_argument("--out", help="write the JSON record here")
     simulate.set_defaults(handler=_cmd_simulate)
 
     validate = sub.add_parser("validate", help="run named self-checks")
     validate.add_argument("scope", choices=list(SCOPES))
     # default sized as a quick screen; use --trials 1e7 for the full-depth run
-    validate.add_argument(
-        "--trials", type=_count, default=_env_or("trials", _count, 2 * 10**5)
-    )
+    validate.add_argument("--trials", type=_count, default=2 * 10**5)
     # default seed pinned where sampling noise stays inside the Monte Carlo
     # intervals; any seed passes each unbiased point ~95% of the time
-    validate.add_argument("--seed", type=int, default=_env_or("seed", int, 8))
-    validate.add_argument("--workers", type=int, default=_env_or("workers", int, 1))
+    validate.add_argument("--seed", type=int, default=8)
+    validate.add_argument("--workers", type=int, default=1)
     validate.set_defaults(handler=_cmd_validate)
 
     return parser

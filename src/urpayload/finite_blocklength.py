@@ -141,7 +141,7 @@ def fb_error_conditional(sir, k: float, n: int):
     for any positive payload.
     """
     sir_arr = np.asarray(sir, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         spread = np.sqrt(channel_dispersion(sir_arr) / n)
         prob = 0.5 * _special.erfc((shannon_capacity(sir_arr) - k / n) / spread / _SQRT2)
     return np.where(sir_arr == 0.0, 1.0 if k > 0 else 0.5, prob)

@@ -57,11 +57,6 @@ _SPARE_EVALUATIONS = 4
 # within a few ulps near its crossings, and a midpoint that close must be
 # evaluated, as bisection evaluates it.
 _SIGN_MARGIN = 2.0**-40
-# Pull of a regula falsi point toward the bracket midpoint, times (b - a)^2
-# over the first bracket's width (the truncation step of ITP, Oliveira &
-# Takahashi, ACM TOMS 2021); without it regula falsi creeps along the flat
-# end of a curve like x^M.
-_PULL = 0.01
 
 
 def _interpolate(
@@ -71,13 +66,12 @@ def _interpolate(
     fb: float,
     c: float | None,
     fc: float | None,
-    pull_scale: float,
 ) -> float:
-    """Estimate of the crossing inside (a, b) from f - target at a, b and c.
+    """Estimate of the crossing in [a, b] from f - target at a, b and c.
 
     Inverse quadratic interpolation through the three points when it lands
-    inside (a, b); else regula falsi through a and b, pulled toward the
-    midpoint by pull_scale * (b - a)^2.
+    inside (a, b); else regula falsi through a and b, whose values have
+    opposite signs.
     """
     if c is not None:
         d_ab, d_ac, d_bc = fa - fb, fa - fc, fb - fc
@@ -86,12 +80,7 @@ def _interpolate(
             x = a * fb * fc / den_a - b * fa * fc / den_b + c * fa * fb / den_c
             if a < x < b:
                 return x
-    half = 0.5 * (a + b)
-    x = a + (b - a) * (fa / (fa - fb))
-    if not a < x < b:
-        return half
-    pull = pull_scale * (b - a) * (b - a)  # ** would raise OverflowError
-    return x + math.copysign(pull, half - x) if pull <= abs(half - x) else half
+    return a + (b - a) * (fa / (fa - fb))
 
 
 def find_root_monotone(
@@ -137,7 +126,7 @@ def find_root_monotone(
     if mantissa == 0.5:  # the ratio is a power of two
         levels -= 1
     spacing = math.ldexp(hi - lo, -max(levels, 0)) or tol
-    origin, pull_scale = lo, _PULL / (hi - lo)
+    origin = lo
     # the tightest bracket with strict signs evaluated, the end it replaced
     # last, and how far from a and b their signs are carried
     a, fa, b, fb = lo, flo, hi, fhi
@@ -174,7 +163,7 @@ def find_root_monotone(
         if spare > 0 and b - a > 2.0 * spacing:
             # at least one lattice step inside, so that a crossing hugging
             # one end is bracketed from the other side next
-            guess = _interpolate(a, fa, b, fb, c, fc, pull_scale)
+            guess = _interpolate(a, fa, b, fb, c, fc)
             guess = min(max(guess, a + spacing), b - spacing)
             guess -= math.remainder(guess - origin, spacing)
             converging = abs(guess - last) <= 0.5 * step_before

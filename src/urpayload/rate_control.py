@@ -115,8 +115,18 @@ class RateSolution:
 
 
 def theta_for_rate(k: float, n: int) -> float:
-    """SIR decoding threshold 2^(k/n) - 1 for payload k over n channel uses."""
-    return math.expm1(_LN2 * k / n)
+    """SIR decoding threshold 2^(k/n) - 1 for payload k over n channel uses.
+
+    Raises ValueError when k/n is so large (above about 1024) that the
+    threshold exceeds the largest double.
+    """
+    try:
+        return math.expm1(_LN2 * k / n)
+    except OverflowError:
+        raise ValueError(
+            f"rate k/n = {k / n!r} bits per channel use puts the SIR threshold "
+            "2^(k/n) - 1 beyond the largest double"
+        ) from None
 
 
 def _log1p_theta_weight(t: float, w: float) -> float:

@@ -251,14 +251,15 @@ def sample_sir_block(
         # einsum, because tensordot and matmul sum in another order and
         # differ from it in the last bits
         np.einsum("tja,j->ta", g, weights, out=interference[start:stop])
-    return np.divide(h, interference, out=h)
+    with np.errstate(over="ignore"):  # an SIR past the largest double is inf
+        return np.divide(h, interference, out=h)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, block]))
 
 
-def _run_block(spec: SimSpec, theta: float, block: int, trials: int):
+def _run_block(spec: SimSpec, theta: float | None, block: int, trials: int):
     rng = _block_rng(spec.seed, block)
     sir = sample_sir_block(spec.topology, spec.antennas, trials, rng)
     if spec.scheme is Scheme.SC:
@@ -281,7 +282,9 @@ def run_sim(spec: SimSpec) -> SimReport:
     reproducible; integer error counts are order-independent anyway.
     """
     start = time.perf_counter()
-    theta = theta_for_rate(spec.threshold_bits, spec.blocklength)
+    theta = None  # the finite-blocklength error needs no threshold
+    if spec.semantics is Semantics.ASYMPTOTIC:
+        theta = theta_for_rate(spec.threshold_bits, spec.blocklength)
     blocks = []
     remaining, index = spec.trials, 0
     while remaining > 0:

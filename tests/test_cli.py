@@ -309,6 +309,14 @@ class TestRate:
         assert code == EXIT_OK
         assert "k_star=" in out
 
+    def test_env_vars_preset_typed_and_choice_flags(self, capsys, monkeypatch):
+        monkeypatch.setenv("URP_SCHEME", "mrc")
+        monkeypatch.setenv("URP_M", "2")
+        monkeypatch.setenv("URP_METHOD", "closed")
+        code, out, _ = run_cli(["rate", *FIG2_FLAGS[:4], "--eps", "1e-3"], capsys)
+        assert code == EXIT_OK
+        assert out.startswith("method=mrc_closed ")
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("URP_EPS", "0.5")
         code, out, _ = run_cli(
@@ -368,6 +376,54 @@ class TestSimulatedAntennaCap:
         result = run_cli_in_subprocess(["simulate", "--M", "100000000", "--trials", "10"])
         assert result.returncode == EXIT_BAD_CONFIG, result.stderr
         assert "antennas must be at most 256" in result.stderr
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFloatRangeEdges:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 2^(k/n) - 1 overflowed math.expm1 in a traceback (exit 1)
+            ["simulate", "--beta", "0.8", "--eta", "8", "--k", "300000", "--n", "200",
+             "--trials", "1000"],
+            ["rate", "--beta", "1e-308", "--eta", "8", "--M", "16", "--n", "200",
+             "--eps", "0.999999", "--method", "exact"],
+        ],
+    )
+    def test_threshold_past_the_largest_double_is_config_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert "k/n = " in err
+        assert "Traceback" not in err and "Overflow" not in err
+
+    def test_finite_blocklength_run_needs_no_threshold(self, capsys):
+        # the FB error is 1 at k/n = 1500; forming the unused threshold was
+        # the same traceback
+        code, out, err = run_cli(
+            ["simulate", "--beta", "0.8", "--eta", "8", "--k", "300000", "--n", "200",
+             "--trials", "1000", "--semantics", "fb"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["errors"] == 1000
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the SIR overflows to inf in the division: "overflow in divide"
+            ["simulate", "--beta", "1e-308", "--eta", "8", "--k", "0", "--trials", "1e4"],
+            # the dispersion of an infinite SIR: "overflow in square"
+            ["simulate", "--beta", "1e-308", "--eta", "1", "--n", "100000000", "--k", "50",
+             "--trials", "1", "--scheme", "mrc", "--semantics", "fb"],
+        ],
+    )
+    def test_infinite_sir_runs_without_warning(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["errors"] == 0
+        assert "Warning" not in err
 
 
 class TestUsageErrors:

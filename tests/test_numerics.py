@@ -188,6 +188,9 @@ class TestFindRootMonotoneEqualsBisection:
     )
     @example(curve="power8", shape="quantile", size=8.0, place=0.5, increasing=True)
     @example(curve="cube", shape="default", size=1.0, place=0.125, increasing=False)
+    # a flat start: regula falsi creeps along it, and the spare calls must
+    # still hand the search back to bisection in time
+    @example(curve="cube", shape="quantile", size=8.0, place=1e-6, increasing=True)
     @settings(max_examples=400, deadline=None)
     def test_same_double_and_at_most_four_more_calls(
         self, curve, shape, size, place, increasing
@@ -222,7 +225,8 @@ class TestFindRootMonotoneEqualsBisection:
 
     @pytest.mark.parametrize("tol", [1e-300, 1e-9, 1e300])
     def test_bracket_as_wide_as_the_floats(self, tol):
-        # (b - a)^2 overflows here; the search must still replay bisection
+        # b - a is near the largest double here; the search must still
+        # replay bisection
         bracket = Bracket(-5e307, 8e307)
         for target in (-0.25, 3e-301, 7e307):
             expected, _ = bisection(lambda x: x, target, bracket, tol)

@@ -455,7 +455,7 @@ class TestMrcQuantiles:
 
     def test_few_cdf_evaluations(self, monkeypatch):
         # link_sizing's draw; doubling and bisecting all of [0, hi] made 26.7
-        # calls per quantile
+        # calls per quantile, and the seeded cell 8.43
         calls, points = 0, []
 
         def counting(x, count, shape):
@@ -471,7 +471,7 @@ class TestMrcQuantiles:
             mrc_quantile_numeric(10.0 ** draw.uniform(-9.0, -1.0), antennas, eta)
             assert len(points) == len(set(points))
             calls += len(points)
-        assert calls / quantiles <= 12
+        assert calls / quantiles <= 9
 
     def test_closed_single_count_reduction(self):
         eps, eta = 1e-4, 9

@@ -236,7 +236,7 @@ class TestPresets:
         assert len(evaluations) == laws
 
     @pytest.mark.parametrize(
-        "name,averages", [("fig2", 1298), ("fig4", 1055), ("fig5", 715), ("fig6", 234)]
+        "name,averages", [("fig2", 1282), ("fig4", 1021), ("fig5", 714), ("fig6", 233)]
     )
     def test_averages_per_preset(self, name, averages, monkeypatch):
         # a pin on the FB averages one preset makes: the walks from the
