@@ -211,14 +211,20 @@ def load_sim_spec(path) -> SimSpec:
 
 
 def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion; robust at extreme rates."""
+    """Wilson score interval for a binomial proportion; robust at extreme rates.
+
+    The interval ends exactly at 0 with no errors and at 1 with all errors,
+    where center - half and center + half would miss them by rounding.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
-    return max(center - half, 0.0), min(center + half, 1.0)
+    lo = 0.0 if errors == 0 else max(center - half, 0.0)
+    hi = 1.0 if errors == trials else min(center + half, 1.0)
+    return lo, hi
 
 
 def _exponential(rng: np.random.Generator, shape) -> np.ndarray:

@@ -290,9 +290,18 @@ class TestWilsonInterval:
         assert lo <= 0.013 <= hi
 
     def test_zero_errors_has_positive_width(self):
-        lo, hi = wilson_interval(0, 10**6)
-        assert lo == pytest.approx(0.0, abs=1e-12)
-        assert 1e-7 < hi < 1e-5
+        # the lower end was 3.5e-18 at 100 trials and 2.2e-19 at 1000
+        for trials in (100, 1000, 10**6):
+            lo, hi = wilson_interval(0, trials)
+            assert lo == 0.0
+            assert 0.0 < hi < 5.0 / trials
+
+    def test_all_errors_reaches_one(self):
+        # the upper end was 0.9999999999999999 at 10 and 65,536 trials
+        for trials in (10, 65536, 10**6):
+            lo, hi = wilson_interval(trials, trials)
+            assert hi == 1.0
+            assert 1.0 - 5.0 / trials < lo < 1.0
 
     def test_symmetric_at_half(self):
         lo, hi = wilson_interval(500, 1000)
