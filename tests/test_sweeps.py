@@ -235,13 +235,12 @@ class TestPresets:
         finite_blocklength._law_sums.cache_clear()
         assert len(evaluations) == laws
 
-    @pytest.mark.parametrize(
-        "name,averages", [("fig2", 1282), ("fig4", 1021), ("fig5", 714), ("fig6", 233)]
-    )
-    def test_averages_per_preset(self, name, averages, monkeypatch):
+    @pytest.mark.parametrize("name", ["fig2", "fig4", "fig5", "fig6"])
+    def test_averages_per_preset(self, name, monkeypatch):
         # a pin on the FB averages one preset makes: the walks from the
         # closed-form seed made 1,824, 1,414, 1,013 and 375; a change that
         # lowers a count pins the new one
+        averages = {"fig2": 1282, "fig4": 1021, "fig5": 714, "fig6": 233}[name]
         original = finite_blocklength._ErrorAverage.__call__
         averaged = []
 
