@@ -48,7 +48,6 @@ from .simulator import (
 )
 from .sir_model import (
     SirDistribution,
-    Topology,
     load_topology,
     sir_cdf_approx,
     sir_cdf_exact,

@@ -48,16 +48,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
     def add_argument(self, *names, **kwargs):
-        # an option that takes a value defaults to URP_<FIRST FLAG> when set
+        # an option that takes a value defaults to URP_<FIRST FLAG> when set.
+        # argparse converts that string only for the subcommand it parses and
+        # only when the flag is absent, and checks no choices on it
         if names[0].startswith("--") and kwargs.get("action", "store") == "store":
             variable = "URP_" + names[0][2:].upper().replace("-", "_")
             raw = os.environ.get(variable)
-            if raw is not None:
+            convert, choices = kwargs.get("type", str), kwargs.get("choices")
+
+            def typed(text: str):
+                if text != raw:  # from the command line, where argparse checks it
+                    return convert(text)
                 try:
-                    kwargs["default"] = kwargs.get("type", str)(raw)
+                    value = convert(text)
+                    if choices is None or value in choices:
+                        return value
                 except (TypeError, ValueError):
-                    sys.stderr.write(f"urp: bad value for {variable}: {raw!r}\n")
-                    raise SystemExit(EXIT_USAGE)
+                    pass
+                raise argparse.ArgumentTypeError(f"bad value for {variable}: {raw!r}")
+
+            if raw is not None:
+                typed.__name__ = getattr(convert, "__name__", "value")  # argparse's messages
+                kwargs.update(default=raw, type=typed)
         return super().add_argument(*names, **kwargs)
 
 

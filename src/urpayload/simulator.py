@@ -21,14 +21,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .finite_blocklength import fb_error_conditional
 from .rate_control import Scheme, theta_for_rate
-from .sir_model import SirDistribution, parse_topology
+from .sir_model import SirDistribution, parse_topology, read_json
 
 __all__ = [
     "Semantics",
@@ -184,7 +183,7 @@ def load_sim_spec(path) -> SimSpec:
     epsilon_target a JSON number; anything else is a ValueError that names
     the field.
     """
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("simulation spec must be a JSON object")
     missing = [

@@ -6,18 +6,17 @@ vector gives the exact product-form CDF, and the pair (eta, beta = sum w_j)
 gives the scaled-Lomax form obtained by replacing the product with its
 arithmetic-geometric-mean bound. That bound is an upper bound on the CDF
 everywhere and is tight in the left tail, which is exactly where reliability
-targets live. Topology is the SirDistribution built from distances.
+targets live. Factories build it from distances, path losses or (beta, eta).
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = [
     "SirDistribution",
-    "Topology",
     "load_topology",
     "parse_topology",
     "sir_cdf_approx",
@@ -36,19 +35,18 @@ class SirDistribution:
     (eta, beta) pair alone drives the Lomax approximation.
     """
 
-    eta: int
     beta: float
     path_losses: tuple[float, ...]
+    eta: int = field(init=False)  # len(path_losses); not a property, as every error call reads it
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "path_losses", tuple(float(w) for w in self.path_losses))
-        if not (isinstance(self.eta, int) and self.eta >= 1):
-            raise ValueError(f"eta must be a positive integer, got {self.eta!r}")
+        object.__setattr__(self, "eta", len(self.path_losses))
+        if not self.path_losses:
+            raise ValueError("at least one interferer is required")
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if len(self.path_losses) != self.eta:
-            raise ValueError("path_losses length must equal eta")
         if not all(0.0 < w < math.inf for w in self.path_losses):
             raise ValueError("path losses must all be positive and finite")
         try:
@@ -61,9 +59,35 @@ class SirDistribution:
             )
 
     @classmethod
-    def from_topology(cls, topology: "Topology") -> "SirDistribution":
-        """The law of `topology` without its distances."""
-        return cls(eta=topology.eta, beta=topology.beta, path_losses=topology.path_losses)
+    def from_topology(cls, law: "SirDistribution") -> "SirDistribution":
+        """A copy of `law`; kept for bench/workloads.py until ROADMAP item 7."""
+        return cls(law.beta, law.path_losses)
+
+    @classmethod
+    def from_geometry(
+        cls, r0: float, interferer_distances: tuple[float, ...], alpha: float
+    ) -> "SirDistribution":
+        """Law of a serving distance, interferer distances and path-loss exponent.
+
+        Distances are in meters. alpha must exceed 2 or the far-field
+        interference sum in the underlying model diverges. path_losses are the
+        interferer weights r0^alpha * r_j^(-alpha), and beta is their sum.
+        """
+        r0, alpha = float(r0), float(alpha)
+        distances = tuple(float(r) for r in interferer_distances)
+        if not r0 > 0.0:
+            raise ValueError(f"serving distance must be positive, got {r0}")
+        if not alpha > 2.0:
+            raise ValueError(f"path-loss exponent must exceed 2, got {alpha}")
+        if any(r <= 0.0 for r in distances):
+            raise ValueError("interferer distances must all be positive")
+        try:
+            g0 = r0**alpha
+            weights = tuple(g0 * r ** (-alpha) for r in distances)
+            beta = math.fsum(weights)
+        except OverflowError as exc:
+            raise ValueError(f"path-loss weights overflow: {exc}") from None
+        return cls(beta, weights)
 
     @classmethod
     def from_path_losses(
@@ -79,7 +103,7 @@ class SirDistribution:
         if len(lj) < 1 or any(l <= 0.0 for l in lj):
             raise ValueError("interferer path losses must be a nonempty positive list")
         beta = l0 * math.fsum(lj)
-        return cls(eta=len(lj), beta=beta, path_losses=tuple(l0 * l for l in lj))
+        return cls(beta, tuple(l0 * l for l in lj))
 
     @classmethod
     def from_beta(cls, beta: float, eta: int) -> "SirDistribution":
@@ -90,48 +114,11 @@ class SirDistribution:
         """
         if not (isinstance(eta, int) and eta >= 1):
             raise ValueError(f"eta must be a positive integer, got {eta!r}")
-        if not beta > 0.0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        return cls(eta=eta, beta=beta, path_losses=(beta / eta,) * eta)
+        return cls(beta, (beta / eta,) * eta)  # __post_init__ refuses beta <= 0
 
 
-@dataclass(frozen=True, init=False)
-class Topology(SirDistribution):
-    """Serving distance, interferer distances and path-loss exponent.
-
-    Distances are in meters. alpha must exceed 2 or the far-field
-    interference sum in the underlying model diverges. The SIR law is fixed
-    at construction: path_losses are the interferer weights
-    r0^alpha * r_j^(-alpha), and beta is their sum.
-    """
-
-    r0: float
-    interferer_distances: tuple[float, ...]
-    alpha: float
-
-    def __init__(
-        self, r0: float, interferer_distances: tuple[float, ...], alpha: float
-    ) -> None:
-        r0, alpha = float(r0), float(alpha)
-        distances = tuple(float(r) for r in interferer_distances)
-        if not r0 > 0.0:
-            raise ValueError(f"serving distance must be positive, got {r0}")
-        if not alpha > 2.0:
-            raise ValueError(f"path-loss exponent must exceed 2, got {alpha}")
-        if len(distances) < 1:
-            raise ValueError("at least one interferer is required")
-        if any(r <= 0.0 for r in distances):
-            raise ValueError("interferer distances must all be positive")
-        object.__setattr__(self, "r0", r0)
-        object.__setattr__(self, "interferer_distances", distances)
-        object.__setattr__(self, "alpha", alpha)
-        try:
-            g0 = r0**alpha
-            weights = tuple(g0 * r ** (-alpha) for r in distances)
-            beta = math.fsum(weights)
-        except OverflowError as exc:
-            raise ValueError(f"path-loss weights overflow: {exc}") from None
-        super().__init__(len(distances), beta=beta, path_losses=weights)
+# bench/workloads.py still builds its laws by this name; ROADMAP item 7 drops it
+Topology = SirDistribution.from_geometry
 
 
 def _check_gamma(gamma: float) -> None:
@@ -177,9 +164,17 @@ def sir_pdf_exact(gamma: float, dist: SirDistribution) -> float:
     return survival * math.fsum(w / (1.0 + gamma * w) for w in dist.path_losses)
 
 
+def read_json(path: str | Path):
+    """The JSON document in `path`; over-deep nesting is a ValueError, too."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def load_topology(path: str | Path) -> SirDistribution:
     """Load a topology JSON file; see parse_topology for the layouts."""
-    return parse_topology(json.loads(Path(path).read_text()))
+    return parse_topology(read_json(path))
 
 
 def _float(value, key: str) -> float:
@@ -210,8 +205,8 @@ def parse_topology(doc: dict) -> SirDistribution:
     Two layouts are accepted, exactly one of which must be present:
       {"r0": 20, "alpha": 3.5, "interferers": [30, 50, ...]}
       {"path_losses": {"l0": 1.2e4, "lj": [1e-5, ...]}}
-    Distance inputs return a Topology, which also keeps the distances;
-    path-loss inputs return the plain SirDistribution they determine. The
+    Both layouts return the SirDistribution they determine, through
+    SirDistribution.from_geometry or SirDistribution.from_path_losses. The
     document and `path_losses` must be objects, `interferers` and `lj` lists
     of numbers, and `r0`, `alpha` and `l0` numbers; anything else is a
     ValueError that names the field.
@@ -227,10 +222,10 @@ def parse_topology(doc: dict) -> SirDistribution:
         missing = [key for key in ("r0", "alpha") if key not in doc]
         if missing:
             raise ValueError(f"topology file missing fields: {missing}")
-        return Topology(
-            r0=_float(doc["r0"], "r0"),
-            interferer_distances=_floats(doc["interferers"], "interferers"),
-            alpha=_float(doc["alpha"], "alpha"),
+        return SirDistribution.from_geometry(
+            _float(doc["r0"], "r0"),
+            _floats(doc["interferers"], "interferers"),
+            _float(doc["alpha"], "alpha"),
         )
     losses = _object(doc["path_losses"], "topology field 'path_losses'")
     missing = [key for key in ("l0", "lj") if key not in losses]

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .rate_control import (
 )
 from .sir_model import (
     SirDistribution,
-    Topology,
     sir_cdf_approx,
     sir_cdf_exact,
     sir_pdf_approx,
@@ -123,18 +122,13 @@ class SweepRow:
 
 
 def solve(
-    method: Method,
-    dist: SirDistribution,
-    config: LinkConfig,
-    topology: Optional[SirDistribution] = None,
+    method: Method, dist: SirDistribution, config: LinkConfig, topology=None
 ) -> RateSolution:
-    """Dispatch one allocation method on one link configuration.
-
-    `topology`, when given, replaces `dist` as the law of the exact SC solve.
-    """
+    """Dispatch one allocation method on one link configuration."""
+    del topology  # unused: bench/workloads.py passes `dist` again; ROADMAP item 7 drops it
     method = Method(method)
     if method is Method.SC_EXACT:
-        return sc_kstar_exact(topology if topology is not None else dist, config)
+        return sc_kstar_exact(dist, config)
     if method is Method.SC_APPROX:
         return sc_kstar_approx(dist, config)
     if method in _MRC_METHODS:
@@ -241,10 +235,10 @@ def write_csv(rows: Sequence, out, comments: Sequence[str] = ()) -> None:
 
 # Left-tail comparison setups: (serving distance, interferer distances).
 # B is also the reference topology of the epsilon sweep (beta = 0.306102...).
-CDF_SETUPS: dict[str, Topology] = {
-    "A": Topology(30.0, tuple(30.0 + 10.0 * j for j in range(1, 21)), 3.5),
-    "B": Topology(20.0, tuple(10.0 + 20.0 * j for j in range(1, 11)), 3.5),
-    "C": Topology(10.0, tuple(20.0 + 20.0 * j for j in range(1, 5)), 3.5),
+CDF_SETUPS: dict[str, SirDistribution] = {
+    "A": SirDistribution.from_geometry(30.0, tuple(30.0 + 10.0 * j for j in range(1, 21)), 3.5),
+    "B": SirDistribution.from_geometry(20.0, tuple(10.0 + 20.0 * j for j in range(1, 11)), 3.5),
+    "C": SirDistribution.from_geometry(10.0, tuple(20.0 + 20.0 * j for j in range(1, 5)), 3.5),
 }
 
 _BOUND_GRID_ANTENNAS = (1, 2, 4, 8, 10)

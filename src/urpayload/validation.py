@@ -24,7 +24,7 @@ from .rate_control import (
     theta_for_rate,
 )
 from .simulator import Semantics, SimSpec, run_sim
-from .sir_model import SirDistribution, Topology, sir_cdf_approx, sir_cdf_exact
+from .sir_model import SirDistribution, sir_cdf_approx, sir_cdf_exact
 from .sweeps import CDF_SETUPS, preset_rows
 
 __all__ = [
@@ -86,7 +86,7 @@ def check_bound_ordering() -> list[CheckResult]:
     ]
 
 
-def _left_tail_gamma_grid(topology: Topology) -> np.ndarray:
+def _left_tail_gamma_grid(topology: SirDistribution) -> np.ndarray:
     # upper edge: gamma where the exact CDF reaches 1e-2, then nine decades down
     hi = 1.0
     while sir_cdf_exact(hi, topology) < 1e-2:
@@ -127,7 +127,7 @@ def check_upper_bound_random(draws: int = 1000, seed: int = 20260808) -> CheckRe
         r0 = float(rng.uniform(5.0, 50.0))
         distances = tuple(float(d) for d in rng.uniform(r0, 40.0 * r0, size=eta))
         alpha = float(rng.uniform(2.1, 6.0))
-        topology = Topology(r0, distances, alpha)
+        topology = SirDistribution.from_geometry(r0, distances, alpha)
         gamma = float(10.0 ** rng.uniform(-6.0, 2.0))
         exact = sir_cdf_exact(gamma, topology)
         approx = sir_cdf_approx(gamma, topology)

@@ -1,20 +1,13 @@
 import numpy as np
 import pytest
 
-from urpayload import SirDistribution, Topology
+from urpayload import SirDistribution
 
 
 @pytest.fixture(scope="session")
-def main_topology() -> Topology:
+def main_dist() -> SirDistribution:
     """Serving link 20 m, ten interferers at 10+20j m, exponent 3.5."""
-    return Topology(
-        r0=20.0, interferer_distances=tuple(10.0 + 20.0 * j for j in range(1, 11)), alpha=3.5
-    )
-
-
-@pytest.fixture(scope="session")
-def main_dist(main_topology) -> SirDistribution:
-    return SirDistribution.from_topology(main_topology)
+    return SirDistribution.from_geometry(20.0, tuple(10.0 + 20.0 * j for j in range(1, 11)), 3.5)
 
 
 @pytest.fixture()

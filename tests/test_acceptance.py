@@ -34,7 +34,7 @@ from urpayload.rate_control import (
     sc_kstar_approx,
 )
 from urpayload.simulator import Semantics
-from urpayload.sir_model import SirDistribution, Topology
+from urpayload.sir_model import SirDistribution
 from urpayload.sweeps import preset_rows
 from urpayload.validation import (
     MonteCarloPoint,
@@ -48,8 +48,8 @@ MC_TRIALS = 10**7
 MC_SEED = 8
 MC_WORKERS = 2
 
-FIG2_TOPOLOGY = Topology(
-    r0=20.0, interferer_distances=tuple(10.0 + 20.0 * j for j in range(1, 11)), alpha=3.5
+FIG2_TOPOLOGY = SirDistribution.from_geometry(
+    20.0, tuple(10.0 + 20.0 * j for j in range(1, 11)), 3.5
 )
 
 

@@ -317,6 +317,30 @@ class TestRate:
         assert code == EXIT_OK
         assert out.startswith("method=mrc_closed ")
 
+    @pytest.mark.parametrize(
+        "variable,raw,argv",
+        [
+            ("URP_TRIALS", "bad", ["rate", *FIG2_FLAGS, "--eps", "1e-3"]),
+            ("URP_SEED", "x", ["sweep", "--preset", "fig2pp"]),
+        ],
+        ids=["rate-trials", "sweep-seed"],
+    )
+    def test_env_preset_of_another_subcommand_is_not_read(
+        self, variable, raw, argv, capsys, monkeypatch
+    ):
+        # was exit 64: every subcommand's presets were cast while the parser was built
+        monkeypatch.setenv(variable, raw)
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_OK, err
+
+    def test_env_preset_outside_choices_is_usage_error(self, capsys, monkeypatch):
+        # was exit 65 from Scheme("zzz"): argparse checks no choices on a default
+        monkeypatch.setenv("URP_SCHEME", "zzz")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rate", "--beta", "0.8", "--eta", "8", "--eps", "1e-3"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "URP_SCHEME" in capsys.readouterr().err
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("URP_EPS", "0.5")
         code, out, _ = run_cli(
@@ -340,14 +364,14 @@ class TestRate:
 HUGE_N = "1000000000000000000000000000000"
 
 
-def run_cli_in_subprocess(argv):
+def run_cli_in_subprocess(argv, source=("--beta", "0.8", "--eta", "8")):
     # for inputs that hung or crashed before they were capped: in a process
     # of its own with a timeout, a regression fails instead of hanging
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "urpayload.cli", *argv, "--beta", "0.8", "--eta", "8"],
+        [sys.executable, "-m", "urpayload.cli", *argv, *source],
         capture_output=True,
         text=True,
         env=env,
@@ -368,6 +392,20 @@ class TestBlocklengthCap:
         result = run_cli_in_subprocess(argv)
         assert result.returncode == EXIT_BAD_CONFIG, result.stderr
         assert "blocklength must be at most" in result.stderr
+
+
+class TestDeeplyNestedJson:
+    @pytest.mark.parametrize(
+        "argv", [["rate", "--eps", "1e-3", "--topology"], ["simulate", "--spec"]]
+    )
+    def test_is_config_error(self, argv, tmp_path):
+        # json.loads raised RecursionError here: a traceback and exit 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        result = run_cli_in_subprocess([*argv, str(path)], source=())
+        assert result.returncode == EXIT_BAD_CONFIG, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "nested too deeply" in result.stderr
 
 
 class TestSimulatedAntennaCap:

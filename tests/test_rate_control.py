@@ -100,26 +100,26 @@ class TestScError:
         assert err > 0.0
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_deep_tail_is_the_plain_power(self, main_topology, exact):
+    def test_deep_tail_is_the_plain_power(self, main_dist, exact):
         # F**M is within an ulp of the true power; exp(M*log F) drifts by up
         # to hundreds of ulps, so the deep tail takes the power too
         cdf = sir_cdf_exact if exact else sir_cdf_approx
         for theta in np.logspace(-9.0, -3.5, 23):
             theta = float(theta)
-            assert cdf(theta, main_topology) < 1e-3
+            assert cdf(theta, main_dist) < 1e-3
             for antennas in range(2, 17):
-                expected = cdf(theta, main_topology) ** antennas
-                assert sc_error(theta, main_topology, antennas, exact=exact) == expected
+                expected = cdf(theta, main_dist) ** antennas
+                assert sc_error(theta, main_dist, antennas, exact=exact) == expected
 
-    def test_against_fading_simulation(self, main_topology, rng):
+    def test_against_fading_simulation(self, main_dist, rng):
         # theta=0.1, M=4: error ~ 8e-7, needs 1e7 draws for a meaningful count
         # (drawn in chunks to keep the gain arrays small)
         theta, antennas, trials, chunk = 0.1, 4, 10**7, 5 * 10**5
-        predicted = sc_error(theta, main_topology, antennas=antennas, exact=True)
+        predicted = sc_error(theta, main_dist, antennas=antennas, exact=True)
         errors, done = 0, 0
         while done < trials:
             size = min(chunk, trials - done)
-            sirs = sample_sir_block(main_topology, antennas, size, rng)
+            sirs = sample_sir_block(main_dist, antennas, size, rng)
             errors += int(np.count_nonzero(sirs.max(axis=1) < theta))
             done += size
         empirical = errors / trials
@@ -128,40 +128,42 @@ class TestScError:
 
 
 class TestScKstarExact:
-    def test_monotone_in_target(self, main_topology):
+    def test_monotone_in_target(self, main_dist):
         cfg_loose = LinkConfig(2, 200, 0.999, Scheme.SC)
         cfg_tight = LinkConfig(2, 200, 1e-3, Scheme.SC)
         assert (
-            sc_kstar_exact(main_topology, cfg_loose).k_star
-            > sc_kstar_exact(main_topology, cfg_tight).k_star
+            sc_kstar_exact(main_dist, cfg_loose).k_star
+            > sc_kstar_exact(main_dist, cfg_tight).k_star
         )
 
-    def test_headline_payload(self, main_topology):
+    def test_headline_payload(self, main_dist):
         cfg = LinkConfig(2, 200, 7e-5, Scheme.SC)
-        sol = sc_kstar_exact(main_topology, cfg)
+        sol = sc_kstar_exact(main_dist, cfg)
         assert abs(sol.k_star - 8) <= 1
         assert sol.predicted_epsilon <= 7e-5
 
-    def test_equals_grid_search(self, main_topology):
+    def test_equals_grid_search(self, main_dist):
         cfg = LinkConfig(8, 200, 1e-5, Scheme.SC)
-        sol = sc_kstar_exact(main_topology, cfg)
+        sol = sc_kstar_exact(main_dist, cfg)
         feasible = [
             k
             for k in range(1, 2001)
-            if sc_error(theta_for_rate(k, 200), main_topology, antennas=8, exact=True)
+            if sc_error(theta_for_rate(k, 200), main_dist, antennas=8, exact=True)
             <= 1e-5
         ]
         assert sol.k_star == max(feasible)
 
-    def test_requires_sc_scheme(self, main_topology):
+    def test_requires_sc_scheme(self, main_dist):
         with pytest.raises(ValueError):
-            sc_kstar_exact(main_topology, LinkConfig(2, 200, 1e-4, Scheme.MRC))
+            sc_kstar_exact(main_dist, LinkConfig(2, 200, 1e-4, Scheme.MRC))
 
-    def test_topology_and_its_distribution_solve_identically(self, main_topology):
-        dist = SirDistribution.from_topology(main_topology)
+    def test_topology_and_its_distribution_solve_identically(self, main_dist):
+        # the distances and their path losses give one law, so one solution
+        distances = tuple(10.0 + 20.0 * j for j in range(1, 11))
+        dist = SirDistribution.from_path_losses(20.0**3.5, [r ** (-3.5) for r in distances])
         for eps in (1e-2, 1e-6, 1e-9):
             cfg = LinkConfig(4, 200, eps, Scheme.SC)
-            assert sc_kstar_exact(main_topology, cfg) == sc_kstar_exact(dist, cfg)
+            assert sc_kstar_exact(main_dist, cfg) == sc_kstar_exact(dist, cfg)
 
     def test_few_log_product_evaluations(self, monkeypatch):
         # bisection to 1e-9 on [0, n] called the log product 42 times here
@@ -203,9 +205,9 @@ class TestScKstarApprox:
         ]
         assert sol.k_star == max(feasible)
 
-    def test_within_one_bit_of_exact(self, main_topology, main_dist):
+    def test_within_one_bit_of_exact(self, main_dist):
         cfg = LinkConfig(2, 200, 7e-5, Scheme.SC)
-        exact = sc_kstar_exact(main_topology, cfg)
+        exact = sc_kstar_exact(main_dist, cfg)
         approx = sc_kstar_approx(main_dist, cfg)
         assert abs(approx.k_star - exact.k_star) <= 1
 
@@ -214,7 +216,7 @@ class TestScKstarApprox:
         sol = sc_kstar_approx(dist, LinkConfig(4, 400, 1e-6, Scheme.SC))
         assert sol.k_real == pytest.approx(SC_APPROX_K_REAL_REFERENCE, rel=1e-12)
 
-    def test_never_exceeds_target_under_exact_error(self, main_topology, main_dist):
+    def test_never_exceeds_target_under_exact_error(self, main_dist):
         # the scaled-Lomax CDF upper-bounds the exact one, so the approximate
         # payload is conservative when re-checked exactly, and never exceeds
         # the exact payload; it stays within 1 bit only while the equivalent
@@ -225,12 +227,12 @@ class TestScKstarApprox:
             for antennas in (1, 2, 4):
                 cfg = LinkConfig(antennas, 200, eps, Scheme.SC)
                 sol = sc_kstar_approx(main_dist, cfg)
-                exact_sol = sc_kstar_exact(main_topology, cfg)
+                exact_sol = sc_kstar_exact(main_dist, cfg)
                 assert sol.k_star <= exact_sol.k_star
                 if sol.infeasible:
                     assert exact_sol.k_star <= 1
                     continue
-                exact_err = sc_error(sol.theta, main_topology, antennas=antennas, exact=True)
+                exact_err = sc_error(sol.theta, main_dist, antennas=antennas, exact=True)
                 assert exact_err <= eps
                 if eps ** (1.0 / antennas) <= 0.05:
                     assert sol.k_star >= exact_sol.k_star - 1
@@ -614,15 +616,15 @@ class TestSolutionInvariants:
         mrc = mrc_kstar(dist, LinkConfig(antennas, 200, eps, Scheme.MRC))
         assert mrc.predicted_epsilon <= eps
 
-    def test_payload_scales_linearly_in_blocklength(self, main_dist, main_topology):
+    def test_payload_scales_linearly_in_blocklength(self, main_dist):
         for n in (100, 200, 400):
             cfg_n = LinkConfig(2, n, 1e-4, Scheme.SC)
             cfg_2n = LinkConfig(2, 2 * n, 1e-4, Scheme.SC)
             approx_n = sc_kstar_approx(main_dist, cfg_n).k_real
             approx_2n = sc_kstar_approx(main_dist, cfg_2n).k_real
             assert approx_2n == pytest.approx(2.0 * approx_n, rel=1e-12)
-            exact_n = sc_kstar_exact(main_topology, cfg_n).k_real
-            exact_2n = sc_kstar_exact(main_topology, cfg_2n).k_real
+            exact_n = sc_kstar_exact(main_dist, cfg_n).k_real
+            exact_2n = sc_kstar_exact(main_dist, cfg_2n).k_real
             assert exact_2n == pytest.approx(2.0 * exact_n, rel=1e-6)
 
     def test_payload_monotone_in_target_and_antennas(self, main_dist):

@@ -16,7 +16,7 @@ from urpayload.simulator import (
     sample_sir_block,
     wilson_interval,
 )
-from urpayload.sir_model import SirDistribution, Topology, sir_cdf_exact
+from urpayload.sir_model import SirDistribution, sir_cdf_exact
 
 from .test_sir_model import SETUP_A, SETUP_B, SETUP_C
 
@@ -48,7 +48,7 @@ class TestSampleSir:
 
     def test_symmetric_exponential_ratio(self, rng):
         # single interferer at the serving distance: SIR = h/g, CDF x/(1+x)
-        topology = Topology(25.0, (25.0,), 3.5)
+        topology = SirDistribution.from_geometry(25.0, (25.0,), 3.5)
         sirs = sample_sir_block(topology, 1, 10**6, rng)[:, 0]
         empirical = np.count_nonzero(sirs < 1.0) / sirs.size
         sigma = math.sqrt(0.25 / sirs.size)
@@ -147,23 +147,23 @@ class TestRunSim:
         again = run_sim(spec_for(SETUP_B, trials=100_001, workers=4))
         assert report.json_record() == again.json_record()
 
-    def test_analytic_error_inside_interval(self, main_topology):
+    def test_analytic_error_inside_interval(self, main_dist):
         k, n, antennas = 14, 200, 2
         predicted = sc_error(
-            theta_for_rate(k, n), main_topology, antennas=antennas, exact=True
+            theta_for_rate(k, n), main_dist, antennas=antennas, exact=True
         )
         report = run_sim(
-            spec_for(main_topology, antennas=antennas, threshold_bits=k, trials=10**6)
+            spec_for(main_dist, antennas=antennas, threshold_bits=k, trials=10**6)
         )
         assert report.ci95[0] <= predicted <= report.ci95[1]
 
-    def test_fb_semantics_matches_average_error(self, main_dist, main_topology):
+    def test_fb_semantics_matches_average_error(self, main_dist):
         # law of total expectation: Bernoulli draws with the conditional
         # error probability average to the integrated error
         k, n = 10, 200
         report = run_sim(
             spec_for(
-                main_topology,
+                main_dist,
                 threshold_bits=k,
                 semantics=Semantics.FINITE_BLOCKLENGTH,
                 trials=10**6,
@@ -177,10 +177,10 @@ class TestRunSim:
         margin = 0.05 * predicted
         assert lo - margin <= predicted <= hi + margin
 
-    def test_variance_reduced_mode(self, main_topology):
+    def test_variance_reduced_mode(self, main_dist):
         bernoulli = run_sim(
             spec_for(
-                main_topology,
+                main_dist,
                 threshold_bits=10,
                 semantics=Semantics.FINITE_BLOCKLENGTH,
                 trials=10**6,
@@ -188,7 +188,7 @@ class TestRunSim:
         )
         averaged = run_sim(
             spec_for(
-                main_topology,
+                main_dist,
                 threshold_bits=10,
                 semantics=Semantics.FINITE_BLOCKLENGTH,
                 trials=10**6,
@@ -265,7 +265,7 @@ class TestSimSpecFile:
         )
         spec = load_sim_spec(path)
         direct = SimSpec(
-            topology=Topology(20.0, (30.0, 70.0, 110.0), 3.5),
+            topology=SirDistribution.from_geometry(20.0, (30.0, 70.0, 110.0), 3.5),
             antennas=2,
             scheme=Scheme.SC,
             threshold_bits=8,

@@ -11,7 +11,6 @@ from scipy import integrate
 from urpayload.simulator import sample_sir_block
 from urpayload.sir_model import (
     SirDistribution,
-    Topology,
     load_topology,
     sir_cdf_approx,
     sir_cdf_exact,
@@ -24,42 +23,56 @@ BETA_SETUP_A = 0.78625970537522757
 BETA_SETUP_B = 0.30610241824737902
 BETA_SETUP_C = 0.010709300113796469
 
-SETUP_A = Topology(30.0, tuple(30.0 + 10.0 * j for j in range(1, 21)), 3.5)
-SETUP_B = Topology(20.0, tuple(10.0 + 20.0 * j for j in range(1, 11)), 3.5)
-SETUP_C = Topology(10.0, tuple(20.0 + 20.0 * j for j in range(1, 5)), 3.5)
+# (serving distance, interferer distances, path-loss exponent)
+GEOMETRY_A = (30.0, tuple(30.0 + 10.0 * j for j in range(1, 21)), 3.5)
+GEOMETRY_B = (20.0, tuple(10.0 + 20.0 * j for j in range(1, 11)), 3.5)
+GEOMETRY_C = (10.0, tuple(20.0 + 20.0 * j for j in range(1, 5)), 3.5)
+SETUP_A = SirDistribution.from_geometry(*GEOMETRY_A)
+SETUP_B = SirDistribution.from_geometry(*GEOMETRY_B)
+SETUP_C = SirDistribution.from_geometry(*GEOMETRY_C)
 
 
-def random_topology(rng: np.random.Generator) -> Topology:
+def random_topology(rng: np.random.Generator) -> SirDistribution:
     eta = int(rng.integers(1, 20))
     r0 = float(rng.uniform(5.0, 60.0))
     distances = tuple(float(d) for d in rng.uniform(0.3 * r0, 50.0 * r0, size=eta))
     alpha = float(rng.uniform(2.05, 6.0))
-    return Topology(r0, distances, alpha)
+    return SirDistribution.from_geometry(r0, distances, alpha)
 
 
 class TestTopology:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            Topology(0.0, (10.0,), 3.5)
+            SirDistribution.from_geometry(0.0, (10.0,), 3.5)
         with pytest.raises(ValueError):
-            Topology(10.0, (), 3.5)
+            SirDistribution.from_geometry(10.0, (), 3.5)
         with pytest.raises(ValueError):
-            Topology(10.0, (10.0, -1.0), 3.5)
+            SirDistribution.from_geometry(10.0, (10.0, -1.0), 3.5)
         with pytest.raises(ValueError):
-            Topology(10.0, (10.0,), 2.0)  # diverging far-field sum
+            SirDistribution.from_geometry(10.0, (10.0,), 2.0)  # diverging far-field sum
 
     def test_duplicate_distances_allowed(self):
-        topology = Topology(10.0, (15.0, 15.0, 15.0), 3.5)
+        topology = SirDistribution.from_geometry(10.0, (15.0, 15.0, 15.0), 3.5)
         assert topology.eta == 3
 
     def test_exact_law_equals_its_distribution(self):
-        # the distances add nothing to the law: both objects evaluate bit-equal
-        for topology in (SETUP_A, SETUP_B, SETUP_C):
-            dist = SirDistribution.from_topology(topology)
-            assert type(dist) is SirDistribution
+        # the distances add nothing to the law: their path losses evaluate bit-equal
+        for r0, distances, alpha in (GEOMETRY_A, GEOMETRY_B, GEOMETRY_C):
+            topology = SirDistribution.from_geometry(r0, distances, alpha)
+            dist = SirDistribution.from_path_losses(r0**alpha, [r ** (-alpha) for r in distances])
             for gamma in (0.0, 1e-7, 1e-3, 0.05, 2.0):
                 assert sir_cdf_exact(gamma, topology) == sir_cdf_exact(gamma, dist)
                 assert sir_pdf_exact(gamma, topology) == sir_pdf_exact(gamma, dist)
+
+    @pytest.mark.parametrize("geometry", [GEOMETRY_A, GEOMETRY_B, GEOMETRY_C])
+    def test_from_geometry_is_the_literal_formula(self, geometry):
+        # w_j = r0^alpha * r_j^(-alpha) and beta = fsum(w), bit for bit
+        r0, distances, alpha = geometry
+        dist = SirDistribution.from_geometry(r0, distances, alpha)
+        weights = tuple(r0**alpha * r ** (-alpha) for r in distances)
+        assert dist.path_losses == weights
+        assert dist.beta == math.fsum(weights)
+        assert dist.eta == len(distances)
 
 
 class TestBeta:
@@ -67,7 +80,7 @@ class TestBeta:
         assert SETUP_B.beta == pytest.approx(0.306102, abs=5e-7)
 
     def test_equal_distances_cancel(self):
-        assert Topology(1.0, (1.0,), 3.5).beta == pytest.approx(1.0)
+        assert SirDistribution.from_geometry(1.0, (1.0,), 3.5).beta == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
         "topology,frozen",
@@ -77,8 +90,9 @@ class TestBeta:
         assert topology.beta == pytest.approx(frozen, rel=1e-14)
 
     def test_generalized_path_loss_entry_point(self):
-        l0 = SETUP_B.r0**SETUP_B.alpha
-        lj = [r ** (-SETUP_B.alpha) for r in SETUP_B.interferer_distances]
+        r0, distances, alpha = GEOMETRY_B
+        l0 = r0**alpha
+        lj = [r ** (-alpha) for r in distances]
         assert SirDistribution.from_path_losses(l0, lj).beta == pytest.approx(
             SETUP_B.beta, rel=1e-14
         )
@@ -92,7 +106,8 @@ class TestBeta:
 
 class TestSirDistribution:
     def test_from_topology_sums_to_beta(self):
-        dist = SirDistribution.from_topology(SETUP_B)
+        dist = SirDistribution.from_topology(SETUP_B)  # a copy of any law
+        assert dist == SETUP_B
         assert math.fsum(dist.path_losses) == pytest.approx(dist.beta, rel=1e-12)
         assert dist.eta == 10
 
@@ -105,9 +120,14 @@ class TestSirDistribution:
                 sir_cdf_approx(gamma, dist), rel=1e-12
             )
 
+    def test_eta_counts_the_weights(self):
+        assert SirDistribution(0.3, (0.1, 0.2)).eta == 2
+        with pytest.raises(TypeError):  # derived, so never passed
+            SirDistribution(0.3, (0.1, 0.2), eta=2)
+
     def test_inconsistent_beta_rejected(self):
         with pytest.raises(ValueError):
-            SirDistribution(eta=2, beta=1.0, path_losses=(0.1, 0.1))
+            SirDistribution(beta=1.0, path_losses=(0.1, 0.1))
 
     def test_non_integer_eta_rejected(self):
         with pytest.raises(ValueError):
@@ -117,13 +137,13 @@ class TestSirDistribution:
         with pytest.raises(ValueError, match="finite"):
             SirDistribution.from_beta(math.inf, 10)
         with pytest.raises(ValueError, match="finite"):
-            SirDistribution(eta=2, beta=1.0, path_losses=(math.inf, 1.0))
+            SirDistribution(beta=1.0, path_losses=(math.inf, 1.0))
         with pytest.raises(ValueError, match="finite"):
             SirDistribution.from_path_losses(1e300, [1e300])
         with pytest.raises(ValueError, match="finite"):
-            Topology(math.inf, (30.0, 50.0), 3.5)
+            SirDistribution.from_geometry(math.inf, (30.0, 50.0), 3.5)
         with pytest.raises(ValueError):
-            Topology(20.0, (30.0, math.nan), 3.5)
+            SirDistribution.from_geometry(20.0, (30.0, math.nan), 3.5)
 
     def test_sum_overflowing_in_fsum_rejected(self):
         # three thirds of the largest double: fsum's partial sums overflow
@@ -138,7 +158,7 @@ class TestExactCdf:
 
     def test_single_equidistant_interferer(self):
         # SIR = h/g with h, g unit exponentials: CDF x/(1+x); at x=1 -> 1/2
-        topology = Topology(25.0, (25.0,), 3.5)
+        topology = SirDistribution.from_geometry(25.0, (25.0,), 3.5)
         assert sir_cdf_exact(1.0, topology) == pytest.approx(0.5, rel=1e-12)
 
     def test_against_fading_samples(self, rng):
@@ -159,18 +179,15 @@ class TestExactCdf:
 
 class TestApproxCdf:
     def test_zero_threshold(self):
-        dist = SirDistribution.from_topology(SETUP_B)
-        assert sir_cdf_approx(0.0, dist) == 0.0
+        assert sir_cdf_approx(0.0, SETUP_B) == 0.0
 
     def test_upper_bounds_exact_generic_point(self):
-        dist = SirDistribution.from_topology(SETUP_B)
-        gamma = dist.eta * (2.0**1.0 - 1.0) / dist.beta
-        assert sir_cdf_approx(gamma, dist) >= sir_cdf_exact(gamma, SETUP_B)
+        gamma = SETUP_B.eta * (2.0**1.0 - 1.0) / SETUP_B.beta
+        assert sir_cdf_approx(gamma, SETUP_B) >= sir_cdf_exact(gamma, SETUP_B)
 
     def test_left_tail_gap_is_small(self):
-        dist = SirDistribution.from_topology(SETUP_B)
         exact = sir_cdf_exact(0.02, SETUP_B)
-        approx = sir_cdf_approx(0.02, dist)
+        approx = sir_cdf_approx(0.02, SETUP_B)
         assert exact <= 1e-2  # this point sits in the left tail
         assert (approx - exact) / exact < 3.5e-3
 
@@ -178,10 +195,9 @@ class TestApproxCdf:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_upper_bound_property_randomized(self, seed):
         rng = np.random.default_rng(seed)
-        topology = random_topology(rng)
-        dist = SirDistribution.from_topology(topology)
+        dist = random_topology(rng)
         gamma = float(10.0 ** rng.uniform(-6.0, 2.0))
-        exact = sir_cdf_exact(gamma, topology)
+        exact = sir_cdf_exact(gamma, dist)
         approx = sir_cdf_approx(gamma, dist)
         assert approx >= exact - 1e-15 * max(exact, 1e-300)
 
@@ -190,8 +206,7 @@ class TestApproxCdf:
         st.floats(min_value=1e-4, max_value=5.0),
     )
     def test_monotone_nondecreasing(self, gamma, step):
-        dist = SirDistribution.from_topology(SETUP_B)
-        assert sir_cdf_approx(gamma + step, dist) >= sir_cdf_approx(gamma, dist)
+        assert sir_cdf_approx(gamma + step, SETUP_B) >= sir_cdf_approx(gamma, SETUP_B)
         assert sir_cdf_exact(gamma + step, SETUP_B) >= sir_cdf_exact(gamma, SETUP_B)
 
 
@@ -200,33 +215,29 @@ class TestScaledLomaxIdentity:
         # SIR = scale * X where X has CDF 1 - (1 + (q/p) y)^(-p) with p=eta,
         # q=1 evaluated at y = gamma * beta: algebraic identity with the
         # scaled-Lomax CDF
-        dist = SirDistribution.from_topology(SETUP_B)
-        eta, beta = dist.eta, dist.beta
+        eta, beta = SETUP_B.eta, SETUP_B.beta
         for gamma in np.logspace(-6.0, 2.0, 50):
             y = gamma * beta
             reference = -math.expm1(-eta * math.log1p(y / eta))
-            assert sir_cdf_approx(float(gamma), dist) == pytest.approx(
+            assert sir_cdf_approx(float(gamma), SETUP_B) == pytest.approx(
                 reference, rel=1e-12, abs=1e-300
             )
 
 
 class TestApproxPdf:
     def test_value_at_origin_is_beta(self):
-        dist = SirDistribution.from_topology(SETUP_B)
-        assert sir_pdf_approx(0.0, dist) == dist.beta
+        assert sir_pdf_approx(0.0, SETUP_B) == SETUP_B.beta
 
     def test_normalization(self):
-        dist = SirDistribution.from_topology(SETUP_B)
-        mass, _ = integrate.quad(lambda x: sir_pdf_approx(x, dist), 0.0, math.inf)
+        mass, _ = integrate.quad(lambda x: sir_pdf_approx(x, SETUP_B), 0.0, math.inf)
         assert mass == pytest.approx(1.0, rel=1e-9)
 
     def test_central_difference_of_cdf(self):
-        dist = SirDistribution.from_topology(SETUP_B)
         gamma, h = 0.05, 1e-6
         derivative = (
-            sir_cdf_approx(gamma + h, dist) - sir_cdf_approx(gamma - h, dist)
+            sir_cdf_approx(gamma + h, SETUP_B) - sir_cdf_approx(gamma - h, SETUP_B)
         ) / (2.0 * h)
-        assert sir_pdf_approx(gamma, dist) == pytest.approx(derivative, rel=1e-6)
+        assert sir_pdf_approx(gamma, SETUP_B) == pytest.approx(derivative, rel=1e-6)
 
 
 class TestExactPdf:
@@ -248,10 +259,9 @@ class TestTopologyFile:
         path.write_text(
             json.dumps({"r0": 20, "alpha": 3.5, "interferers": [30, 50, 70]})
         )
-        topology = load_topology(path)
-        assert isinstance(topology, Topology)
-        assert isinstance(topology, SirDistribution)
-        assert topology.eta == 3
+        dist = load_topology(path)
+        assert dist == SirDistribution.from_geometry(20.0, (30.0, 50.0, 70.0), 3.5)
+        assert dist.eta == 3
 
     def test_path_loss_layout(self, tmp_path):
         path = tmp_path / "topology.json"
@@ -260,7 +270,7 @@ class TestTopologyFile:
         path.write_text(json.dumps({"path_losses": {"l0": l0, "lj": lj}}))
         dist = load_topology(path)
         assert isinstance(dist, SirDistribution)
-        reference = Topology(20.0, (30.0, 50.0, 70.0), 3.5)
+        reference = SirDistribution.from_geometry(20.0, (30.0, 50.0, 70.0), 3.5)
         assert dist.beta == pytest.approx(reference.beta, rel=1e-12)
 
     def test_exactly_one_layout_required(self, tmp_path):
