@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 from .numerics import (
     Bracket,
@@ -43,6 +42,7 @@ from .numerics import (
     grid_is_kept,
     integrate_semi_infinite,
     log_grid,
+    special as _special,
     trapezoid_from_sums,
 )
 from .rate_control import (

@@ -16,11 +16,11 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _special
 
 from .numerics import (
     Bracket,
     find_root_monotone,
+    special as _special,
 )
 from .sir_model import (
     SirDistribution,

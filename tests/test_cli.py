@@ -408,6 +408,18 @@ class TestDeeplyNestedJson:
         assert "nested too deeply" in result.stderr
 
 
+class TestInterfererCap:
+    @pytest.mark.parametrize("argv", [["rate", "--eps", "1e-3"], ["simulate", "--k", "5"]])
+    def test_huge_eta_is_config_error(self, argv):
+        # (beta / eta,) * eta raised OverflowError: a traceback and exit 1
+        result = run_cli_in_subprocess(
+            argv, source=("--beta", "0.8", "--eta", "100000000000000000000")
+        )
+        assert result.returncode == EXIT_BAD_CONFIG, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "eta must be at most" in result.stderr
+
+
 class TestSimulatedAntennaCap:
     def test_huge_antenna_count_is_config_error(self):
         # filled a 10 x 10**8 serving-gain array before the cap

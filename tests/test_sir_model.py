@@ -10,6 +10,7 @@ from scipy import integrate
 
 from urpayload.simulator import sample_sir_block
 from urpayload.sir_model import (
+    _MAX_ETA,
     SirDistribution,
     load_topology,
     sir_cdf_approx,
@@ -150,6 +151,21 @@ class TestSirDistribution:
         # although the sum itself rounds into range
         with pytest.raises(ValueError, match="overflows"):
             SirDistribution.from_beta(sys.float_info.max, 3)
+
+    @pytest.mark.parametrize("eta", [_MAX_ETA + 1, 10**20])
+    def test_eta_past_the_cap_rejected(self, eta):
+        # (beta / eta,) * eta raised OverflowError at 10**20, and below that
+        # the law cost time and memory in proportion to eta
+        with pytest.raises(ValueError, match="eta must be at most"):
+            SirDistribution.from_beta(0.8, eta)
+
+    def test_every_law_is_capped(self):
+        weights = (1e-6,) * (_MAX_ETA + 1)
+        with pytest.raises(ValueError, match="eta must be at most"):
+            SirDistribution(math.fsum(weights), weights)
+        with pytest.raises(ValueError, match="eta must be at most"):
+            SirDistribution.from_path_losses(1.0, weights)
+        assert SirDistribution.from_beta(0.8, _MAX_ETA).eta == _MAX_ETA
 
 
 class TestExactCdf:
