@@ -18,7 +18,7 @@ import sys
 import time
 
 from urpayload.rate_control import Scheme
-from urpayload.simulator import Semantics
+from urpayload.simulator import Semantics, whole_number
 from urpayload.sweeps import CDF_SETUPS
 from urpayload.validation import MonteCarloPoint, check_montecarlo
 
@@ -35,7 +35,7 @@ POINTS = (
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=lambda s: int(float(s)), default=10**8)
+    parser.add_argument("--trials", type=whole_number, default=10**8)
     parser.add_argument("--seed", type=int, default=99)
     parser.add_argument("--workers", type=int, default=6)
     args = parser.parse_args()

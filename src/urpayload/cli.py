@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional, Sequence
 
 from .rate_control import LinkConfig, Method, Scheme
-from .simulator import Semantics, SimSpec, load_sim_spec, run_sim
+from .simulator import Semantics, SimSpec, load_sim_spec, run_sim, whole_number
 from .sir_model import SirDistribution, load_topology
 from .sweeps import (
     Axis,
@@ -71,14 +70,6 @@ class _Parser(argparse.ArgumentParser):
                 typed.__name__ = getattr(convert, "__name__", "value")  # argparse's messages
                 kwargs.update(default=raw, type=typed)
         return super().add_argument(*names, **kwargs)
-
-
-def _count(raw) -> int:
-    # accepts "1e7"-style counts
-    value = float(raw)
-    if not (math.isfinite(value) and value.is_integer()):
-        raise ValueError(f"not an integer count: {raw!r}")
-    return int(value)
 
 
 def _add_source_flags(parser: argparse.ArgumentParser) -> None:
@@ -290,7 +281,7 @@ def build_parser() -> _Parser:
         choices=[s.value for s in Semantics],
         default=Semantics.ASYMPTOTIC.value,
     )
-    simulate.add_argument("--trials", type=_count, default=10**6)
+    simulate.add_argument("--trials", type=whole_number, default=10**6)
     simulate.add_argument("--seed", type=int, default=7)
     simulate.add_argument("--workers", type=int, default=1)
     simulate.add_argument(
@@ -309,7 +300,7 @@ def build_parser() -> _Parser:
     validate = sub.add_parser("validate", help="run named self-checks")
     validate.add_argument("scope", choices=list(SCOPES))
     # default sized as a quick screen; use --trials 1e7 for the full-depth run
-    validate.add_argument("--trials", type=_count, default=2 * 10**5)
+    validate.add_argument("--trials", type=whole_number, default=2 * 10**5)
     # default seed pinned where sampling noise stays inside the Monte Carlo
     # intervals; any seed passes each unbiased point ~95% of the time
     validate.add_argument("--seed", type=int, default=8)

@@ -224,6 +224,15 @@ def _finish(
     )
 
 
+def _settle(
+    method: Method, cfg: LinkConfig, k_real: float, error_at_theta: Callable[[float], float]
+) -> RateSolution:
+    """The largest payload k near k_real whose error_at_theta(theta(k)) meets the target."""
+    n = cfg.blocklength
+    k, e = _max_feasible_k(lambda j: error_at_theta(theta_for_rate(j, n)), cfg.epsilon_th, k_real)
+    return _finish(k, k_real, e, n, method)
+
+
 def sc_kstar_exact(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     """Maximum payload under SC from the exact product-form constraint.
 
@@ -246,12 +255,7 @@ def sc_kstar_exact(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     while log_product(hi) < target:
         hi *= 2.0
     k_real = find_root_monotone(log_product, target, Bracket(0.0, hi), tol=1e-9)
-
-    def err(k: int) -> float:
-        return sc_error(theta_for_rate(k, n), dist, m, exact=True)
-
-    k, e = _max_feasible_k(err, eps, k_real)
-    return _finish(k, k_real, e, n, Method.SC_EXACT)
+    return _settle(Method.SC_EXACT, cfg, k_real, lambda t: sc_error(t, dist, m, exact=True))
 
 
 def sc_kstar_approx(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
@@ -263,14 +267,8 @@ def sc_kstar_approx(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     """
     if cfg.scheme is not Scheme.SC:
         raise ValueError("sc_kstar_approx requires an SC-scheme config")
-    n, m, eps = cfg.blocklength, cfg.antennas, cfg.epsilon_th
     k_real = _closed_form_k_real(dist, cfg)
-
-    def err(k: int) -> float:
-        return sc_error(theta_for_rate(k, n), dist=dist, antennas=m)
-
-    k, e = _max_feasible_k(err, eps, k_real)
-    return _finish(k, k_real, e, n, Method.SC_APPROX)
+    return _settle(Method.SC_APPROX, cfg, k_real, lambda t: sc_error(t, dist, cfg.antennas))
 
 
 def sc_pdf(x, dist: SirDistribution, antennas: int):
@@ -285,8 +283,6 @@ def sc_pdf(x, dist: SirDistribution, antennas: int):
     with np.errstate(over="ignore"):
         log_arg = np.log1p(x * dist.beta / dist.eta)
     pdf = dist.beta * np.exp(-(dist.eta + 1) * log_arg)
-    if antennas == 1:
-        return pdf
     cdf = -np.expm1(-dist.eta * log_arg)
     return antennas * cdf ** (antennas - 1) * pdf
 
@@ -502,21 +498,15 @@ def mrc_kstar(
     """
     if cfg.scheme is not Scheme.MRC:
         raise ValueError("mrc_kstar requires an MRC-scheme config")
-    n, m, eps = cfg.blocklength, cfg.antennas, cfg.epsilon_th
+    m = cfg.antennas
     method = Method(method)
     if method is Method.MRC_NUMERIC:
-        quantile = mrc_quantile_numeric(eps, m, dist.eta)
+        k_real = _k_real(cfg.blocklength, dist, mrc_quantile_numeric(cfg.epsilon_th, m, dist.eta))
     elif method is Method.MRC_CLOSED:
-        quantile = mrc_quantile_closed(eps, m, dist.eta)
+        k_real = _closed_form_k_real(dist, cfg)
     else:
         raise ValueError(f"mrc_kstar requires an MRC method, got {method.value}")
-    k_real = _k_real(n, dist, quantile)
-
-    def err(k: int) -> float:
-        return mrc_error(theta_for_rate(k, n), dist, m)
-
-    k, e = _max_feasible_k(err, eps, k_real)
-    return _finish(k, k_real, e, n, method)
+    return _settle(method, cfg, k_real, lambda t: mrc_error(t, dist, m))
 
 
 def combined_sir_pdf(x, dist: SirDistribution, antennas: int, scheme: Scheme):

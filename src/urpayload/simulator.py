@@ -27,7 +27,7 @@ import numpy as np
 
 from .finite_blocklength import fb_error_conditional
 from .rate_control import Scheme, theta_for_rate
-from .sir_model import SirDistribution, parse_topology, read_json
+from .sir_model import SirDistribution, check_fields, parse_topology, read_json
 
 __all__ = [
     "Semantics",
@@ -37,6 +37,7 @@ __all__ = [
     "load_sim_spec",
     "run_sim",
     "sample_sir_block",
+    "whole_number",
     "wilson_interval",
 ]
 
@@ -47,6 +48,12 @@ _CHUNK_GAINS = 1 << 18
 # SIR, and the interference) per worker, 1 MiB per antenna: 256 MiB at this
 # cap. Far beyond it the allocation alone outgrows memory and the run stalls.
 _MAX_ANTENNAS = 256
+# run_sim holds about 1.6 KB of bookkeeping per block of _BLOCK_TRIALS trials
+# (its future and result), some 240 MB at this cap
+_MAX_TRIALS = 10**10
+# The thread pool starts a thread per submitted block while none is idle, up
+# to `workers`; a fixed cap keeps a spec valid on one machine valid on all.
+_MAX_WORKERS = 256
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -87,10 +94,10 @@ class SimSpec:
             raise ValueError(
                 f"antennas must be at most {_MAX_ANTENNAS} in simulation, got {self.antennas}"
             )
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not 1 <= self.trials <= _MAX_TRIALS:
+            raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}], got {self.trials}")
+        if not 1 <= self.workers <= _MAX_WORKERS:
+            raise ValueError(f"workers must lie in [1, {_MAX_WORKERS}], got {self.workers}")
         if self.threshold_bits < 0:
             raise ValueError(f"threshold_bits must be >= 0, got {self.threshold_bits}")
         if self.blocklength < 1:
@@ -106,7 +113,8 @@ class SimSpec:
             if self.trials < needed:
                 raise UndersampledError(
                     f"{self.trials} trials cannot resolve epsilon ~ {self.epsilon_target:g} "
-                    f"(need >= {needed:.3g}); pass allow_undersampled to override"
+                    f"(need >= {needed:.3g}); pass allow_undersampled (the CLI's "
+                    "--allow-undersampled) to override"
                 )
 
 
@@ -141,10 +149,8 @@ class SimReport:
         )
 
 
-def _whole(doc: dict, key: str, default: Optional[int] = None) -> int:
-    # a finite whole number, as the CLI's counts: 1e4 is 10000; 2.7, a JSON
-    # 1e400 (read as inf) and true are not; integers pass exactly
-    raw = doc.get(key, default)
+def whole_number(raw, name: str = "count") -> int:
+    """A count from the CLI or a spec: an int as is, 1e4 or "1e4" as 10000; 2.7 or inf fails."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     try:
@@ -152,8 +158,12 @@ def _whole(doc: dict, key: str, default: Optional[int] = None) -> int:
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value.is_integer()):
-        raise ValueError(f"simulation spec field {key!r} must be a whole number, got {raw!r}")
+        raise ValueError(f"{name} must be a whole number, got {raw!r}")
     return int(value)
+
+
+def _whole(doc: dict, key: str, default: Optional[int] = None) -> int:
+    return whole_number(doc.get(key, default), f"simulation spec field {key!r}")
 
 
 def _flag(doc: dict, key: str) -> bool:
@@ -180,19 +190,18 @@ def load_sim_spec(path) -> SimSpec:
     losses), antennas, scheme, k, n, semantics, trials, seed. Optional:
     workers, variance_reduced, epsilon_target, allow_undersampled. Counts
     must be finite whole numbers, the two flags JSON true or false, and
-    epsilon_target a JSON number; anything else is a ValueError that names
-    the field.
+    epsilon_target a JSON number; anything else, a missing key or any other
+    key is a ValueError that names the field.
     """
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("simulation spec must be a JSON object")
-    missing = [
-        key
-        for key in ("topology", "antennas", "scheme", "k", "n", "semantics", "trials", "seed")
-        if key not in doc
-    ]
-    if missing:
-        raise ValueError(f"simulation spec missing fields: {missing}")
+    check_fields(
+        doc,
+        "simulation spec",
+        ("topology", "antennas", "scheme", "k", "n", "semantics", "trials", "seed"),
+        ("workers", "variance_reduced", "epsilon_target", "allow_undersampled"),
+    )
     return SimSpec(
         topology=parse_topology(doc["topology"]),
         antennas=_whole(doc, "antennas"),
@@ -209,15 +218,15 @@ def load_sim_spec(path) -> SimSpec:
     )
 
 
-def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion; robust at extreme rates.
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion; robust at extreme rates.
 
     The interval ends exactly at 0 with no errors and at 1 with all errors,
     where center - half and center + half would miss them by rounding.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p = errors / trials
+    p, z = errors / trials, _Z95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
@@ -290,13 +299,8 @@ def run_sim(spec: SimSpec) -> SimReport:
     theta = None  # the finite-blocklength error needs no threshold
     if spec.semantics is Semantics.ASYMPTOTIC:
         theta = theta_for_rate(spec.threshold_bits, spec.blocklength)
-    blocks = []
-    remaining, index = spec.trials, 0
-    while remaining > 0:
-        size = min(_BLOCK_TRIALS, remaining)
-        blocks.append((index, size))
-        remaining -= size
-        index += 1
+    starts = range(0, spec.trials, _BLOCK_TRIALS)
+    blocks = [(b, min(_BLOCK_TRIALS, spec.trials - start)) for b, start in enumerate(starts)]
 
     if spec.workers == 1 or len(blocks) == 1:
         results = [_run_block(spec, theta, b, size) for b, size in blocks]

@@ -189,6 +189,18 @@ def load_topology(path: str | Path) -> SirDistribution:
     return parse_topology(read_json(path))
 
 
+def check_fields(
+    doc: dict, name: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> None:
+    """Refuse a JSON object `name` that lacks a required key or has one outside its layout."""
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"{name} missing fields: {missing}")
+    unknown = sorted(set(doc).difference(required, optional))
+    if unknown:
+        raise ValueError(f"{name} has unknown fields: {unknown}")
+
+
 def _float(value, key: str) -> float:
     # bool is an int in Python, and JSON's true is no distance
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -220,8 +232,9 @@ def parse_topology(doc: dict) -> SirDistribution:
     Both layouts return the SirDistribution they determine, through
     SirDistribution.from_geometry or SirDistribution.from_path_losses. The
     document and `path_losses` must be objects, `interferers` and `lj` lists
-    of numbers, and `r0`, `alpha` and `l0` numbers; anything else is a
-    ValueError that names the field.
+    of numbers, and `r0`, `alpha` and `l0` numbers; anything else, a
+    missing key or a key outside the layout is a ValueError that names the
+    field.
     """
     _object(doc, "topology")
     has_distances = "interferers" in doc
@@ -231,18 +244,15 @@ def parse_topology(doc: dict) -> SirDistribution:
             "topology file must contain exactly one of 'interferers' or 'path_losses'"
         )
     if has_distances:
-        missing = [key for key in ("r0", "alpha") if key not in doc]
-        if missing:
-            raise ValueError(f"topology file missing fields: {missing}")
+        check_fields(doc, "topology file", ("r0", "alpha", "interferers"))
         return SirDistribution.from_geometry(
             _float(doc["r0"], "r0"),
             _floats(doc["interferers"], "interferers"),
             _float(doc["alpha"], "alpha"),
         )
+    check_fields(doc, "topology file", ("path_losses",))
     losses = _object(doc["path_losses"], "topology field 'path_losses'")
-    missing = [key for key in ("l0", "lj") if key not in losses]
-    if missing:
-        raise ValueError(f"path_losses object missing fields: {missing}")
+    check_fields(losses, "path_losses object", ("l0", "lj"))
     return SirDistribution.from_path_losses(
         _float(losses["l0"], "l0"), _floats(losses["lj"], "lj")
     )

@@ -428,6 +428,82 @@ class TestSimulatedAntennaCap:
         assert "antennas must be at most 256" in result.stderr
 
 
+SPEC_DOC = {
+    "topology": {"r0": 20, "alpha": 3.5, "interferers": [30, 70]},
+    "antennas": 1,
+    "scheme": "sc",
+    "k": 6,
+    "n": 200,
+    "semantics": "asymptotic",
+    "trials": 1000,
+    "seed": 9,
+}
+
+
+class TestRunSizeAndLayout:
+    # SimSpec checked only trials >= 1 and workers >= 1: 10^13 trials built
+    # run_sim's per-block list until the process was killed, and its pool
+    # starts a thread per block up to `workers`. A key outside a JSON layout
+    # was ignored, so a misspelt optional key ran as if it were absent.
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["simulate", "--k", "10", "--trials", "1e13"], "trials must lie in"),
+            (["simulate", "--k", "10", "--trials", "1000", "--workers", "100000"],
+             "workers must lie in"),
+            (["validate", "montecarlo", "--trials", "1e13"], "trials must lie in"),
+            (["validate", "montecarlo", "--workers", "100000"], "workers must lie in"),
+        ],
+        ids=["simulate-trials", "simulate-workers", "validate-trials", "validate-workers"],
+    )
+    def test_run_size_past_its_cap_is_config_error(self, argv, message):
+        source = ("--beta", "0.8", "--eta", "8") if argv[0] == "simulate" else ()
+        result = run_cli_in_subprocess(argv, source=source)
+        assert result.returncode == EXIT_BAD_CONFIG, result.stderr
+        assert "Traceback" not in result.stderr
+        assert message in result.stderr
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"trials": 1e13}, "trials must lie in"),
+            ({"workers": 100000}, "workers must lie in"),
+            ({"extra": 1}, "unknown fields: ['extra']"),
+            ({"varaince_reduced": True}, "unknown fields: ['varaince_reduced']"),
+            (
+                {"topology": {"r0": 20, "alpha": 3.5, "interferers": [30, 70], "name": "B"}},
+                "unknown fields: ['name']",
+            ),
+        ],
+        ids=["trials", "workers", "extra-key", "misspelt-key", "topology-key"],
+    )
+    def test_spec_file_is_config_error(self, change, message, tmp_path):
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps({**SPEC_DOC, **change}))
+        result = run_cli_in_subprocess(["simulate", "--spec", str(spec_path)], source=())
+        assert result.returncode == EXIT_BAD_CONFIG, result.stderr
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert message in result.stderr
+
+    @pytest.mark.parametrize(
+        "doc,key",
+        [
+            ({"r0": 20, "alpha": 3.5, "interferers": [30, 70], "aplha": 4}, "aplha"),
+            ({"path_losses": {"l0": 1e4, "lj": [1e-5, 2e-5]}, "r0": 20}, "r0"),
+            ({"path_losses": {"l0": 1e4, "lj": [1e-5, 2e-5], "unit": "dB"}}, "unit"),
+        ],
+        ids=["distances", "path-losses", "path-losses-object"],
+    )
+    def test_rate_topology_with_unknown_key_is_config_error(self, doc, key, tmp_path, capsys):
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["rate", "--topology", str(path), "--eps", "1e-3"], capsys)
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert f"unknown fields: [{key!r}]" in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFloatRangeEdges:
     @pytest.mark.parametrize(
@@ -782,6 +858,7 @@ class TestSimulate:
         )
         assert code == EXIT_BAD_CONFIG
         assert "allow_undersampled" in err
+        assert "--allow-undersampled" in err
 
 
 class TestValidate:

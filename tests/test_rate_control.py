@@ -237,6 +237,10 @@ class TestScKstarApprox:
                 if eps ** (1.0 / antennas) <= 0.05:
                     assert sol.k_star >= exact_sol.k_star - 1
 
+    def test_requires_sc_scheme(self, main_dist):
+        with pytest.raises(ValueError, match="SC-scheme"):
+            sc_kstar_approx(main_dist, LinkConfig(2, 200, 1e-4, Scheme.MRC))
+
 
 class TestScPdf:
     def test_single_antenna_reduces_to_marginal(self, main_dist):
@@ -523,8 +527,9 @@ class TestMrcKstar:
             assert mrc_error(sol.theta, main_dist, 6) <= eps
 
     def test_requires_mrc_scheme(self, main_dist):
-        with pytest.raises(ValueError):
-            mrc_kstar(main_dist, LinkConfig(2, 200, 1e-4, Scheme.SC))
+        for method in (Method.MRC_NUMERIC, Method.MRC_CLOSED):
+            with pytest.raises(ValueError, match="MRC-scheme"):
+                mrc_kstar(main_dist, LinkConfig(2, 200, 1e-4, Scheme.SC), method)
 
     @pytest.mark.parametrize("method", [Method.SC_EXACT, Method.SC_APPROX, Method.FB])
     def test_rejects_non_mrc_method(self, main_dist, method):

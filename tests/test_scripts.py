@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 
@@ -38,6 +40,15 @@ def test_measure_model_bias():
         "fb_sc_m4",
         "fb_mrc_m4",
     ]
+
+
+@pytest.mark.parametrize("trials", ["inf", "1.5"])
+def test_measure_model_bias_refuses_a_count_that_is_not_whole(trials):
+    # int(float("inf")) was an OverflowError traceback, and 1.5 ran 1 trial
+    result = run_script("measure_model_bias.py", "--trials", trials, returncode=2)
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert "argument --trials" in result.stderr
 
 
 def test_reproduce_figures(tmp_path):

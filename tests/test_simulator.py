@@ -14,6 +14,7 @@ from urpayload.simulator import (
     load_sim_spec,
     run_sim,
     sample_sir_block,
+    whole_number,
     wilson_interval,
 )
 from urpayload.sir_model import SirDistribution, sir_cdf_exact
@@ -230,6 +231,15 @@ class TestRunSim:
         with pytest.raises(ValueError):
             spec_for(SETUP_B, threshold_bits=-1)
 
+    def test_trial_and_worker_caps(self):
+        # constructed only: a run at either cap is never started
+        assert spec_for(SETUP_B, trials=10**10).trials == 10**10
+        assert spec_for(SETUP_B, workers=256).workers == 256
+        with pytest.raises(ValueError, match="trials must lie in"):
+            spec_for(SETUP_B, trials=10**10 + 1)
+        with pytest.raises(ValueError, match="workers must lie in"):
+            spec_for(SETUP_B, workers=257)
+
     def test_antenna_cap(self):
         assert spec_for(SETUP_B, antennas=256).antennas == 256
         with pytest.raises(ValueError, match="at most 256"):
@@ -282,6 +292,23 @@ class TestSimSpecFile:
         path.write_text(json.dumps({"antennas": 2}))
         with pytest.raises(ValueError, match="missing"):
             load_sim_spec(path)
+
+
+class TestWholeNumber:
+    @pytest.mark.parametrize(
+        "raw,count",
+        [(7, 7), (-3, -3), (2**70, 2**70), (1e4, 10_000), ("1e7", 10**7), ("12", 12)],
+    )
+    def test_whole_numbers_pass(self, raw, count):
+        value = whole_number(raw)
+        assert value == count and type(value) is int
+
+    @pytest.mark.parametrize(
+        "raw", [2.7, "1.5", math.inf, "inf", math.nan, "nan", True, None, "abc", [1]]
+    )
+    def test_anything_else_is_value_error(self, raw):
+        with pytest.raises(ValueError, match="'trials' must be a whole number"):
+            whole_number(raw, "'trials'")
 
 
 class TestWilsonInterval:
