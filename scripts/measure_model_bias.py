@@ -18,7 +18,7 @@ import sys
 import time
 
 from urpayload.rate_control import Scheme
-from urpayload.simulator import Semantics, whole_number
+from urpayload.simulator import MAX_TRIALS, MAX_WORKERS, Semantics, whole_number
 from urpayload.sweeps import CDF_SETUPS
 from urpayload.validation import MonteCarloPoint, check_montecarlo
 
@@ -33,11 +33,24 @@ POINTS = (
 )
 
 
+def bounded(convert, low: int, high: float = math.inf):
+    """An argparse type: convert, then refuse a value outside [low, high] before any run."""
+
+    def check(text: str) -> int:
+        value = convert(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}], got {text}")
+        return value
+
+    check.__name__ = convert.__name__  # argparse's "invalid <name> value" message
+    return check
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=whole_number, default=10**8)
-    parser.add_argument("--seed", type=int, default=99)
-    parser.add_argument("--workers", type=int, default=6)
+    parser.add_argument("--trials", type=bounded(whole_number, 1, MAX_TRIALS), default=10**8)
+    parser.add_argument("--seed", type=bounded(int, 0), default=99)
+    parser.add_argument("--workers", type=bounded(int, 1, MAX_WORKERS), default=6)
     args = parser.parse_args()
 
     # check_montecarlo runs every point on topology B at n=200

@@ -72,6 +72,17 @@ class _Parser(argparse.ArgumentParser):
         return super().add_argument(*names, **kwargs)
 
 
+def _recording(action: type) -> type:
+    """`action` that also appends its flag to args.typed when the command line sets it."""
+
+    class Recording(action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            super().__call__(parser, namespace, values, option_string)
+            namespace.typed += (self.option_strings[0],)
+
+    return Recording
+
+
 def _add_source_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--topology", help="topology JSON file (distances or path losses)")
     parser.add_argument("--beta", type=float)
@@ -193,10 +204,7 @@ def _cmd_sweep(args) -> int:
             f"axis: {args.axis}; scheme: {scheme.value}; M: {cfg.antennas}; "
             f"n: {cfg.blocklength}; eps: {eps}; eta: {dist.eta}; beta: {dist.beta!r}"
         )
-    if args.out:
-        write_csv(rows, args.out, comments)
-    else:
-        write_csv(rows, sys.stdout, comments)
+    write_csv(rows, args.out or sys.stdout, comments)
     return EXIT_OK
 
 
@@ -204,6 +212,9 @@ def _cmd_simulate(args) -> int:
     if args.spec is not None:
         if args.topology is not None or args.beta is not None or args.eta is not None:
             raise ConfigError("--spec replaces the source flags; give one or the other")
+        typed = [flag for flag in dict.fromkeys(args.typed) if flag not in ("--spec", "--out")]
+        if typed:
+            raise ConfigError(f"--spec replaces the run flags; drop {', '.join(typed)}")
         spec = load_sim_spec(args.spec)
     else:
         spec = SimSpec(
@@ -272,6 +283,12 @@ def build_parser() -> _Parser:
     sweep.set_defaults(handler=_cmd_sweep)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo error-rate measurement")
+    # the flags typed on the command line, which --spec refuses; URP_<FLAG>
+    # presets are defaults, which argparse sets without running the action.
+    # None is the key of the action a flag gets when it names none
+    for name in (None, "store", "store_true"):
+        simulate.register("action", name, _recording(simulate._registry_get("action", name)))
+    simulate.set_defaults(typed=())
     simulate.add_argument("--spec", help="JSON file describing the whole run")
     _add_source_flags(simulate)
     _add_link_flags(simulate)

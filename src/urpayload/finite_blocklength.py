@@ -409,8 +409,7 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
         return errors[k]
 
     k, e = _max_feasible_k(err, eps, _seed_k(dist, cfg))
-    if k < 1:
-        return _finish(k, 0.0, e, n, Method.FB)
-    # real-valued boundary: err(k) <= eps < err(k+1)
-    k_real = find_root_monotone(err, eps, Bracket(float(k), float(k + 1)), tol=2**-30)
+    k_real = 0.0
+    if k >= 1:  # real-valued boundary: err(k) <= eps < err(k+1)
+        k_real = find_root_monotone(err, eps, Bracket(float(k), float(k + 1)), tol=2**-30)
     return _finish(k, k_real, e, n, Method.FB)

@@ -30,6 +30,8 @@ from .rate_control import Scheme, theta_for_rate
 from .sir_model import SirDistribution, check_fields, parse_topology, read_json
 
 __all__ = [
+    "MAX_TRIALS",
+    "MAX_WORKERS",
     "Semantics",
     "SimReport",
     "SimSpec",
@@ -50,10 +52,10 @@ _CHUNK_GAINS = 1 << 18
 _MAX_ANTENNAS = 256
 # run_sim holds about 1.6 KB of bookkeeping per block of _BLOCK_TRIALS trials
 # (its future and result), some 240 MB at this cap
-_MAX_TRIALS = 10**10
+MAX_TRIALS = 10**10
 # The thread pool starts a thread per submitted block while none is idle, up
 # to `workers`; a fixed cap keeps a spec valid on one machine valid on all.
-_MAX_WORKERS = 256
+MAX_WORKERS = 256
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -94,10 +96,10 @@ class SimSpec:
             raise ValueError(
                 f"antennas must be at most {_MAX_ANTENNAS} in simulation, got {self.antennas}"
             )
-        if not 1 <= self.trials <= _MAX_TRIALS:
-            raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}], got {self.trials}")
-        if not 1 <= self.workers <= _MAX_WORKERS:
-            raise ValueError(f"workers must lie in [1, {_MAX_WORKERS}], got {self.workers}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {self.trials}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {self.workers}")
         if self.threshold_bits < 0:
             raise ValueError(f"threshold_bits must be >= 0, got {self.threshold_bits}")
         if self.blocklength < 1:
@@ -302,12 +304,9 @@ def run_sim(spec: SimSpec) -> SimReport:
     starts = range(0, spec.trials, _BLOCK_TRIALS)
     blocks = [(b, min(_BLOCK_TRIALS, spec.trials - start)) for b, start in enumerate(starts)]
 
-    if spec.workers == 1 or len(blocks) == 1:
-        results = [_run_block(spec, theta, b, size) for b, size in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            futures = [pool.submit(_run_block, spec, theta, b, size) for b, size in blocks]
-            results = [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+        futures = [pool.submit(_run_block, spec, theta, b, size) for b, size in blocks]
+        results = [f.result() for f in futures]
 
     elapsed = time.perf_counter() - start
     if spec.variance_reduced:

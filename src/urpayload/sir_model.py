@@ -144,12 +144,6 @@ def sir_log_survival_exact(gamma: float, dist: SirDistribution) -> float:
     return -math.fsum(math.log1p(gamma * w) for w in dist.path_losses)
 
 
-def sir_log_survival_approx(gamma: float, dist: SirDistribution) -> float:
-    """log P(SIR > gamma) under the scaled-Lomax form: -eta*log1p(gamma*beta/eta)."""
-    _check_gamma(gamma)
-    return -dist.eta * math.log1p(gamma * dist.beta / dist.eta)
-
-
 def sir_cdf_exact(gamma: float, dist: SirDistribution) -> float:
     """Exact per-antenna SIR CDF 1 - prod_j 1/(1 + gamma * w_j).
 
@@ -161,7 +155,8 @@ def sir_cdf_exact(gamma: float, dist: SirDistribution) -> float:
 
 def sir_cdf_approx(gamma: float, dist: SirDistribution) -> float:
     """Scaled-Lomax upper bound 1 - (1 + gamma*beta/eta)^(-eta) on the SIR CDF."""
-    return -math.expm1(sir_log_survival_approx(gamma, dist))
+    _check_gamma(gamma)
+    return -math.expm1(-dist.eta * math.log1p(gamma * dist.beta / dist.eta))
 
 
 def sir_pdf_approx(gamma: float, dist: SirDistribution) -> float:

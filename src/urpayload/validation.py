@@ -14,18 +14,10 @@ import numpy as np
 
 from .finite_blocklength import fb_error_average
 from .numerics import Bracket, find_root_monotone
-from .rate_control import (
-    LinkConfig,
-    Scheme,
-    mrc_error,
-    mrc_kstar,
-    sc_error,
-    sc_kstar_exact,
-    theta_for_rate,
-)
+from .rate_control import LinkConfig, Method, Scheme, mrc_error, sc_error, theta_for_rate
 from .simulator import Semantics, SimSpec, run_sim
 from .sir_model import SirDistribution, sir_cdf_approx, sir_cdf_exact
-from .sweeps import CDF_SETUPS, preset_rows
+from .sweeps import CDF_SETUPS, preset_rows, solve
 
 __all__ = [
     "CheckResult",
@@ -178,11 +170,8 @@ def _analytic_point(
 ) -> tuple[int, float]:
     """Payload and analytic error prediction at one operating point."""
     cfg = LinkConfig(point.antennas, n, point.epsilon_target, point.scheme)
-    if point.scheme is Scheme.SC:
-        sol = sc_kstar_exact(dist, cfg)
-    else:
-        sol = mrc_kstar(dist, cfg)
-    k = max(sol.k_star, 1)
+    method = Method.SC_EXACT if point.scheme is Scheme.SC else Method.MRC_NUMERIC
+    k = max(solve(method, dist, cfg).k_star, 1)
     theta = theta_for_rate(k, n)
     if point.semantics is Semantics.FINITE_BLOCKLENGTH:
         prediction = fb_error_average(dist, point.antennas, point.scheme, k, n).epsilon_fb

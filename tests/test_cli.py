@@ -364,10 +364,10 @@ class TestRate:
 HUGE_N = "1000000000000000000000000000000"
 
 
-def run_cli_in_subprocess(argv, source=("--beta", "0.8", "--eta", "8")):
+def run_cli_in_subprocess(argv, source=("--beta", "0.8", "--eta", "8"), env=None):
     # for inputs that hung or crashed before they were capped: in a process
     # of its own with a timeout, a regression fails instead of hanging
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -485,6 +485,45 @@ class TestRunSizeAndLayout:
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
         assert message in result.stderr
+
+    def test_spec_that_is_not_an_object_is_config_error(self, tmp_path):
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps([SPEC_DOC]))
+        result = run_cli_in_subprocess(["simulate", "--spec", str(spec_path)], source=())
+        assert result.returncode == EXIT_BAD_CONFIG, result.stderr
+        assert "simulation spec must be a JSON object" in result.stderr
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--trials", "5", "--M", "4", "--k", "99"], "--trials, --M, --k"),
+            (["--tri", "5"], "--trials"),  # an abbreviation is named in full
+            (["--variance-reduced"], "--variance-reduced"),
+        ],
+        ids=["valued", "abbreviated", "switch"],
+    )
+    def test_spec_refuses_run_flags(self, flags, named, tmp_path):
+        # the spec's 1,000 trials ran and the typed flags were dropped: exit 0
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(SPEC_DOC))
+        result = run_cli_in_subprocess(["simulate", "--spec", str(spec_path), *flags], source=())
+        assert result.returncode == EXIT_BAD_CONFIG, result.stderr
+        assert result.stdout == ""
+        assert f"--spec replaces the run flags; drop {named}" in result.stderr
+
+    def test_spec_writes_its_record_with_out_and_ignores_presets(self, tmp_path, capsys):
+        spec_path, out_path = tmp_path / "run.json", tmp_path / "record.json"
+        spec_path.write_text(json.dumps(SPEC_DOC))
+        code, printed, _ = run_cli(["simulate", "--spec", str(spec_path)], capsys)
+        assert code == EXIT_OK
+        env = {"URP_TRIALS": "5", "URP_SEED": "1"}  # not typed, so --spec ignores them
+        result = run_cli_in_subprocess(
+            ["simulate", "--spec", str(spec_path), "--out", str(out_path)], source=(), env=env
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stdout == ""
+        assert out_path.read_text() == printed
+        assert json.loads(printed)["trials"] == 1000
 
     @pytest.mark.parametrize(
         "doc,key",

@@ -83,6 +83,11 @@ class TestFindRootMonotone:
         with pytest.raises(BracketError):
             find_root_monotone(lambda x: x, 5.0, Bracket(0.0, 1.0))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            find_root_monotone(lambda x: x, 0.5, Bracket(0.0, 1.0), tol=tol)
+
     def test_bracket_requires_order(self):
         with pytest.raises(ValueError):
             Bracket(1.0, 1.0)

@@ -51,6 +51,18 @@ def test_measure_model_bias_refuses_a_count_that_is_not_whole(trials):
     assert "argument --trials" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--trials", "1e13"), ("--workers", "300"), ("--seed", "-1")]
+)
+def test_measure_model_bias_refuses_a_run_outside_its_caps(flag, value):
+    # SimSpec refused these only after the header was printed: a ValueError
+    # traceback and exit 1
+    result = run_script("measure_model_bias.py", flag, value, returncode=2)
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert f"argument {flag}: must lie in" in result.stderr
+
+
 def test_reproduce_figures(tmp_path):
     out = run_script(
         "reproduce_figures.py", "--only", "fig2pp", "fig3", "--out-dir", str(tmp_path)

@@ -330,6 +330,10 @@ class TestWilsonInterval:
             assert hi == 1.0
             assert 1.0 - 5.0 / trials < lo < 1.0
 
+    def test_needs_a_trial(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            wilson_interval(0, 0)
+
     def test_symmetric_at_half(self):
         lo, hi = wilson_interval(500, 1000)
         assert lo == pytest.approx(1.0 - hi, abs=1e-12)

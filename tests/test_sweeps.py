@@ -53,6 +53,9 @@ class TestSweepSpec:
         cfg = LinkConfig(2, 200, 1e-3, Scheme.SC)
         with pytest.raises(ValueError, match="MRC"):
             SweepSpec(Axis.EPSILON_TH, (1e-3,), cfg, dist, (Method.MRC_NUMERIC,))
+        mrc = LinkConfig(2, 200, 1e-3, Scheme.MRC)
+        with pytest.raises(ValueError, match="requires an SC-scheme config"):
+            SweepSpec(Axis.EPSILON_TH, (1e-3,), mrc, dist, (Method.SC_EXACT,))
 
     def test_empty_values_rejected(self, dist):
         cfg = LinkConfig(2, 200, 1e-3, Scheme.SC)
