@@ -34,14 +34,13 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .numerics import (
     Bracket,
     find_root_monotone,
     grid_is_kept,
     integrate_semi_infinite,
     log_grid,
+    np,
     special as _special,
     trapezoid_from_sums,
 )

@@ -14,22 +14,23 @@ itself. The common requirement across callers is left-tail fidelity:
 probabilities down to ~1e-12 must keep relative precision, so complements
 are never formed by subtracting from 1.
 
-`special` stands in for `scipy.special`, which takes about two thirds of the
-package's import time and which only the MRC solvers, the finite-blocklength
-error and the bound curves call. Its first attribute lookup imports scipy
-and keeps the attribute on the handle, so later lookups of that name read
-it without calling `__getattr__`; either way they return scipy's own ufuncs.
-Python's import lock makes a first lookup from two threads at once safe:
-both see the finished module.
+`special` and `np` stand in for `scipy.special` and `numpy`, which the
+package's modules take from here instead of importing them when they load:
+the CLI's parser, its refusals and the SC asymptotic solvers use only
+`math`, and the two imports would be most of their start. A handle's first
+attribute lookup imports its module and keeps the attribute on the handle,
+so later lookups of that name read it without calling `__getattr__`; either
+way they return the module's own objects. `importlib.import_module` holds
+the module's import lock, so a first lookup from two threads at once is
+safe: both see the finished module.
 """
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 __all__ = [
     "Bracket",
@@ -42,18 +43,20 @@ __all__ = [
 ]
 
 
-class _LazySpecial:
-    """`scipy.special`, imported at the first attribute lookup."""
+class _Lazy:
+    """The module `name`, imported at the first attribute lookup."""
 
-    def __getattr__(self, name: str):
-        from scipy import special as module
+    def __init__(self, name: str) -> None:
+        self._name = name
 
-        value = getattr(module, name)
-        setattr(self, name, value)  # found without __getattr__ from now on
+    def __getattr__(self, attr: str):
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)  # found without __getattr__ from now on
         return value
 
 
-special = _LazySpecial()
+special = _Lazy("scipy.special")
+np = _Lazy("numpy")
 
 
 class BracketError(ValueError):

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .numerics import (
     Bracket,
     find_root_monotone,
+    np,
     special as _special,
 )
 from .sir_model import (

@@ -18,14 +18,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .finite_blocklength import fb_error_conditional
+from .numerics import np
 from .rate_control import Scheme, theta_for_rate
 from .sir_model import SirDistribution, check_fields, parse_topology, read_json
 
@@ -297,6 +295,8 @@ def run_sim(spec: SimSpec) -> SimReport:
     Per-block results are reduced in block order so floating-point sums are
     reproducible; integer error counts are order-independent anyway.
     """
+    from concurrent.futures import ThreadPoolExecutor  # and logging: 5 ms of each start
+
     start = time.perf_counter()
     theta = None  # the finite-blocklength error needs no threshold
     if spec.semantics is Semantics.ASYMPTOTIC:

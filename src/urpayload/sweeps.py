@@ -17,9 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .finite_blocklength import fb_kstar
+from .numerics import np
 from .rate_control import (
     LinkConfig,
     Method,
@@ -208,15 +207,20 @@ def write_csv(rows: Sequence, out, comments: Sequence[str] = ()) -> None:
     reprs: dict[float, str] = {}  # presets repeat many floats within a table
 
     def cell(value) -> str:
-        # _format_cell's result, with the commonest cell types first
+        # _format_cell's result, with the commonest cell types first; Python's
+        # own types skip its numpy checks, which would import numpy
         kind = type(value)
-        if kind is float and value:  # zeros stay uncached: 0.0 == -0.0
+        if kind is float:
+            if not value:  # zeros stay uncached: 0.0 == -0.0
+                return repr(value)
             text = reprs.get(value)
             if text is None:
                 text = reprs[value] = repr(value)
             return text
         if kind is int or kind is str:
             return str(value)
+        if kind is bool:
+            return "true" if value else "false"
         return _format_cell(value)
 
     text = "".join(
@@ -280,7 +284,7 @@ class _KstarFigure:
     """
 
     axis: Axis
-    values: tuple[float, ...]
+    values: Callable[[], tuple[float, ...]]  # called at each build: import loads no numpy
     dist: SirDistribution
     blocklength: int
     targets: tuple[float, ...]
@@ -288,11 +292,12 @@ class _KstarFigure:
     methods: tuple[tuple[Scheme, tuple[Method, ...]], ...]  # per scheme
 
     def __call__(self) -> list[SweepRow]:
+        values = self.values()
         rows = {
             (eps, m, scheme): run_sweep(
                 SweepSpec(
                     self.axis,
-                    self.values,
+                    values,
                     LinkConfig(m, self.blocklength, eps, scheme),
                     self.dist,
                     methods,
@@ -352,7 +357,7 @@ _PRESETS: dict[str, Callable[[], list]] = {
     # payload vs. target epsilon: n=200, setup B, M in {1,2,4,8}, SC+MRC
     "fig2": _KstarFigure(
         Axis.EPSILON_TH,
-        tuple(np.logspace(-9.0, -1.0, 33)),
+        lambda: tuple(np.logspace(-9.0, -1.0, 33)),
         CDF_SETUPS["B"],
         200,
         (1e-3,),
@@ -364,7 +369,7 @@ _PRESETS: dict[str, Callable[[], list]] = {
     # payload vs. beta: n=200, eta=8, eps in {1e-2, 1e-6}, M in {1,2,4}
     "fig4": _KstarFigure(
         Axis.BETA,
-        tuple(np.logspace(math.log10(0.05), math.log10(5.0), 21)),
+        lambda: tuple(np.logspace(math.log10(0.05), math.log10(5.0), 21)),
         _EQUAL_WEIGHTS,
         200,
         (1e-2, 1e-6),
@@ -374,7 +379,7 @@ _PRESETS: dict[str, Callable[[], list]] = {
     # payload vs. antenna count: n=400, eta=8, beta=0.8, eps in {1e-3,1e-6,1e-9}
     "fig5": _KstarFigure(
         Axis.ANTENNAS,
-        tuple(float(m) for m in range(1, 17)),
+        lambda: tuple(float(m) for m in range(1, 17)),
         _EQUAL_WEIGHTS,
         400,
         (1e-3, 1e-6, 1e-9),
@@ -385,7 +390,7 @@ _PRESETS: dict[str, Callable[[], list]] = {
     # counts chosen so both targets stay feasible across the axis
     "fig6": _KstarFigure(
         Axis.BLOCKLENGTH,
-        (100.0, 200.0, 300.0, 400.0, 600.0, 800.0, 1200.0, 1600.0, 2000.0),
+        lambda: (100.0, 200.0, 300.0, 400.0, 600.0, 800.0, 1200.0, 1600.0, 2000.0),
         _EQUAL_WEIGHTS,
         200,
         (1e-3, 1e-6),

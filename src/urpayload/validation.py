@@ -10,10 +10,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .finite_blocklength import fb_error_average
-from .numerics import Bracket, find_root_monotone
+from .numerics import Bracket, find_root_monotone, np
 from .rate_control import LinkConfig, Method, Scheme, mrc_error, sc_error, theta_for_rate
 from .simulator import Semantics, SimSpec, run_sim
 from .sir_model import SirDistribution, sir_cdf_approx, sir_cdf_exact

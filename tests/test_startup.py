@@ -1,7 +1,7 @@
-"""scipy.special loads on first use, not when the package is imported.
+"""numpy and scipy.special load on first use, not when the package is imported.
 
 Each check runs in a fresh interpreter, as `urp` does, because the test
-session itself imports scipy.
+session itself imports both.
 """
 import os
 import subprocess
@@ -18,6 +18,9 @@ from urpayload.sir_model import SirDistribution
 
 def scipy_loaded():
     return "scipy" in sys.modules
+
+def numpy_loaded():
+    return "numpy" in sys.modules
 
 dist = SirDistribution.from_beta(0.8, 8)
 """
@@ -39,36 +42,89 @@ def run_fresh(code: str) -> str:
     return result.stdout
 
 
-def test_cli_import_and_parser_leave_scipy_unloaded():
+def test_cli_import_and_parser_load_no_numpy_scipy_or_futures():
     out = run_fresh(
         """
         from urpayload.cli import build_parser
         build_parser()
-        print(scipy_loaded())
+        print(*(name in sys.modules for name in ("numpy", "scipy", "concurrent.futures")))
         """
     )
-    assert out.split() == ["False"]
+    assert out.split() == ["False", "False", "False"]
+
+
+# stdout of each command as it was when numpy loaded with the package
+SC_RATE_OUT = (
+    "method=sc_exact k_star=11 k_real=11.385432 rate=0.055000 theta=0.0388591 "
+    "predicted_epsilon=8.711264056081951e-07\n"
+    "method=sc_approx k_star=11 k_real=11.385432 rate=0.055000 theta=0.0388591 "
+    "predicted_epsilon=8.711264056081951e-07\n"
+)
+SC_SWEEP_OUT = """\
+# generator: urp sweep
+# axis: eps; scheme: sc; M: 1; n: 200; eps: 0.001; eta: 8; beta: 0.8
+axis,axis_value,method,scheme,antennas,blocklength,eta,beta,epsilon_th,k_star,k_real,rate,theta,predicted_epsilon,infeasible
+eps,0.001,sc_approx,sc,1,200,8,0.8,0.001,0,0.3606512960725928,0.0,0.0,0.0,true
+eps,0.001,sc_exact,sc,1,200,8,0.8,0.001,0,0.3606512964324793,0.0,0.0,0.0,true
+eps,1e-06,sc_approx,sc,1,200,8,0.8,1e-06,0,0.00036067373768020885,0.0,0.0,0.0,true
+eps,1e-06,sc_exact,sc,1,200,8,0.8,1e-06,0,0.00036067394830752164,0.0,0.0,0.0,true
+"""
 
 
 @pytest.mark.parametrize(
-    "call",
+    "argv, expected",
     [
-        "rate_control.sc_kstar_exact(dist, LinkConfig(4, 200, 1e-6))",
-        "rate_control.sc_kstar_approx(dist, LinkConfig(4, 200, 1e-6))",
-        'sweeps.preset_rows("fig2pp")',
-        "simulator.run_sim(simulator.SimSpec(dist, 2, Scheme.SC, 8, 200, 'asymptotic', 10**5, 3))",
+        (
+            "rate --beta 0.8 --eta 8 --M 4 --eps 1e-6 --method exact,approx",
+            SC_RATE_OUT + "exit 0\n",
+        ),
+        (
+            "sweep --axis eps --values 1e-3,1e-6 --beta 0.8 --eta 8 --methods approx,exact",
+            SC_SWEEP_OUT + "exit 0\n",
+        ),
+        ("simulate --beta 0.8 --eta 8 --k 10 --trials 1e13", "exit 65\n"),
+        ("rate --beta 0.8 --eta 8 --scheme zzz", "exit 64\n"),
+    ],
+    ids=["sc_rate", "sc_sweep", "refusal_65", "refusal_64"],
+)
+def test_sc_asymptotic_commands_load_no_numpy(argv, expected):
+    out = run_fresh(
+        f"""
+        from urpayload import cli
+        try:
+            code = cli.main({argv.split()!r})
+        except SystemExit as stop:  # argparse's usage error
+            code = stop.code
+        print("exit", code)
+        print(numpy_loaded(), scipy_loaded())
+        """
+    )
+    assert out == expected + "False False\n"
+
+
+@pytest.mark.parametrize(
+    "call, loads_numpy",
+    [
+        ("rate_control.sc_kstar_exact(dist, LinkConfig(4, 200, 1e-6))", False),
+        ("rate_control.sc_kstar_approx(dist, LinkConfig(4, 200, 1e-6))", False),
+        ('sweeps.preset_rows("fig2pp")', True),
+        (
+            "simulator.run_sim(simulator.SimSpec(dist, 2, Scheme.SC, 8, 200, 'asymptotic', 10**5, 3))",
+            True,
+        ),
     ],
     ids=["sc_exact", "sc_approx", "fig2pp", "asymptotic_run_sim"],
 )
-def test_paths_without_special_leave_scipy_unloaded(call):
+def test_paths_without_special_leave_scipy_unloaded(call, loads_numpy):
     out = run_fresh(
         f"""
         from urpayload import rate_control, simulator, sweeps
+        before = numpy_loaded()
         {call}
-        print(scipy_loaded())
+        print(before, numpy_loaded(), scipy_loaded())
         """
     )
-    assert out.split() == ["False"]
+    assert out.split() == ["False", str(loads_numpy), "False"]
 
 
 @pytest.mark.parametrize(
@@ -83,12 +139,12 @@ def test_paths_with_special_load_it(call):
     out = run_fresh(
         f"""
         from urpayload import finite_blocklength, rate_control
-        before = scipy_loaded()
+        before = numpy_loaded(), scipy_loaded()
         {call}
-        print(before, "scipy.special" in sys.modules)
+        print(*before, numpy_loaded(), "scipy.special" in sys.modules)
         """
     )
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False", "True", "True"]
 
 
 def test_handle_returns_scipy_objects():
@@ -106,9 +162,24 @@ def test_handle_returns_scipy_objects():
     assert out.split() == ["True"]
 
 
+def test_handle_returns_numpy_objects():
+    out = run_fresh(
+        """
+        from urpayload.numerics import np
+        names = ("logspace", "exp", "errstate", "float64", "random")
+        first = [getattr(np, name) for name in names]  # through __getattr__
+        again = [getattr(np, name) for name in names]  # kept on the handle
+        import numpy
+        print(all(a is b is getattr(numpy, name)
+                  for a, b, name in zip(first, again, names)))
+        """
+    )
+    assert out.split() == ["True"]
+
+
 def test_concurrent_first_use_matches_serial_run():
     # four blocks over two worker threads: both threads make the first
-    # erfc lookup of the process at about the same time
+    # numpy and erfc lookups of the process at about the same time
     out = run_fresh(
         """
         from urpayload.simulator import SimSpec, run_sim
@@ -120,10 +191,10 @@ def test_concurrent_first_use_matches_serial_run():
             )
             return run_sim(spec).json_record()
 
-        before = scipy_loaded()
+        before = numpy_loaded(), scipy_loaded()
         sys.setswitchinterval(1e-6)  # switch threads inside the first lookup
         parallel = record(2)
-        print(before, parallel == record(1))
+        print(*before, parallel == record(1))
         """
     )
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False", "True"]
