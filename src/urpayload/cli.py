@@ -238,7 +238,8 @@ def _cmd_simulate(args) -> int:
             handle.write(line + "\n")
     else:
         print(line)
-    sys.stderr.write(f"elapsed: {report.elapsed:.3f}s\n")
+    speed = report.trials / report.elapsed
+    sys.stderr.write(f"elapsed: {report.elapsed:.3f}s, {report.blocks} blocks, {speed:.2e} trials/s\n")
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Optional
 
 from .finite_blocklength import fb_error_conditional
@@ -42,8 +43,10 @@ __all__ = [
 ]
 
 _BLOCK_TRIALS = 1 << 16
-# interferer gains held at once while sampling a block: 2 MiB of float64s
-_CHUNK_GAINS = 1 << 18
+# interferer gains held at once while sampling a block: 512 KiB of float64s, so a
+# chunk's passes stay in a 2 MiB per-core L2, where 2 MiB chunks streamed from L3
+# (one thread, 2-core Xeon, topology B: M=1 5.0 -> 3.8 ms a block, M=2 12.3 -> 10.6)
+_CHUNK_GAINS = 1 << 16
 # A block keeps two _BLOCK_TRIALS x M float64 arrays (serving gains, then the
 # SIR, and the interference) per worker, 1 MiB per antenna: 256 MiB at this
 # cap. Far beyond it the allocation alone outgrows memory and the run stalls.
@@ -134,6 +137,10 @@ class SimReport:
     ci95: tuple[float, float]
     seed: int
     elapsed: float
+
+    @property
+    def blocks(self) -> int:
+        return -(-self.trials // _BLOCK_TRIALS)  # the last one may be short
 
     def json_record(self) -> str:
         """Single-line JSON with the deterministic fields only."""
@@ -250,21 +257,23 @@ def sample_sir_block(
 
     SIR_i = h_i / sum_j g_ji * w_j with h, g unit exponentials and w the
     law's interference weights `path_losses` (r0^alpha * r_j^(-alpha)).
-    The interferer gains are drawn a few trials at a time, at most
-    _CHUNK_GAINS doubles per chunk; the generator fills a (trials, eta,
-    antennas) array in C order, so consecutive trial chunks take the same
-    doubles as one whole-block draw.
+    The interferer gains are drawn at most _CHUNK_GAINS doubles at a time,
+    whole trials per chunk, in the C order of one (trials, eta, antennas)
+    draw, and kept as log1p(-U) = -g. Contracted with the negated weights,
+    (-g)(-w) is g*w and (-0)(-w) is +0 exactly: the same doubles as one
+    whole-block draw of g contracted with w.
     """
-    weights = np.asarray(dist.path_losses, dtype=float)
+    negated_weights = -np.asarray(dist.path_losses, dtype=float)
     h = _exponential(rng, (trials, antennas))
     interference = np.empty((trials, antennas))
-    step = max(1, _CHUNK_GAINS // (weights.size * antennas))
+    step = max(1, _CHUNK_GAINS // (negated_weights.size * antennas))
     for start in range(0, trials, step):
         stop = min(start + step, trials)
-        g = _exponential(rng, (stop - start, weights.size, antennas))
+        g = rng.random((stop - start, negated_weights.size, antennas))
+        np.log1p(np.negative(g, out=g), out=g)
         # einsum, because tensordot and matmul sum in another order and
         # differ from it in the last bits
-        np.einsum("tja,j->ta", g, weights, out=interference[start:stop])
+        np.einsum("tja,j->ta", g, negated_weights, out=interference[start:stop])
     with np.errstate(over="ignore"):  # an SIR past the largest double is inf
         return np.divide(h, interference, out=h)
 
@@ -276,10 +285,10 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 def _run_block(spec: SimSpec, theta: float | None, block: int, trials: int):
     rng = _block_rng(spec.seed, block)
     sir = sample_sir_block(spec.topology, spec.antennas, trials, rng)
-    if spec.scheme is Scheme.SC:
-        combined = sir.max(axis=1)
-    else:
+    if spec.scheme is Scheme.MRC:
         combined = sir.sum(axis=1)
+    else:  # a running max over M <= 16 columns beats max(axis=1), with the same doubles
+        combined = reduce(np.maximum, sir.T) if spec.antennas <= 16 else sir.max(axis=1)
     if spec.semantics is Semantics.ASYMPTOTIC:
         return int(np.count_nonzero(combined < theta))
     probs = fb_error_conditional(combined, spec.threshold_bits, spec.blocklength)

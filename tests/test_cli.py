@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -735,7 +736,8 @@ class TestSimulate:
                 capsys,
             )
             assert code == EXIT_OK
-            assert "elapsed" in err  # wall-clock goes to stderr, not the record
+            # wall-clock goes to stderr, not the record: 2e5 trials are 4 blocks
+            assert re.fullmatch(r"elapsed: \d+\.\d{3}s, 4 blocks, \d\.\d\de\+\d\d trials/s\n", err)
             outputs.append(out)
         assert outputs[0] == outputs[1]
         record = json.loads(outputs[0])

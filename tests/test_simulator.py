@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -88,16 +90,36 @@ def one_shot_sample_sir_block(dist, antennas, trials, rng):
     return h / np.einsum("tja,j->ta", g, weights)
 
 
+class PinnedDraws:
+    """A generator whose random() gives a seeded stream of uniforms with the
+    values at chosen positions of that stream replaced."""
+
+    def __init__(self, seed, pinned):
+        self._rng = np.random.default_rng(seed)
+        self._pinned = pinned  # position in the stream -> uniform
+        self._drawn = 0
+
+    def random(self, shape):
+        u = self._rng.random(shape)
+        flat = u.reshape(-1)
+        for position, value in self._pinned.items():
+            if 0 <= position - self._drawn < flat.size:
+                flat[position - self._drawn] = value
+        self._drawn += flat.size
+        return u
+
+
 class TestSampleSirBlockChunks:
     @pytest.mark.parametrize(
         "eta, antennas, trials",
         [
             (1, 1, 1),
             (3, 2, 1000),
-            (1, 8, 65536),  # two whole chunks
-            (10, 4, 65536),  # 6553 trials per chunk, the last one short
+            (1, 8, 65536),  # eight whole chunks
+            (10, 4, 65536),  # 1638 trials per chunk, the last one short
             (24, 8, 4097),
             (24, 16, 700),
+            (300, 256, 5),  # eta*M between 2^16 and 2^18: one trial per chunk
             (600, 512, 3),  # eta*M above the chunk: one trial per chunk
         ],
     )
@@ -111,6 +133,32 @@ class TestSampleSirBlockChunks:
         assert chunked.shape == (trials, antennas)
         assert chunked.tobytes() == expected.tobytes()
         assert chunked_rng.random(3).tobytes() == one_shot_rng.random(3).tobytes()
+
+    @pytest.mark.parametrize("eta", [1, 3])
+    def test_zero_gains_equal_one_shot_draw(self, eta):
+        # exact zeros: a zero serving gain (SIR 0), an all-zero interference
+        # row (+inf) and both (NaN); and the largest gain, from U = 1 - 2^-53
+        trials, antennas = 5, 2
+
+        def serving(t, a):
+            return t * antennas + a
+
+        def interferer(t, j, a):
+            return trials * antennas + (t * eta + j) * antennas + a
+
+        pinned = {serving(0, 0): 0.0, serving(2, 0): 0.0, serving(3, 1): 1.0 - 2.0**-53}
+        for j in range(eta):
+            pinned[interferer(1, j, 1)] = pinned[interferer(2, j, 0)] = 0.0
+        pinned[interferer(3, 0, 1)] = 1.0 - 2.0**-53
+        dist = SirDistribution.from_path_losses(1.0, tuple(0.5 + j for j in range(eta)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sir = sample_sir_block(dist, antennas, trials, PinnedDraws(eta, pinned))
+            expected = one_shot_sample_sir_block(
+                dist, antennas, trials, PinnedDraws(eta, pinned)
+            )
+        assert sir.tobytes() == expected.tobytes()
+        assert sir[0, 0] == 0.0 and sir[1, 1] == math.inf and math.isnan(sir[2, 0])
+        assert 0.0 < sir[3, 1] < math.inf
 
     def test_block_memory_is_capped(self):
         # the one-shot draw peaks at 392 MiB here: 65536*24*16 gains, and temporaries
@@ -140,6 +188,17 @@ class TestRunSim:
             run_sim(spec_for(SETUP_B, trials=300_000, workers=w)) for w in (1, 2, 8)
         ]
         assert len({r.json_record() for r in reports}) == 1
+
+    @pytest.mark.parametrize("antennas", [16, 17])
+    def test_sc_counts_equal_row_maxima(self, antennas):
+        # block 0 draws from SeedSequence([seed, 0]), as the README states
+        k, trials = 60 * antennas, 1000
+        spec = spec_for(SETUP_B, antennas=antennas, threshold_bits=k, trials=trials)
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
+        sir = sample_sir_block(SETUP_B, antennas, trials, rng)
+        expected = np.count_nonzero(sir.max(axis=1) < theta_for_rate(k, 200))
+        assert 0 < expected < trials
+        assert run_sim(spec).errors == expected
 
     def test_partial_final_block(self):
         # trials deliberately not a multiple of the block size
@@ -253,6 +312,45 @@ class TestRunSim:
     def test_topology_must_be_a_sir_law(self):
         with pytest.raises(TypeError):
             spec_for(object())
+
+
+# threshold bits by scheme and M: nonzero error counts on both laws at 70,000 trials
+PINNED_BITS = {
+    Scheme.SC: {1: 30, 2: 60, 4: 150, 8: 400},
+    Scheme.MRC: {1: 30, 2: 90, 4: 250, 8: 650},
+}
+# SHA-256 of the grid's records, one per line: a faster sampling or
+# combining kernel must leave every double of them as it is
+PINNED_RECORDS_SHA256 = "27dc0d31f52dd54c68e4f23724e262e6b36563500a28a99294ba16f7133d7c10"
+
+
+def test_pinned_records():
+    # one whole block and a partial one for every scheme, semantics, M and
+    # worker count on a one-interferer law and on topology B
+    fb = Semantics.FINITE_BLOCKLENGTH
+    grid = itertools.product(
+        (SirDistribution.from_geometry(20.0, (30.0,), 3.5), SETUP_B),
+        (Scheme.SC, Scheme.MRC),
+        (1, 2, 4, 8),
+        ((Semantics.ASYMPTOTIC, False), (fb, False), (fb, True)),  # (semantics, reduced)
+        (1, 2),
+    )
+    records = []
+    for topology, scheme, antennas, (semantics, reduced), workers in grid:
+        spec = spec_for(
+            topology,
+            antennas=antennas,
+            scheme=scheme,
+            threshold_bits=PINNED_BITS[scheme][antennas],
+            semantics=semantics,
+            variance_reduced=reduced,
+            trials=70_000,
+            seed=3,
+            workers=workers,
+        )
+        records.append(run_sim(spec).json_record())
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == PINNED_RECORDS_SHA256
 
 
 class TestSimSpecFile:
