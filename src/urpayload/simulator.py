@@ -287,8 +287,8 @@ def _run_block(spec: SimSpec, theta: float | None, block: int, trials: int):
     sir = sample_sir_block(spec.topology, spec.antennas, trials, rng)
     if spec.scheme is Scheme.MRC:
         combined = sir.sum(axis=1)
-    else:  # a running max over M <= 16 columns beats max(axis=1), with the same doubles
-        combined = reduce(np.maximum, sir.T) if spec.antennas <= 16 else sir.max(axis=1)
+    else:  # a running max over the columns: max(axis=1)'s doubles, faster up to M = 16
+        combined = reduce(np.maximum, sir.T)
     if spec.semantics is Semantics.ASYMPTOTIC:
         return int(np.count_nonzero(combined < theta))
     probs = fb_error_conditional(combined, spec.threshold_bits, spec.blocklength)
