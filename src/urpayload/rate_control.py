@@ -25,6 +25,7 @@ from .sir_model import (
     SirDistribution,
     sir_cdf_approx,
     sir_cdf_exact,
+    sir_log_survival_exact,
 )
 
 __all__ = [
@@ -126,13 +127,6 @@ def theta_for_rate(k: float, n: int) -> float:
             f"rate k/n = {k / n!r} bits per channel use puts the SIR threshold "
             "2^(k/n) - 1 beyond the largest double"
         ) from None
-
-
-def _log1p_theta_weight(t: float, w: float) -> float:
-    # log(1 + (e^t - 1)*w), safe for t beyond expm1's overflow point
-    if t > 690.0:
-        return t + math.log(w) + math.log1p((1.0 - w) * math.exp(-t) / w)
-    return math.log1p(math.expm1(t) * w)
 
 
 def _log_tail_complement(epsilon: float, antennas: int) -> float:
@@ -243,12 +237,14 @@ def sc_kstar_exact(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     if cfg.scheme is not Scheme.SC:
         raise ValueError("sc_kstar_exact requires an SC-scheme config")
     n, m, eps = cfg.blocklength, cfg.antennas, cfg.epsilon_th
-    weights = dist.path_losses
     target = _log_tail_complement(eps, m)
 
     def log_product(k: float) -> float:
-        t = _LN2 * k / n
-        return math.fsum(_log1p_theta_weight(t, w) for w in weights)
+        try:
+            theta = theta_for_rate(k, n)
+        except ValueError:  # theta overflows; bisection needs only the sign
+            return math.inf
+        return -sir_log_survival_exact(theta, dist)
 
     hi = float(n)
     while log_product(hi) < target:

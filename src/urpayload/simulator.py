@@ -274,7 +274,8 @@ def sample_sir_block(
         # einsum, because tensordot and matmul sum in another order and
         # differ from it in the last bits
         np.einsum("tja,j->ta", g, negated_weights, out=interference[start:stop])
-    with np.errstate(over="ignore"):  # an SIR past the largest double is inf
+    # inf past the largest double or over an all-zero interference row, NaN for 0/0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return np.divide(h, interference, out=h)
 
 

@@ -183,7 +183,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    # Python's own types first: the numpy checks below would import numpy
+    kind = type(value)
+    if kind is float:
+        return repr(value)
+    if kind is int or kind is str:
+        return str(value)
+    if kind is bool or isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -204,29 +210,10 @@ def write_csv(rows: Sequence, out, comments: Sequence[str] = ()) -> None:
         raise ValueError("no rows to write")
     fields = [f.name for f in dataclasses.fields(type(rows[0]))]
     cells_of = _cells_of(fields)
-    reprs: dict[float, str] = {}  # presets repeat many floats within a table
-
-    def cell(value) -> str:
-        # _format_cell's result, with the commonest cell types first; Python's
-        # own types skip its numpy checks, which would import numpy
-        kind = type(value)
-        if kind is float:
-            if not value:  # zeros stay uncached: 0.0 == -0.0
-                return repr(value)
-            text = reprs.get(value)
-            if text is None:
-                text = reprs[value] = repr(value)
-            return text
-        if kind is int or kind is str:
-            return str(value)
-        if kind is bool:
-            return "true" if value else "false"
-        return _format_cell(value)
-
     text = "".join(
         [f"# {line}\n" for line in comments]
         + [",".join(fields) + "\n"]
-        + [",".join(map(cell, cells_of(row))) + "\n" for row in rows]
+        + [",".join(map(_format_cell, cells_of(row))) + "\n" for row in rows]
     )
     if isinstance(out, (str, Path)):
         with open(out, "w") as handle:

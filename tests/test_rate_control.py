@@ -184,6 +184,24 @@ class TestScKstarExact:
         assert sol.k_star > 0
         assert 0 < calls <= 20
 
+    @pytest.mark.parametrize(
+        "beta, eta, cfg, k_star, k_real",
+        [
+            # roots at 654 and 828 bits per channel use, so the bracket's
+            # doubling reaches k/n = 1024. Rounded, ln2 * k / n gives a
+            # threshold 2^(k/n) - 1 just below the largest double at n = 200
+            # and past it at n = 202 and 101.
+            (1e-200, 8, LinkConfig(1, 200, 1e-3), 130884, 130884.12931111343),
+            (1e-200, 8, LinkConfig(1, 202, 1e-3), 132192, 132192.97060422457),
+            (1e-250, 4, LinkConfig(4, 101, 1e-3), 83644, 83644.66223024175),
+        ],
+    )
+    def test_root_below_threshold_overflow_solves(self, beta, eta, cfg, k_star, k_real):
+        sol = sc_kstar_exact(SirDistribution.from_beta(beta, eta), cfg)
+        assert sol.k_star == k_star
+        assert sol.k_real.hex() == k_real.hex()
+        assert 512 < sol.k_real / cfg.blocklength < 1024
+
     def test_infeasible_sets_flag(self, main_dist):
         # beta so large that even one bit misses an extreme target
         dist = SirDistribution.from_beta(50.0, 2)

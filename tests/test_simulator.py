@@ -151,8 +151,8 @@ class TestSampleSirBlockChunks:
             pinned[interferer(1, j, 1)] = pinned[interferer(2, j, 0)] = 0.0
         pinned[interferer(3, 0, 1)] = 1.0 - 2.0**-53
         dist = SirDistribution.from_path_losses(1.0, tuple(0.5 + j for j in range(eta)))
+        sir = sample_sir_block(dist, antennas, trials, PinnedDraws(eta, pinned))
         with np.errstate(divide="ignore", invalid="ignore"):
-            sir = sample_sir_block(dist, antennas, trials, PinnedDraws(eta, pinned))
             expected = one_shot_sample_sir_block(
                 dist, antennas, trials, PinnedDraws(eta, pinned)
             )

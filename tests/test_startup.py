@@ -102,6 +102,34 @@ def test_sc_asymptotic_commands_load_no_numpy(argv, expected):
     assert out == expected + "False False\n"
 
 
+def test_csv_of_python_values_loads_no_numpy():
+    out = run_fresh(
+        """
+        import dataclasses, io
+        from urpayload.sweeps import write_csv
+
+        @dataclasses.dataclass
+        class Row:
+            x: float
+            k: int
+            name: str
+            flag: bool
+
+        buf = io.StringIO()
+        write_csv(
+            [Row(0.1, -7, "sc", True), Row(-0.0, 2**70, "", False),
+             Row(float("inf"), 0, "a b", True), Row(float("nan"), 1, "mrc", False)],
+            buf,
+        )
+        print(buf.getvalue(), numpy_loaded())
+        """
+    )
+    assert out == (
+        "x,k,name,flag\n0.1,-7,sc,true\n-0.0,1180591620717411303424,,false\n"
+        "inf,0,a b,true\nnan,1,mrc,false\n False\n"
+    )
+
+
 @pytest.mark.parametrize(
     "call, loads_numpy",
     [

@@ -148,11 +148,17 @@ class TestCsvWriter:
             write_csv([], io.StringIO())
 
     def test_numpy_scalars_written_as_python_values(self):
+        # repr(float(v)), true/false and str(int(v)); repr(np.float64(0.1))
+        # is "np.float64(0.1)", and float32's 0.1 is 0.10000000149011612
         row = _Cells(np.float64(0.1), np.bool_(True), np.int64(-7), np.float32(0.5))
         other = _Cells(np.float64(-0.0), np.bool_(False), np.uint8(255), np.float64(np.inf))
+        wide = _Cells(np.float32(0.1), np.float16(np.nan), np.int8(-128), np.uint64(2**64 - 1))
         buf = io.StringIO()
-        write_csv([row, other], buf)
-        assert buf.getvalue() == "a,b,c,d\n0.1,true,-7,0.5\n-0.0,false,255,inf\n"
+        write_csv([row, other, wide], buf)
+        assert buf.getvalue() == (
+            "a,b,c,d\n0.1,true,-7,0.5\n-0.0,false,255,inf\n"
+            f"{float(np.float32(0.1))!r},nan,-128,{2**64 - 1}\n"
+        )
 
     @given(st.sampled_from([_Cells, _Cell]).flatmap(_rows_of), st.lists(st.text(), max_size=2))
     def test_matches_per_cell_formatting(self, rows, comments):
