@@ -17,7 +17,11 @@ are never formed by subtracting from 1.
 `special` and `np` stand in for `scipy.special` and `numpy`, which the
 package's modules take from here instead of importing them when they load:
 the CLI's parser, its refusals and the SC asymptotic solvers use only
-`math`, and the two imports would be most of their start. A handle's first
+`math`, and the two imports would be most of their start. `special_scalar`
+stands in for `scipy.special.cython_special`, whose functions run the same C
+kernels as the `special` ufuncs on one Python float each, without the
+ufunc's dispatch, and return a Python float: the scalar calls on the MRC
+solve path use it, the array calls keep `special`. A handle's first
 attribute lookup imports its module and keeps the attribute on the handle,
 so later lookups of that name read it without calling `__getattr__`; either
 way they return the module's own objects. `importlib.import_module` holds
@@ -56,6 +60,7 @@ class _Lazy:
 
 
 special = _Lazy("scipy.special")
+special_scalar = _Lazy("scipy.special.cython_special")
 np = _Lazy("numpy")
 
 

@@ -20,6 +20,7 @@ from .numerics import (
     find_root_monotone,
     np,
     special as _special,
+    special_scalar as _scalar,
 )
 from .sir_model import (
     SirDistribution,
@@ -333,12 +334,13 @@ def lomax_sum_cdf(x: float, count: int, shape: int) -> float:
     """CDF approximation for a sum of Lomax(shape, 1) variables.
 
     P(M, shape*M*log1p(x/M)) through the lower regularized gamma directly,
-    so 1e-9-level left-tail values are exact to relative precision.
+    so 1e-9-level left-tail values are exact to relative precision. The
+    scalar kernel gives the double that the `gammainc` ufunc gives.
     """
     _check_count_shape(count, shape)
     if x < 0.0:
         raise ValueError(f"argument must be nonnegative, got {x}")
-    return float(_special.gammainc(count, _gamma_argument(x, count, shape)))
+    return _scalar.gammainc(count, _gamma_argument(x, count, shape))
 
 
 def lomax_sum_cdf_curve(xs: Sequence[float], count: int, shape: int) -> list[float]:
@@ -411,7 +413,7 @@ def mrc_quantile_numeric(epsilon: float, antennas: int, eta: int) -> float:
             value = values[x] = lomax_sum_cdf(x, antennas, eta)
         return value
 
-    gamma_root = _special.gammaincinv(antennas, epsilon)
+    gamma_root = _scalar.gammaincinv(antennas, epsilon)
     seed = antennas * math.expm1(gamma_root / (eta * antennas))
     seeded = 0.0 < seed < math.inf
     hi = float(antennas)

@@ -90,6 +90,12 @@ class SweepSpec:
         diffs = [b - a for a, b in zip(self.values, self.values[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError("axis values must be strictly ordered")
+        if self.axis is Axis.BETA and len(set(self.dist.path_losses)) > 1:
+            # each beta value is solved on from_beta's equal-weight law
+            raise ValueError(
+                "a beta sweep solves equal-weight laws; this law's path losses differ, "
+                "so its own exact law would never be solved"
+            )
         if not self.methods:
             raise ValueError("sweep needs at least one method")
         for method in self.methods:

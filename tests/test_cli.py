@@ -708,6 +708,16 @@ class TestSweep:
         assert "beta values must not be NaN, got (nan, 0.5)" in err
         assert "ordered" not in err and out == ""
 
+    def test_beta_axis_on_unequal_topology_is_config_error(self, topology_file, capsys):
+        # each beta value was solved on an equal-weight law, so the topology's
+        # sc_exact rows matched sc_approx to 1e-11 and its own law went unsolved
+        argv = ["sweep", "--topology", topology_file, "--axis", "beta"]
+        argv += ["--values", "0.1,0.3", "--methods", "exact,approx"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_BAD_CONFIG
+        assert "path losses differ" in err
+        assert out == ""
+
 
 class TestSimulate:
     def test_deterministic_across_workers(self, topology_file, capsys):

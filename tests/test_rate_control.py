@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.special
 from scipy import integrate
 
 from urpayload import rate_control
@@ -362,6 +363,23 @@ class TestLomaxSumCdf:
         value = lomax_sum_cdf(X_DEEP, 4, 12)
         assert DEEP_CI[0] <= value <= DEEP_CI[1]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.floats(min_value=-310.0, max_value=6.0).map(lambda e: 10.0**e),
+        count=st.integers(1, 256),
+        shape=st.integers(1, 1000),
+    )
+    @example(x=0.0, count=4, shape=12)
+    @example(x=math.inf, count=4, shape=12)
+    @example(x=5e-324, count=1, shape=1)
+    @example(x=5e-324, count=256, shape=1000)
+    def test_scalar_kernel_equals_the_ufunc(self, x, count, shape):
+        # the scalar Cython entry point runs the ufunc's C kernel: same double
+        ufunc = float(scipy.special.gammainc(count, shape * count * math.log1p(x / count)))
+        value = lomax_sum_cdf(x, count, shape)
+        assert type(value) is float
+        assert value.hex() == ufunc.hex()
+
     def test_non_integer_parameters_rejected(self):
         with pytest.raises(ValueError):
             lomax_sum_cdf(1.0, 2.5, 8)
@@ -471,6 +489,27 @@ class TestMrcQuantiles:
         assert mrc_quantile_numeric(eps, antennas, eta) == plain_bisection_quantile(
             eps, antennas, eta
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eps=st.one_of(
+            st.floats(min_value=-300.0, max_value=0.0, exclude_max=True)
+            .map(lambda e: 10.0**e)
+            .filter(lambda eps: eps < 1.0),
+            st.floats(min_value=-16.0, max_value=-1.0).map(lambda e: 1.0 - 10.0**e),
+        ),
+        antennas=st.integers(1, 256),
+        eta=st.integers(1, 1000),
+    )
+    @example(eps=5e-324, antennas=1, eta=1)
+    @example(eps=0.9999999999999999, antennas=256, eta=1000)
+    def test_same_double_through_the_ufuncs(self, eps, antennas, eta):
+        value = mrc_quantile_numeric(eps, antennas, eta)
+        # the CDF calls and the gammaincinv seed through the scipy.special ufuncs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rate_control, "_scalar", scipy.special)
+            reference = mrc_quantile_numeric(eps, antennas, eta)
+        assert value.hex() == float(reference).hex()
 
     @pytest.mark.parametrize("antennas, eta", [(2, 0), (0, 8)])
     def test_count_and_shape_checked_first(self, antennas, eta):

@@ -156,23 +156,27 @@ def test_paths_without_special_leave_scipy_unloaded(call, loads_numpy):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, loads_cython_special",
     [
-        "rate_control.mrc_kstar(dist, LinkConfig(4, 200, 1e-6, Scheme.MRC), Method.MRC_NUMERIC)",
-        "finite_blocklength.fb_kstar(dist, LinkConfig(4, 200, 1e-6))",
+        (
+            "rate_control.mrc_kstar(dist, LinkConfig(4, 200, 1e-6, Scheme.MRC), Method.MRC_NUMERIC)",
+            True,  # its CDF and its seed are scalar calls
+        ),
+        ("finite_blocklength.fb_kstar(dist, LinkConfig(4, 200, 1e-6))", False),
     ],
     ids=["mrc_numeric", "fb"],
 )
-def test_paths_with_special_load_it(call):
+def test_paths_with_special_load_it(call, loads_cython_special):
     out = run_fresh(
         f"""
         from urpayload import finite_blocklength, rate_control
         before = numpy_loaded(), scipy_loaded()
         {call}
         print(*before, numpy_loaded(), "scipy.special" in sys.modules)
+        print("scipy.special.cython_special" in sys.modules)
         """
     )
-    assert out.split() == ["False", "False", "True", "True"]
+    assert out.split() == ["False", "False", "True", "True", str(loads_cython_special)]
 
 
 def test_handle_returns_scipy_objects():
@@ -184,6 +188,21 @@ def test_handle_returns_scipy_objects():
         again = [getattr(special, name) for name in names]  # kept on the handle
         import scipy.special
         print(all(a is b is getattr(scipy.special, name)
+                  for a, b, name in zip(first, again, names)))
+        """
+    )
+    assert out.split() == ["True"]
+
+
+def test_handle_returns_cython_special_objects():
+    out = run_fresh(
+        """
+        from urpayload.numerics import special_scalar
+        names = ("gammainc", "gammaincinv")
+        first = [getattr(special_scalar, name) for name in names]  # through __getattr__
+        again = [getattr(special_scalar, name) for name in names]  # kept on the handle
+        import scipy.special.cython_special as cython_special
+        print(all(a is b is getattr(cython_special, name)
                   for a, b, name in zip(first, again, names)))
         """
     )

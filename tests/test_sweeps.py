@@ -86,6 +86,13 @@ class TestRunSweep:
         assert [r.beta for r in rows] == [0.2, 2.0]
         assert rows[0].k_star >= rows[1].k_star
 
+    def test_beta_axis_refuses_unequal_weights(self):
+        # the axis rebuilds the law from (beta, eta), which would drop B's weights
+        cfg = LinkConfig(1, 200, 1e-3, Scheme.SC)
+        methods = (Method.SC_EXACT, Method.SC_APPROX)
+        with pytest.raises(ValueError, match="path losses differ"):
+            SweepSpec(Axis.BETA, (0.1, 0.3), cfg, sweeps.CDF_SETUPS["B"], methods)
+
 
 @dataclasses.dataclass(frozen=True)
 class _Cells:
