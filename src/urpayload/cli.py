@@ -7,28 +7,22 @@ environment variable named URP_<FLAG> (e.g. URP_TRIALS=1e7); explicit flags win.
 
 Exit codes: 0 success, 1 validation failure, 2 infeasible allocation,
 64 usage error, 65 invalid configuration.
+
+The parser takes its choices from `urpayload.names` alone; each subcommand
+imports the solver modules it calls when it runs, so `--help` and usage
+errors load none of them.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .rate_control import LinkConfig, Method, Scheme
-from .simulator import Semantics, SimSpec, load_sim_spec, run_sim, whole_number
-from .sir_model import SirDistribution, load_topology
-from .sweeps import (
-    Axis,
-    PRESET_NAMES,
-    SweepSpec,
-    preset_rows,
-    run_sweep,
-    solve,
-    write_csv,
-)
-from .validation import SCOPES, run_checks
+from .names import PRESET_NAMES, SCOPES, Axis, Method, Scheme, Semantics, whole_number
+
+if TYPE_CHECKING:
+    from .sir_model import SirDistribution
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -100,6 +94,8 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_source(args) -> SirDistribution:
     """Build the SIR law from either a topology file or a (beta, eta) pair."""
+    from .sir_model import SirDistribution, load_topology
+
     by_file = args.topology is not None
     by_pair = args.beta is not None or args.eta is not None
     if by_file and by_pair:
@@ -152,6 +148,11 @@ def _solution_dict(method: Method, sol) -> dict:
 
 
 def _cmd_rate(args) -> int:
+    import json
+
+    from .rate_control import LinkConfig
+    from .sweeps import solve
+
     dist = _resolve_source(args)
     if args.eps is None:
         raise ConfigError("rate requires --eps")
@@ -176,6 +177,9 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .rate_control import LinkConfig
+    from .sweeps import SweepSpec, preset_rows, run_sweep, write_csv
+
     comments = ["generator: urp sweep"]
     if args.preset:
         try:
@@ -200,15 +204,25 @@ def _cmd_sweep(args) -> int:
             methods=tuple(methods),
         )
         rows = run_sweep(spec)
+        fixed = {
+            "M": cfg.antennas,
+            "n": cfg.blocklength,
+            "eps": eps,
+            "eta": dist.eta,
+            "beta": dist.beta,
+        }
+        del fixed[spec.axis.value]  # every row has its own value of the swept field
         comments.append(
-            f"axis: {args.axis}; scheme: {scheme.value}; M: {cfg.antennas}; "
-            f"n: {cfg.blocklength}; eps: {eps}; eta: {dist.eta}; beta: {dist.beta!r}"
+            f"axis: {args.axis}; scheme: {scheme.value}; "
+            + "; ".join(f"{name}: {value!r}" for name, value in fixed.items())
         )
     write_csv(rows, args.out or sys.stdout, comments)
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
+    from .simulator import SimSpec, load_sim_spec, run_sim
+
     if args.spec is not None:
         if args.topology is not None or args.beta is not None or args.eta is not None:
             raise ConfigError("--spec replaces the source flags; give one or the other")
@@ -244,6 +258,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    import json
+
+    from .validation import run_checks
+
     results = run_checks(
         args.scope, trials=args.trials, seed=args.seed, workers=args.workers
     )

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
+from .names import Method, Scheme
 from .numerics import (
     Bracket,
     find_root_monotone,
@@ -55,19 +55,6 @@ _LN2 = math.log(2.0)
 # stay far below 2^52; past 2^53, (k + 1)/n rounds to k/n and the payload
 # search never stops. The figures use n <= 2000.
 _MAX_BLOCKLENGTH = 10**8
-
-
-class Scheme(str, Enum):
-    SC = "sc"
-    MRC = "mrc"
-
-
-class Method(str, Enum):
-    SC_EXACT = "sc_exact"
-    SC_APPROX = "sc_approx"
-    MRC_NUMERIC = "mrc_numeric"
-    MRC_CLOSED = "mrc_closed"
-    FB = "fb"
 
 
 @dataclass(frozen=True)

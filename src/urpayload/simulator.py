@@ -19,11 +19,11 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from enum import Enum
 from functools import reduce
 from typing import Optional
 
 from .finite_blocklength import fb_error_conditional
+from .names import Semantics, whole_number
 from .numerics import np
 from .rate_control import Scheme, theta_for_rate
 from .sir_model import SirDistribution, check_fields, parse_topology, read_json
@@ -58,11 +58,6 @@ MAX_TRIALS = 10**10
 # to `workers`; a fixed cap keeps a spec valid on one machine valid on all.
 MAX_WORKERS = 256
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-class Semantics(str, Enum):
-    ASYMPTOTIC = "asymptotic"
-    FINITE_BLOCKLENGTH = "fb"
 
 
 class UndersampledError(ValueError):
@@ -154,19 +149,6 @@ class SimReport:
             },
             separators=(", ", ": "),
         )
-
-
-def whole_number(raw, name: str = "count") -> int:
-    """A count from the CLI or a spec: an int as is, 1e4 or "1e4" as 10000; 2.7 or inf fails."""
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
-    try:
-        value = float(raw) if isinstance(raw, (float, str)) else math.nan
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value.is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {raw!r}")
-    return int(value)
 
 
 def _whole(doc: dict, key: str, default: Optional[int] = None) -> int:

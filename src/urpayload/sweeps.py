@@ -13,11 +13,11 @@ import dataclasses
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .finite_blocklength import fb_kstar
+from .names import PRESET_NAMES, Axis
 from .numerics import np
 from .rate_control import (
     LinkConfig,
@@ -53,13 +53,6 @@ __all__ = [
     "solve",
     "write_csv",
 ]
-
-
-class Axis(str, Enum):
-    EPSILON_TH = "eps"
-    BETA = "beta"
-    ANTENNAS = "M"
-    BLOCKLENGTH = "n"
 
 
 _SC_METHODS = {Method.SC_EXACT, Method.SC_APPROX}
@@ -346,9 +339,10 @@ def _preset_bound_curves() -> list[BoundCurveRow]:
     return rows
 
 
-_PRESETS: dict[str, Callable[[], list]] = {
-    # payload vs. target epsilon: n=200, setup B, M in {1,2,4,8}, SC+MRC
-    "fig2": _KstarFigure(
+# one builder per preset, in PRESET_NAMES order
+_BUILDERS: tuple[Callable[[], list], ...] = (
+    # fig2, payload vs. target epsilon: n=200, setup B, M in {1,2,4,8}, SC+MRC
+    _KstarFigure(
         Axis.EPSILON_TH,
         lambda: tuple(np.logspace(-9.0, -1.0, 33)),
         CDF_SETUPS["B"],
@@ -357,10 +351,10 @@ _PRESETS: dict[str, Callable[[], list]] = {
         (1, 2, 4, 8),
         ((Scheme.SC, (Method.SC_EXACT, Method.SC_APPROX, Method.FB)), _MRC_FB),
     ),
-    "fig2pp": _preset_cdf_curves,
-    "fig3": _preset_bound_curves,
-    # payload vs. beta: n=200, eta=8, eps in {1e-2, 1e-6}, M in {1,2,4}
-    "fig4": _KstarFigure(
+    _preset_cdf_curves,  # fig2pp
+    _preset_bound_curves,  # fig3
+    # fig4, payload vs. beta: n=200, eta=8, eps in {1e-2, 1e-6}, M in {1,2,4}
+    _KstarFigure(
         Axis.BETA,
         lambda: tuple(np.logspace(math.log10(0.05), math.log10(5.0), 21)),
         _EQUAL_WEIGHTS,
@@ -369,8 +363,8 @@ _PRESETS: dict[str, Callable[[], list]] = {
         (1, 2, 4),
         (_SC_FB, _MRC_FB),
     ),
-    # payload vs. antenna count: n=400, eta=8, beta=0.8, eps in {1e-3,1e-6,1e-9}
-    "fig5": _KstarFigure(
+    # fig5, payload vs. antenna count: n=400, eta=8, beta=0.8, eps in {1e-3,1e-6,1e-9}
+    _KstarFigure(
         Axis.ANTENNAS,
         lambda: tuple(float(m) for m in range(1, 17)),
         _EQUAL_WEIGHTS,
@@ -379,9 +373,9 @@ _PRESETS: dict[str, Callable[[], list]] = {
         (1,),
         (_SC_FB, (Scheme.MRC, (Method.MRC_NUMERIC, Method.MRC_CLOSED, Method.FB))),
     ),
-    # rate vs. blocklength: SC, eta=8, beta=0.8, eps in {1e-3, 1e-6}; antenna
+    # fig6, rate vs. blocklength: SC, eta=8, beta=0.8, eps in {1e-3, 1e-6}; antenna
     # counts chosen so both targets stay feasible across the axis
-    "fig6": _KstarFigure(
+    _KstarFigure(
         Axis.BLOCKLENGTH,
         lambda: (100.0, 200.0, 300.0, 400.0, 600.0, 800.0, 1200.0, 1600.0, 2000.0),
         _EQUAL_WEIGHTS,
@@ -390,9 +384,8 @@ _PRESETS: dict[str, Callable[[], list]] = {
         (4, 8),
         (_SC_FB,),
     ),
-}
-
-PRESET_NAMES = tuple(sorted(_PRESETS))
+)
+_PRESETS = dict(zip(PRESET_NAMES, _BUILDERS, strict=True))
 
 
 def preset_rows(name: str, workers: int = 1) -> list:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .finite_blocklength import fb_error_average
+from .names import SCOPES
 from .numerics import Bracket, find_root_monotone, np
 from .rate_control import LinkConfig, Method, Scheme, mrc_error, sc_error, theta_for_rate
 from .simulator import Semantics, SimSpec, run_sim
@@ -33,8 +34,6 @@ __all__ = [
 # product CDF over setups A/B/C, restricted to the region where the exact CDF
 # is <= 1e-2, measured at 2.8e-3 and pinned with headroom.
 LEFT_TAIL_MAX_REL_ERROR = 3.5e-3
-
-SCOPES = ("tails", "bounds", "montecarlo", "all")
 
 
 @dataclass(frozen=True)

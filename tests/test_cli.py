@@ -682,6 +682,26 @@ class TestSweep:
         assert code == EXIT_BAD_CONFIG
         assert err.startswith("urp: unknown preset 'fig99'; known: fig2,")
 
+    @pytest.mark.parametrize(
+        "axis, values, fixed",
+        [
+            ("eps", "1e-6,1e-9", "M: 4; n: 200; eta: 8; beta: 0.8"),
+            ("M", "1,2", "n: 200; eps: 0.001; eta: 8; beta: 0.8"),
+            ("n", "100,300", "M: 4; eps: 0.001; eta: 8; beta: 0.8"),
+            ("beta", "0.5,2", "M: 4; n: 200; eps: 0.001; eta: 8"),
+        ],
+    )
+    def test_generic_sweep_header_omits_the_swept_field(self, axis, values, fixed, capsys):
+        # the header printed the swept field's flag value, which no row uses
+        argv = ["sweep", "--beta", "0.8", "--eta", "8", "--M", "4", "--n", "200"]
+        argv += ["--axis", axis, "--values", values, "--methods", "approx"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[:2] == [
+            "# generator: urp sweep",
+            f"# axis: {axis}; scheme: sc; {fixed}",
+        ]
+
     def test_generic_sweep_needs_axis(self, capsys):
         code, _, err = run_cli(["sweep", *FIG2_FLAGS], capsys)
         assert code == EXIT_BAD_CONFIG

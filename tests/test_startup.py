@@ -1,8 +1,11 @@
-"""numpy and scipy.special load on first use, not when the package is imported.
+"""Modules load on first use, not when the package or the CLI is imported:
+numpy and scipy.special, and the package's own solver modules.
 
 Each check runs in a fresh interpreter, as `urp` does, because the test
-session itself imports both.
+session itself imports all of them.
 """
+import argparse
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +13,9 @@ import textwrap
 from pathlib import Path
 
 import pytest
+
+from urpayload import names, rate_control, simulator, sweeps, validation
+from urpayload.cli import build_parser
 
 PRELUDE = """\
 import sys
@@ -26,13 +32,13 @@ dist = SirDistribution.from_beta(0.8, 8)
 """
 
 
-def run_fresh(code: str) -> str:
-    """stdout of `code` run after PRELUDE in a new interpreter."""
+def run_fresh(code: str, prelude: str = PRELUDE) -> str:
+    """stdout of `code` run after `prelude` in a new interpreter."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", PRELUDE + textwrap.dedent(code)],
+        [sys.executable, "-c", prelude + textwrap.dedent(code)],
         capture_output=True,
         text=True,
         env=env,
@@ -42,15 +48,118 @@ def run_fresh(code: str) -> str:
     return result.stdout
 
 
-def test_cli_import_and_parser_load_no_numpy_scipy_or_futures():
+def test_cli_import_and_parser_load_only_the_names_module():
     out = run_fresh(
         """
         from urpayload.cli import build_parser
         build_parser()
-        print(*(name in sys.modules for name in ("numpy", "scipy", "concurrent.futures")))
-        """
+        print(*sorted(name for name in sys.modules if name.partition(".")[0] == "urpayload"))
+        others = ("numpy", "scipy", "concurrent.futures", "dataclasses", "json")
+        print(*(name in sys.modules for name in others))
+        """,
+        prelude="import sys\n",
     )
-    assert out.split() == ["False", "False", "False"]
+    package, others = out.splitlines()
+    assert package.split() == ["urpayload", "urpayload.cli", "urpayload.names"]
+    assert others.split() == ["False"] * 5
+
+
+def _action(subcommand: str, dest: str) -> argparse.Action:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[subcommand]._actions if a.dest == dest)
+
+
+def test_parser_offers_the_names_module_vocabulary():
+    for subcommand in ("rate", "sweep", "simulate"):
+        assert _action(subcommand, "scheme").choices == [s.value for s in names.Scheme]
+    assert _action("sweep", "axis").choices == [a.value for a in names.Axis]
+    assert _action("simulate", "semantics").choices == [s.value for s in names.Semantics]
+    assert _action("validate", "scope").choices == list(names.SCOPES)
+    assert _action("sweep", "preset").help == f"one of: {', '.join(names.PRESET_NAMES)}"
+
+
+@pytest.mark.parametrize(
+    "module, exported",
+    [
+        (rate_control, ("Method", "Scheme")),
+        (sweeps, ("Axis", "PRESET_NAMES")),
+        (simulator, ("Semantics", "whole_number")),
+        (validation, ("SCOPES",)),
+    ],
+    ids=["rate_control", "sweeps", "simulator", "validation"],
+)
+def test_solver_modules_export_the_names_module_objects(module, exported):
+    for name in exported:
+        assert name in module.__all__
+        assert getattr(module, name) is getattr(names, name)
+
+
+# what `urpayload` exported when its __init__ imported every module
+EXPORTS = {
+    "finite_blocklength": [
+        "FbEvaluation", "channel_dispersion", "fb_error_average",
+        "fb_error_conditional", "fb_kstar", "shannon_capacity",
+    ],
+    "numerics": ["Bracket", "BracketError", "find_root_monotone", "integrate_semi_infinite"],
+    "rate_control": [
+        "LinkConfig", "Method", "RateSolution", "Scheme", "combined_sir_pdf",
+        "lomax_sum_cdf", "lomax_sum_cdf_lower_bound_curve", "lomax_sum_pdf", "mrc_error",
+        "mrc_kstar", "mrc_quantile_closed", "mrc_quantile_numeric", "sc_error",
+        "sc_kstar_approx", "sc_kstar_exact", "sc_pdf", "theta_for_rate",
+    ],
+    "simulator": [
+        "Semantics", "SimReport", "SimSpec", "UndersampledError", "run_sim",
+        "sample_sir_block", "wilson_interval",
+    ],
+    "sir_model": [
+        "SirDistribution", "load_topology", "sir_cdf_approx", "sir_cdf_exact",
+        "sir_pdf_approx", "sir_pdf_exact",
+    ],
+}
+
+
+def test_package_loads_each_module_on_first_lookup():
+    out = run_fresh(
+        f"""
+        import importlib, json
+        import urpayload
+
+        def loaded():
+            return sorted(name for name in sys.modules if name.startswith("urpayload."))
+
+        report = {{"on_import": loaded(), "all": urpayload.__all__}}
+        urpayload.SimSpec
+        report["after_simspec"] = "urpayload.simulator" in sys.modules
+        report["same"] = all(
+            getattr(urpayload, name) is getattr(importlib.import_module(f"urpayload.{{module}}"), name)
+            for module, exported in {EXPORTS!r}.items()
+            for name in exported
+        )
+        star = {{}}
+        exec("from urpayload import *", star)
+        report["star"] = sorted(set(star) - {{"__builtins__"}})
+        report["dir"] = set(urpayload.__all__) <= set(dir(urpayload))
+        before = "urpayload.sweeps" in sys.modules, "urpayload.validation" in sys.modules
+        from urpayload import sweeps, validation  # no exported name loads these two
+        report["submodules"] = [*before, sweeps.__name__, validation.__name__]
+        try:
+            urpayload.no_such_name
+        except AttributeError as exc:
+            report["unknown"] = str(exc)
+        print(json.dumps(report))
+        """,
+        prelude="import sys\n",
+    )
+    report = json.loads(out)
+    exported = [name for names_of_module in EXPORTS.values() for name in names_of_module]
+    assert report["on_import"] == []
+    assert sorted(report["all"]) == sorted(exported)
+    assert report["after_simspec"] is True
+    assert report["same"] is True
+    assert report["star"] == sorted(exported)
+    assert report["dir"] is True
+    assert report["submodules"] == [False, False, "urpayload.sweeps", "urpayload.validation"]
+    assert report["unknown"] == "module 'urpayload' has no attribute 'no_such_name'"
 
 
 # stdout of each command as it was when numpy loaded with the package
@@ -62,7 +171,7 @@ SC_RATE_OUT = (
 )
 SC_SWEEP_OUT = """\
 # generator: urp sweep
-# axis: eps; scheme: sc; M: 1; n: 200; eps: 0.001; eta: 8; beta: 0.8
+# axis: eps; scheme: sc; M: 1; n: 200; eta: 8; beta: 0.8
 axis,axis_value,method,scheme,antennas,blocklength,eta,beta,epsilon_th,k_star,k_real,rate,theta,predicted_epsilon,infeasible
 eps,0.001,sc_approx,sc,1,200,8,0.8,0.001,0,0.3606512960725928,0.0,0.0,0.0,true
 eps,0.001,sc_exact,sc,1,200,8,0.8,0.001,0,0.3606512964324793,0.0,0.0,0.0,true
