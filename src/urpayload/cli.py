@@ -178,7 +178,8 @@ def _cmd_rate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .rate_control import LinkConfig
-    from .sweeps import SweepSpec, preset_rows, run_sweep, write_csv
+    from .sir_model import SirDistribution
+    from .sweeps import SweepSpec, _axis_values, preset_rows, run_sweep, write_csv
 
     comments = ["generator: urp sweep"]
     if args.preset:
@@ -190,14 +191,28 @@ def _cmd_sweep(args) -> int:
     else:
         if args.axis is None or args.values is None:
             raise ConfigError("generic sweep requires --axis and --values (or --preset)")
-        dist = _resolve_source(args)
+        axis = Axis(args.axis)
+        values = _axis_values(axis, [float(v) for v in args.values.split(",")])
+        # no row uses the fixed value of the swept field, so its flag is neither
+        # required nor checked: the first axis value stands in for it
+        first = values[0]
+        if axis is Axis.BETA and args.topology is None:
+            if args.eta is None:
+                raise ConfigError("a beta sweep needs --topology or --eta")
+            dist = SirDistribution.from_beta(first, args.eta)
+        else:
+            dist = _resolve_source(args)
         scheme = Scheme(args.scheme)
         methods = _parse_methods(args.methods, scheme)
-        values = tuple(float(v) for v in args.values.split(","))
         eps = args.eps if args.eps is not None else 1e-3
-        cfg = LinkConfig(args.M, args.n, eps, scheme)
+        cfg = LinkConfig(
+            int(first) if axis is Axis.ANTENNAS else args.M,
+            int(first) if axis is Axis.BLOCKLENGTH else args.n,
+            first if axis is Axis.EPSILON_TH else eps,
+            scheme,
+        )
         spec = SweepSpec(
-            axis=Axis(args.axis),
+            axis=axis,
             values=values,
             config=cfg,
             dist=dist,

@@ -369,9 +369,12 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     the figure presets' 648 solves, where k_cf did in 157. The answer
     depends only on the average error, not on the seed. k_real refines the
     boundary where the average error equals the target, for smooth sweeps:
-    the bisection's answer to 2^-30, from about four averages beyond err(k)
-    and err(k+1). The density's arrays come from a cache of the
-    _LAW_CACHE_SIZE laws used last.
+    the bisection's answer to 2^-30, from about three averages beyond err(k)
+    and err(k+1). The root finder sees err(k) - eps in sign but
+    |ln err(k) - ln eps| in size, which is close to linear over one bit, so
+    its interpolation lands closer; bisection's answer depends only on the
+    signs, so the double is the same. The density's arrays come from a
+    cache of the _LAW_CACHE_SIZE laws used last.
 
     Raises ValueError when the density's mass on the integration grid is not
     1, i.e. when the SIR law lies outside the range the average covers, and
@@ -407,8 +410,18 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
             errors[k], _ = average(k)
         return errors[k]
 
+    log_eps = math.log(eps)
+
+    def log_gap(k: float) -> float:
+        # the sign of err(k) - eps, the size of |ln err(k) - ln eps|, kept
+        # above 0 where the logs round equal; 0, NaN and eps itself as is
+        e = err(k)
+        if e > 0.0 and e != eps:
+            return math.copysign(max(abs(math.log(e) - log_eps), 5e-324), e - eps)
+        return e - eps
+
     k, e = _max_feasible_k(err, eps, _seed_k(dist, cfg))
     k_real = 0.0
     if k >= 1:  # real-valued boundary: err(k) <= eps < err(k+1)
-        k_real = find_root_monotone(err, eps, Bracket(float(k), float(k + 1)), tol=2**-30)
+        k_real = find_root_monotone(log_gap, 0.0, Bracket(float(k), float(k + 1)), tol=2**-30)
     return _finish(k, k_real, e, n, Method.FB)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .names import Method, Scheme
 from .numerics import (
@@ -82,8 +82,7 @@ class LinkConfig:
         object.__setattr__(self, "scheme", Scheme(self.scheme))
 
 
-@dataclass(frozen=True)
-class RateSolution:
+class RateSolution(NamedTuple):
     """Result of a maximum-payload search.
 
     k_star is the integer payload; k_real the unfloored solution of the

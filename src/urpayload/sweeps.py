@@ -2,19 +2,17 @@
 
 Each preset encodes one reference figure's parameters; generic sweeps move
 one axis (target epsilon, beta, antenna count, or blocklength) while holding
-the rest of the link fixed. Output rows are plain dataclasses so the CSV
-writer, the CLI and the tests all share one schema, and files are
-byte-stable for fixed inputs: metadata goes into '#' header comments and
-never includes timestamps.
+the rest of the link fixed. Output rows are NamedTuples, one tuple
+allocation each, whose fields are the CSV header, so the CSV writer, the CLI
+and the tests all share one schema; files are byte-stable for fixed inputs:
+metadata goes into '#' header comments and never includes timestamps.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .finite_blocklength import fb_kstar
 from .names import PRESET_NAMES, Axis
@@ -59,6 +57,23 @@ _SC_METHODS = {Method.SC_EXACT, Method.SC_APPROX}
 _MRC_METHODS = {Method.MRC_NUMERIC, Method.MRC_CLOSED}
 
 
+def _axis_values(axis: Axis, values: Sequence[float]) -> tuple[float, ...]:
+    """`values` as floats, refused unless there are some, none is NaN, those of
+    an M or n axis are integers, and they are strictly ordered."""
+    values = tuple(float(v) for v in values)
+    if not values:
+        raise ValueError("sweep needs at least one axis value")
+    if any(math.isnan(v) for v in values):
+        raise ValueError(f"{axis.value} values must not be NaN, got {values}")
+    integral = all(v.is_integer() for v in values)  # False for inf
+    if axis in (Axis.ANTENNAS, Axis.BLOCKLENGTH) and not integral:
+        raise ValueError(f"{axis.value} values must be integers, got {values}")
+    diffs = [b - a for a, b in zip(values, values[1:])]
+    if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+        raise ValueError("axis values must be strictly ordered")
+    return values
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: a moving axis, a fixed link, and the methods to evaluate."""
@@ -71,18 +86,8 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axis", Axis(self.axis))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", _axis_values(self.axis, self.values))
         object.__setattr__(self, "methods", tuple(Method(m) for m in self.methods))
-        if not self.values:
-            raise ValueError("sweep needs at least one axis value")
-        if any(math.isnan(v) for v in self.values):
-            raise ValueError(f"{self.axis.value} values must not be NaN, got {self.values}")
-        integral = all(v.is_integer() for v in self.values)  # False for inf
-        if self.axis in (Axis.ANTENNAS, Axis.BLOCKLENGTH) and not integral:
-            raise ValueError(f"{self.axis.value} values must be integers, got {self.values}")
-        diffs = [b - a for a, b in zip(self.values, self.values[1:])]
-        if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-            raise ValueError("axis values must be strictly ordered")
         if self.axis is Axis.BETA and len(set(self.dist.path_losses)) > 1:
             # each beta value is solved on from_beta's equal-weight law
             raise ValueError(
@@ -98,8 +103,7 @@ class SweepSpec:
                 raise ValueError(f"{method.value} requires an MRC-scheme config")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One (axis value, method) result with its full fixed-parameter context."""
 
     axis: str
@@ -138,14 +142,15 @@ def solve(
 
 def _at_axis_value(spec: SweepSpec, value: float) -> tuple[LinkConfig, SirDistribution]:
     cfg, dist = spec.config, spec.dist
+    m, n, eps, scheme = cfg.antennas, cfg.blocklength, cfg.epsilon_th, cfg.scheme
     if spec.axis is Axis.EPSILON_TH:
-        cfg = dataclasses.replace(cfg, epsilon_th=value)
+        cfg = LinkConfig(m, n, value, scheme)
     elif spec.axis is Axis.BETA:
         dist = SirDistribution.from_beta(value, dist.eta)
     elif spec.axis is Axis.ANTENNAS:
-        cfg = dataclasses.replace(cfg, antennas=int(value))
+        cfg = LinkConfig(int(value), n, eps, scheme)
     elif spec.axis is Axis.BLOCKLENGTH:
-        cfg = dataclasses.replace(cfg, blocklength=int(value))
+        cfg = LinkConfig(m, int(value), eps, scheme)
     return cfg, dist
 
 
@@ -197,22 +202,14 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _cells_of(fields: Sequence[str]) -> Callable[[object], tuple]:
-    if len(fields) > 1:
-        return operator.attrgetter(*fields)
-    return lambda row: tuple(getattr(row, name) for name in fields)
-
-
 def write_csv(rows: Sequence, out, comments: Sequence[str] = ()) -> None:
-    """Write dataclass rows as CSV with '#' metadata comments up top."""
+    """Write NamedTuple rows as CSV, their fields the header, with '#' metadata comments up top."""
     if not rows:
         raise ValueError("no rows to write")
-    fields = [f.name for f in dataclasses.fields(type(rows[0]))]
-    cells_of = _cells_of(fields)
     text = "".join(
         [f"# {line}\n" for line in comments]
-        + [",".join(fields) + "\n"]
-        + [",".join(map(_format_cell, cells_of(row))) + "\n" for row in rows]
+        + [",".join(type(rows[0])._fields) + "\n"]
+        + [",".join(map(_format_cell, row)) + "\n" for row in rows]
     )
     if isinstance(out, (str, Path)):
         with open(out, "w") as handle:
@@ -235,8 +232,7 @@ _BOUND_GRID_ANTENNAS = (1, 2, 4, 8, 10)
 _BOUND_GRID_ETA = (2, 4, 8, 12, 20)
 
 
-@dataclass(frozen=True)
-class CdfCurveRow:
+class CdfCurveRow(NamedTuple):
     """Exact vs. scaled-Lomax CDF/PDF sample for one setup and SIR value."""
 
     setup: str
@@ -247,8 +243,7 @@ class CdfCurveRow:
     pdf_approx: float
 
 
-@dataclass(frozen=True)
-class BoundCurveRow:
+class BoundCurveRow(NamedTuple):
     """Lomax-sum CDF vs. its closed-form lower bound at one grid point."""
 
     antennas: int

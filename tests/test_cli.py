@@ -35,6 +35,167 @@ def topology_file(tmp_path):
     return str(path)
 
 
+# `urp rate --json` stdout and exit code per (source, scheme, M, eps), recorded
+# while solver results were frozen dataclasses; "pair" is --beta 0.8 --eta 8
+# and "B" the topology-B file
+_RATE_JSON = {
+    ("pair", "sc", "1", "1e-3"): (
+        2,
+        '{"results": [{"method": "sc_exact", "k_star": 0, "k_real": 0.3606512964324793, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "sc_approx", "k_star": 0, "k_real": 0.3606512960725928, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "fb", "k_star": 0, "k_real": 0.0, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}]}'
+    ),
+    ("pair", "sc", "1", "1e-9"): (
+        2,
+        '{"results": [{"method": "sc_exact", "k_star": 0, "k_real": 3.6052369978278875e-07, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "sc_approx", "k_star": 0, "k_real": 3.606737601996988e-07, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "fb", "k_star": 0, "k_real": 0.0, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}]}'
+    ),
+    ("pair", "sc", "4", "1e-3"): (
+        0,
+        '{"results": [{"method": "sc_exact", "k_star": 63, "k_real": 63.87199480632262, '
+        '"rate": 0.315, "theta": 0.24401165329846886, "predicted_epsilon": 0.0009466525029922713, "infeasible": false}, '
+        '{"method": "sc_approx", "k_star": 63, "k_real": 63.87199480596889, '
+        '"rate": 0.315, "theta": 0.24401165329846886, "predicted_epsilon": 0.0009466525029922713, "infeasible": false}, '
+        '{"method": "fb", "k_star": 59, "k_real": 59.46874317480251, '
+        '"rate": 0.295, "theta": 0.226884977253804, "predicted_epsilon": 0.0009716568094967496, "infeasible": false}]}'
+    ),
+    ("pair", "sc", "4", "1e-9"): (
+        2,
+        '{"results": [{"method": "sc_exact", "k_star": 2, "k_real": 2.027518624163349, '
+        '"rate": 0.01, "theta": 0.006955550056718809, "predicted_epsilon": 9.46787688172657e-10, "infeasible": false}, '
+        '{"method": "sc_approx", "k_star": 2, "k_real": 2.027518624264887, '
+        '"rate": 0.01, "theta": 0.006955550056718809, "predicted_epsilon": 9.46787688172657e-10, "infeasible": false}, '
+        '{"method": "fb", "k_star": 0, "k_real": 0.0, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}]}'
+    ),
+    ("pair", "mrc", "1", "1e-3"): (
+        2,
+        '{"results": [{"method": "mrc_numeric", "k_star": 0, "k_real": 0.3606512960726805, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "mrc_closed", "k_star": 0, "k_real": 0.3606287586458519, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "fb", "k_star": 0, "k_real": 0.0, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}]}'
+    ),
+    ("pair", "mrc", "1", "1e-9"): (
+        2,
+        '{"results": [{"method": "mrc_numeric", "k_star": 0, "k_real": 3.606737898391004e-07, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "mrc_closed", "k_star": 0, "k_real": 3.6067376017715667e-07, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "fb", "k_star": 0, "k_real": 0.0, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}]}'
+    ),
+    ("pair", "mrc", "4", "1e-3"): (
+        0,
+        '{"results": [{"method": "mrc_numeric", "k_star": 124, "k_real": 124.45369369498881, '
+        '"rate": 0.62, "theta": 0.5368751812880124, "predicted_epsilon": 0.0009837789744497236, "infeasible": false}, '
+        '{"method": "mrc_closed", "k_star": 124, "k_real": 124.91119797752252, '
+        '"rate": 0.62, "theta": 0.5368751812880124, "predicted_epsilon": 0.0009837789744497236, "infeasible": false}, '
+        '{"method": "fb", "k_star": 120, "k_real": 120.40987277543172, '
+        '"rate": 0.6, "theta": 0.5157165665103981, "predicted_epsilon": 0.0009855072439276251, "infeasible": false}]}'
+    ),
+    ("pair", "mrc", "4", "1e-9"): (
+        2,
+        '{"results": [{"method": "mrc_numeric", "k_star": 4, "k_real": 4.4665261327841455, '
+        '"rate": 0.02, "theta": 0.01395947979002914, "predicted_epsilon": 6.418653689375916e-10, "infeasible": false}, '
+        '{"method": "mrc_closed", "k_star": 4, "k_real": 4.467094875771347, '
+        '"rate": 0.02, "theta": 0.01395947979002914, "predicted_epsilon": 6.418653689375916e-10, "infeasible": false}, '
+        '{"method": "fb", "k_star": 0, "k_real": 0.0, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}]}'
+    ),
+    ("B", "sc", "1", "1e-3"): (
+        2,
+        '{"results": [{"method": "sc_exact", "k_star": 0, "k_real": 0.9418591154826572, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "sc_approx", "k_star": 0, "k_real": 0.9416031828442903, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "fb", "k_star": 0, "k_real": 0.0, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}]}'
+    ),
+    ("B", "sc", "1", "1e-9"): (
+        2,
+        '{"results": [{"method": "sc_exact", "k_star": 0, "k_real": 9.426003089174628e-07, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "sc_approx", "k_star": 0, "k_real": 9.426224383238716e-07, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "fb", "k_star": 0, "k_real": 0.0, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}]}'
+    ),
+    ("B", "sc", "4", "1e-3"): (
+        0,
+        '{"results": [{"method": "sc_exact", "k_star": 149, "k_real": 149.87084653221245, '
+        '"rate": 0.745, "theta": 0.675974269335897, "predicted_epsilon": 0.0009748545646062818, "infeasible": false}, '
+        '{"method": "sc_approx", "k_star": 143, "k_real": 143.78885322381853, '
+        '"rate": 0.715, "theta": 0.6414832176209967, "predicted_epsilon": 0.0009752678414059923, "infeasible": false}, '
+        '{"method": "fb", "k_star": 139, "k_real": 139.93852218380198, '
+        '"rate": 0.695, "theta": 0.6188844330948169, "predicted_epsilon": 0.000970944964773195, "infeasible": false}]}'
+    ),
+    ("B", "sc", "4", "1e-9"): (
+        2,
+        '{"results": [{"method": "sc_exact", "k_star": 5, "k_real": 5.276830940056243, '
+        '"rate": 0.025, "theta": 0.017479692102686392, "predicted_epsilon": 8.053350951876439e-10, "infeasible": false}, '
+        '{"method": "sc_approx", "k_star": 5, "k_real": 5.268815635608512, '
+        '"rate": 0.025, "theta": 0.017479692102686392, "predicted_epsilon": 8.100155894548138e-10, "infeasible": false}, '
+        '{"method": "fb", "k_star": 0, "k_real": 0.0, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}]}'
+    ),
+    ("B", "mrc", "1", "1e-3"): (
+        2,
+        '{"results": [{"method": "mrc_numeric", "k_star": 0, "k_real": 0.9416031828408958, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "mrc_closed", "k_star": 0, "k_real": 0.9415561566840751, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "fb", "k_star": 0, "k_real": 0.0, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}]}'
+    ),
+    ("B", "mrc", "1", "1e-9"): (
+        2,
+        '{"results": [{"method": "mrc_numeric", "k_star": 0, "k_real": 9.4261832971383e-07, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "mrc_closed", "k_star": 0, "k_real": 9.426224382767404e-07, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}, '
+        '{"method": "fb", "k_star": 0, "k_real": 0.0, '
+        '"rate": 0.0, "theta": 0.0, "predicted_epsilon": 0.0, "infeasible": true}]}'
+    ),
+    ("B", "mrc", "4", "1e-3"): (
+        0,
+        '{"results": [{"method": "mrc_numeric", "k_star": 253, "k_real": 253.51389207527146, '
+        '"rate": 1.265, "theta": 1.4032720990537013, "predicted_epsilon": 0.0009889559270787331, "infeasible": false}, '
+        '{"method": "mrc_closed", "k_star": 253, "k_real": 254.5037959375989, '
+        '"rate": 1.265, "theta": 1.4032720990537013, "predicted_epsilon": 0.0009889559270787331, "infeasible": false}, '
+        '{"method": "fb", "k_star": 250, "k_real": 250.07505022967234, '
+        '"rate": 1.25, "theta": 1.3784142300054418, "predicted_epsilon": 0.0009983905271110209, "infeasible": false}]}'
+    ),
+    ("B", "mrc", "4", "1e-9"): (
+        0,
+        '{"results": [{"method": "mrc_numeric", "k_star": 11, "k_real": 11.53016944561246, '
+        '"rate": 0.055, "theta": 0.03885910329766432, "predicted_epsilon": 8.257286857219508e-10, "infeasible": false}, '
+        '{"method": "mrc_closed", "k_star": 11, "k_real": 11.532060671918403, '
+        '"rate": 0.055, "theta": 0.03885910329766432, "predicted_epsilon": 8.257286857219508e-10, "infeasible": false}, '
+        '{"method": "fb", "k_star": 4, "k_real": 4.972059348132461, '
+        '"rate": 0.02, "theta": 0.01395947979002914, "predicted_epsilon": 7.294346086605041e-10, "infeasible": false}]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("source, scheme, antennas, eps", list(_RATE_JSON))
+def test_rate_json_is_pinned(source, scheme, antennas, eps, topology_file, capsys):
+    flags = ["--topology", topology_file] if source == "B" else ["--beta", "0.8", "--eta", "8"]
+    methods = "exact,approx,fb" if scheme == "sc" else "numeric,closed,fb"
+    argv = ["rate", *flags, "--M", antennas, "--eps", eps, "--scheme", scheme]
+    code, out, _ = run_cli([*argv, "--method", methods, "--json"], capsys)
+    exit_code, line = _RATE_JSON[source, scheme, antennas, eps]
+    assert (code, out) == (exit_code, line + "\n")
+
+
 class TestRate:
     def test_asymptotic_headline(self, capsys):
         code, out, _ = run_cli(
@@ -609,6 +770,10 @@ class TestUsageErrors:
         assert excinfo.value.code == EXIT_USAGE
 
 
+def _flags(values: dict) -> list[str]:
+    return [text for name, value in values.items() for text in (f"--{name}", value)]
+
+
 class TestSweep:
     def test_single_value_sweep_matches_rate(self, capsys):
         code, out, _ = run_cli(
@@ -701,6 +866,28 @@ class TestSweep:
             "# generator: urp sweep",
             f"# axis: {axis}; scheme: sc; {fixed}",
         ]
+
+    @pytest.mark.parametrize(
+        "axis, values, swept",
+        [
+            ("beta", "0.5,0.8", []),
+            ("eps", "1e-3,1e-6", ["--eps", "5"]),
+            ("M", "1,2", ["--M", "0"]),
+            ("n", "100,300", ["--n", "0"]),
+        ],
+    )
+    def test_generic_sweep_ignores_the_swept_fields_flag(self, axis, values, swept, capsys):
+        # no row uses the swept field's fixed value, yet a missing --beta or
+        # an invalid --eps, --M or --n made the sweep exit 65
+        sweep = ["sweep", "--eta", "8", "--axis", axis, "--values", values]
+        sweep += ["--methods", "approx,fb"]
+        fixed = {"beta": "0.8", "eps": "1e-3", "M": "2", "n": "200"}
+        code, out, err = run_cli([*sweep, *_flags(fixed)], capsys)
+        assert code == EXIT_OK, err
+        del fixed[axis]
+        code, swept_out, err = run_cli([*sweep, *_flags(fixed), *swept], capsys)
+        assert code == EXIT_OK, err
+        assert swept_out == out
 
     def test_generic_sweep_needs_axis(self, capsys):
         code, _, err = run_cli(["sweep", *FIG2_FLAGS], capsys)

@@ -214,11 +214,11 @@ def test_sc_asymptotic_commands_load_no_numpy(argv, expected):
 def test_csv_of_python_values_loads_no_numpy():
     out = run_fresh(
         """
-        import dataclasses, io
+        import io
+        from typing import NamedTuple
         from urpayload.sweeps import write_csv
 
-        @dataclasses.dataclass
-        class Row:
+        class Row(NamedTuple):
             x: float
             k: int
             name: str
