@@ -3,16 +3,18 @@
 The root finder works on scalars. It returns exactly what bisection of its
 bracket returns, for monotone f, from far fewer evaluations: interpolation
 picks the points, and monotonicity supplies the signs of the midpoints it
-passes over. The integration rule takes an array-valued integrand on a
-fixed log-spaced grid, which `log_grid` builds once per step size and
-shares read-only (up to a node count that `grid_is_kept` decides), so
-callers can evaluate what does not change between integrals on the same
-nodes once. Its arithmetic, from the sums of the integrand over all nodes
-and over the even ones, is `trapezoid_from_sums`, so a caller that knows the
-integrand on most nodes ahead (say, as prefix sums) can form those sums
-itself. The common requirement across callers is left-tail fidelity:
-probabilities down to ~1e-12 must keep relative precision, so complements
-are never formed by subtracting from 1.
+passes over. A caller's estimate of the root, where it has one, is the first
+point evaluated: it changes how many calls are made, never the result. The
+integration rule takes an array-valued integrand on a fixed log-spaced grid,
+which `log_grid` builds once per step size and shares read-only (up to a
+node count that `grid_is_kept` decides), so callers can evaluate what does
+not change between integrals on the same nodes once. Its arithmetic, from
+the sums of the integrand over all nodes and over the even ones, is
+`trapezoid_from_sums`, so a caller that knows the integrand on most nodes
+ahead (say, as prefix sums) can form those sums itself. The common
+requirement across callers is left-tail fidelity: probabilities down to
+~1e-12 must keep relative precision, so complements are never formed by
+subtracting from 1.
 
 `special` and `np` stand in for `scipy.special` and `numpy`, which the
 package's modules take from here instead of importing them when they load:
@@ -118,6 +120,7 @@ def find_root_monotone(
     target: float,
     bracket: Bracket,
     tol: float = 1e-12,
+    guess: float | None = None,
 ) -> float:
     """Solve f(x) = target for monotone f; return what bisection returns.
 
@@ -133,6 +136,12 @@ def find_root_monotone(
     close to the crossing, as lomax_sum_cdf's does, also gets bisection's
     answer. f is called at most four times more than bisection calls it, and
     on smooth f a handful of times in all.
+
+    `guess`, an estimate of the crossing, is the first point evaluated in
+    place of the interpolation's pick, clamped into the bracket and rounded
+    like it. It saves calls when it is close and never changes the returned
+    double, which depends only on signs; a NaN, infinite or outside one
+    costs at most one call.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -193,12 +202,13 @@ def find_root_monotone(
         if spare > 0 and b - a > 2.0 * spacing:
             # at least one lattice step inside, so that a crossing hugging
             # one end is bracketed from the other side next
-            guess = _interpolate(a, fa, b, fb, c, fc)
-            guess = min(max(guess, a + spacing), b - spacing)
-            guess -= math.remainder(guess - origin, spacing)
-            converging = abs(guess - last) <= 0.5 * step_before
-            if a < guess < b and converging and guess not in values:
-                x = guess
+            pick = _interpolate(a, fa, b, fb, c, fc) if guess is None else guess
+            guess = None
+            pick = min(max(pick, a + spacing), b - spacing)
+            pick -= math.remainder(pick - origin, spacing)
+            converging = abs(pick - last) <= 0.5 * step_before
+            if a < pick < b and converging and pick not in values:
+                x = pick
         values[x] = fx = f(x) - target
         spare -= 1
         step_before, step, last = step, abs(x - last), x

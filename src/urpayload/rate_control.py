@@ -218,8 +218,9 @@ def sc_kstar_exact(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
 
     Solves prod_j(1 + theta(k)*w_j) = 1/(1 - eps^(1/M)) for real k with
     find_root_monotone on the log product (strictly increasing in k) to 1e-9,
-    the bisection's answer from about 8 log products, then settles the
-    integer payload against the exact error itself.
+    started from the closed-form k_real of sc_kstar_approx: the bisection's
+    answer from a handful of log products. The integer payload is then
+    settled against the exact error itself.
     """
     if cfg.scheme is not Scheme.SC:
         raise ValueError("sc_kstar_exact requires an SC-scheme config")
@@ -236,7 +237,8 @@ def sc_kstar_exact(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     hi = float(n)
     while log_product(hi) < target:
         hi *= 2.0
-    k_real = find_root_monotone(log_product, target, Bracket(0.0, hi), tol=1e-9)
+    estimate = _k_real(n, dist, math.expm1(target / dist.eta))
+    k_real = find_root_monotone(log_product, target, Bracket(0.0, hi), tol=1e-9, guess=estimate)
     return _settle(Method.SC_EXACT, cfg, k_real, lambda t: sc_error(t, dist, m, exact=True))
 
 
@@ -360,12 +362,6 @@ def _check_probability(epsilon: float) -> None:
         raise ValueError(f"probability must lie in (0, 1), got {epsilon}")
 
 
-# The seeded cell must hold x0*(1 +- _SEED_GUARD). gammaincinv puts x0 far
-# closer to the root than this, so the root lies in the cell, and the cell's
-# ends lie far outside the few ulps where lomax_sum_cdf's sign wobbles.
-_SEED_GUARD = 2.0**-30
-
-
 def mrc_quantile_numeric(epsilon: float, antennas: int, eta: int) -> float:
     """Invert lomax_sum_cdf at epsilon to within 1e-15*hi absolute: bisection's double.
 
@@ -373,21 +369,8 @@ def mrc_quantile_numeric(epsilon: float, antennas: int, eta: int) -> float:
     where hi is the first M*2^j whose CDF reaches epsilon. hi >= M, so for a
     root far below M the relative error can be far above 1e-15 (2.4e-6 at a
     root of 1.4e-10*M). lomax_sum_cdf is P(M, eta*M*log1p(x/M)), so
-    gammaincinv gives an estimate x0 = M*expm1(gammaincinv(M, epsilon)/(eta*M))
-    of the root. The bisection's first levels are replayed without CDF
-    calls, down to the cell (one of its intervals) that still holds all of
-    x0*(1 +- 2^-30): it stops where the next midpoint would fall inside that
-    band, or where the cell is 8*tol wide, so it holds at least four of the
-    bisection's last intervals. If the CDF is strictly below epsilon at the cell's low end
-    and strictly above it at its high end, a monotone CDF sends bisection of
-    [0, hi] into this cell through the same midpoints, so bisection of the
-    cell alone returns the same double.
-
-    Where the estimate settles nothing (x0 zero, infinite or NaN, or a cell
-    end where the CDF is not strictly on its side, as on the plateau where
-    it rounds to epsilon near 1), the search runs on all of [0, hi].
-    find_root_monotone returns the bisection's double from a handful of CDF
-    calls, and no point's CDF is evaluated twice.
+    M*expm1(gammaincinv(M, epsilon)/(eta*M)) estimates the root, and
+    find_root_monotone starts from it. No point's CDF is evaluated twice.
     """
     _check_probability(epsilon)
     _check_count_shape(antennas, eta)
@@ -399,27 +382,11 @@ def mrc_quantile_numeric(epsilon: float, antennas: int, eta: int) -> float:
             value = values[x] = lomax_sum_cdf(x, antennas, eta)
         return value
 
-    gamma_root = _scalar.gammaincinv(antennas, epsilon)
-    seed = antennas * math.expm1(gamma_root / (eta * antennas))
-    seeded = 0.0 < seed < math.inf
     hi = float(antennas)
     while cdf(hi) < epsilon:
         hi *= 2.0
-    tol = 1e-15 * hi
-    if seeded:
-        low, high = seed * (1.0 - _SEED_GUARD), seed * (1.0 + _SEED_GUARD)
-        lo, top = 0.0, hi
-        while top - lo > 8.0 * tol:
-            mid = 0.5 * (lo + top)
-            if mid <= low:
-                lo = mid
-            elif mid >= high:
-                top = mid
-            else:
-                break
-        if cdf(lo) < epsilon < cdf(top):
-            return find_root_monotone(cdf, epsilon, Bracket(lo, top), tol=tol)
-    return find_root_monotone(cdf, epsilon, Bracket(0.0, hi), tol=tol)
+    estimate = antennas * math.expm1(_scalar.gammaincinv(antennas, epsilon) / (eta * antennas))
+    return find_root_monotone(cdf, epsilon, Bracket(0.0, hi), tol=1e-15 * hi, guess=estimate)
 
 
 def mrc_quantile_closed(epsilon: float, antennas: int, eta: int) -> float:

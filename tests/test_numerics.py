@@ -190,15 +190,26 @@ class TestFindRootMonotoneEqualsBisection:
             st.integers(min_value=1, max_value=2**12 - 1).map(lambda j: j / 2**12),
         ),
         increasing=st.booleans(),
+        # the start estimate, as a place in the bracket like the root's: none,
+        # the root's own, the ends, in or outside the bracket, or not finite
+        guess=st.one_of(
+            st.none(),
+            st.just("root"),
+            st.sampled_from([0.0, 1.0, math.nan, math.inf, -math.inf]),
+            st.floats(min_value=-1.0, max_value=2.0),
+        ),
     )
-    @example(curve="power8", shape="quantile", size=8.0, place=0.5, increasing=True)
-    @example(curve="cube", shape="default", size=1.0, place=0.125, increasing=False)
+    @example(curve="power8", shape="quantile", size=8.0, place=0.5, increasing=True, guess=None)
+    @example(curve="cube", shape="default", size=1.0, place=0.125, increasing=False, guess=None)
     # a flat start: regula falsi creeps along it, and the spare calls must
     # still hand the search back to bisection in time
-    @example(curve="cube", shape="quantile", size=8.0, place=1e-6, increasing=True)
+    @example(curve="cube", shape="quantile", size=8.0, place=1e-6, increasing=True, guess=None)
+    # an estimate at the root itself, and one that is NaN
+    @example(curve="steps", shape="payload", size=100.0, place=0.3, increasing=True, guess="root")
+    @example(curve="exp", shape="unit", size=3.0, place=1e-9, increasing=False, guess=math.nan)
     @settings(max_examples=400, deadline=None)
     def test_same_double_and_at_most_four_more_calls(
-        self, curve, shape, size, place, increasing
+        self, curve, shape, size, place, increasing, guess
     ):
         bracket, tol = BRACKETS[shape](size)
         g = CURVES[curve](bracket.hi)
@@ -207,11 +218,14 @@ class TestFindRootMonotoneEqualsBisection:
         if f(bracket.lo) == f(bracket.hi):  # flat within the bracket: no crossing
             return
         expected, oracle_calls = bisection(f, target, bracket, 1e-12 if tol is None else tol)
+        if guess is not None:
+            at = place if guess == "root" else guess
+            guess = bracket.lo + (bracket.hi - bracket.lo) * at
         f, calls = counted(f)
         if tol is None:
-            root = find_root_monotone(f, target, bracket)
+            root = find_root_monotone(f, target, bracket, guess=guess)
         else:
-            root = find_root_monotone(f, target, bracket, tol=tol)
+            root = find_root_monotone(f, target, bracket, tol=tol, guess=guess)
         assert root == expected
         assert len(calls) <= oracle_calls + 4
 
