@@ -33,7 +33,6 @@ _MODULE_NAMES = {
         "combined_sir_pdf",
         "lomax_sum_cdf",
         "lomax_sum_cdf_lower_bound_curve",
-        "lomax_sum_pdf",
         "mrc_error",
         "mrc_kstar",
         "mrc_quantile_closed",
@@ -41,7 +40,6 @@ _MODULE_NAMES = {
         "sc_error",
         "sc_kstar_approx",
         "sc_kstar_exact",
-        "sc_pdf",
         "theta_for_rate",
     ),
     "simulator": (

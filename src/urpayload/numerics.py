@@ -22,13 +22,14 @@ the CLI's parser, its refusals and the SC asymptotic solvers use only
 `math`, and the two imports would be most of their start. `special_scalar`
 stands in for `scipy.special.cython_special`, whose functions run the same C
 kernels as the `special` ufuncs on one Python float each, without the
-ufunc's dispatch, and return a Python float: the scalar calls on the MRC
-solve path use it, the array calls keep `special`. A handle's first
-attribute lookup imports its module and keeps the attribute on the handle,
-so later lookups of that name read it without calling `__getattr__`; either
-way they return the module's own objects. `importlib.import_module` holds
-the module's import lock, so a first lookup from two threads at once is
-safe: both see the finished module.
+ufunc's dispatch, and return a Python float: every `gammainc` and
+`gammaincinv` call (the MRC solves and fig3's CDF column) uses it, and
+only the finite-blocklength `erfc`, an array call, keeps `special`. A
+handle's first attribute lookup imports its module and keeps the attribute
+on the handle, so later lookups of that name read it without calling
+`__getattr__`; either way they return the module's own objects.
+`importlib.import_module` holds the module's import lock, so a first lookup
+from two threads at once is safe: both see the finished module.
 """
 from __future__ import annotations
 

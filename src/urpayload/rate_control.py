@@ -6,7 +6,10 @@ error probability stays below the target. Selection combining admits both an
 exact product-form solve and a closed form; maximum-ratio combining goes
 through the distribution of a sum of i.i.d. Lomax variables, for which a
 gamma-based approximation and a closed-form quantile bound are provided.
-All left-tail arithmetic is done in log domain.
+`combined_sir_pdf` is the one density of the combined SIR, for either
+scheme, that the finite-blocklength average integrates. All left-tail
+arithmetic is done in log domain, and the special functions are scalar
+`cython_special` calls.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ from .numerics import (
     Bracket,
     find_root_monotone,
     np,
-    special as _special,
     special_scalar as _scalar,
 )
 from .sir_model import (
@@ -36,9 +38,7 @@ __all__ = [
     "Scheme",
     "combined_sir_pdf",
     "lomax_sum_cdf",
-    "lomax_sum_cdf_curve",
     "lomax_sum_cdf_lower_bound_curve",
-    "lomax_sum_pdf",
     "mrc_error",
     "mrc_kstar",
     "mrc_quantile_closed",
@@ -46,7 +46,6 @@ __all__ = [
     "sc_error",
     "sc_kstar_approx",
     "sc_kstar_exact",
-    "sc_pdf",
     "theta_for_rate",
 ]
 
@@ -219,20 +218,29 @@ def sc_kstar_exact(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     Solves prod_j(1 + theta(k)*w_j) = 1/(1 - eps^(1/M)) for real k with
     find_root_monotone on the log product (strictly increasing in k) to 1e-9,
     started from the closed-form k_real of sc_kstar_approx: the bisection's
-    answer from a handful of log products. The integer payload is then
-    settled against the exact error itself.
+    answer from a handful of log products, none evaluated twice. The integer
+    payload is then settled against the exact error itself.
     """
     if cfg.scheme is not Scheme.SC:
         raise ValueError("sc_kstar_exact requires an SC-scheme config")
     n, m, eps = cfg.blocklength, cfg.antennas, cfg.epsilon_th
     target = _log_tail_complement(eps, m)
 
+    # the root search asks again for the doubling's last point; a dict, as
+    # building a functools.cache wrapper takes longer than the call it saves
+    values: dict[float, float] = {}
+
     def log_product(k: float) -> float:
-        try:
-            theta = theta_for_rate(k, n)
-        except ValueError:  # theta overflows; bisection needs only the sign
-            return math.inf
-        return -sir_log_survival_exact(theta, dist)
+        value = values.get(k)
+        if value is None:
+            try:
+                theta = theta_for_rate(k, n)
+            except ValueError:  # theta overflows; bisection needs only the sign
+                value = math.inf
+            else:
+                value = -sir_log_survival_exact(theta, dist)
+            values[k] = value
+        return value
 
     hi = float(n)
     while log_product(hi) < target:
@@ -255,67 +263,11 @@ def sc_kstar_approx(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     return _settle(Method.SC_APPROX, cfg, k_real, lambda t: sc_error(t, dist, cfg.antennas))
 
 
-def sc_pdf(x, dist: SirDistribution, antennas: int):
-    """Density of the SC-combined SIR (max over antennas), scaled-Lomax model.
-
-    M * F(x)^(M-1) * f(x), elementwise over an array of SIR values. Where
-    x*beta overflows, the argument is infinite and the density 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError(f"SIR must be nonnegative, got {x}")
-    with np.errstate(over="ignore"):
-        log_arg = np.log1p(x * dist.beta / dist.eta)
-    pdf = dist.beta * np.exp(-(dist.eta + 1) * log_arg)
-    cdf = -np.expm1(-dist.eta * log_arg)
-    return antennas * cdf ** (antennas - 1) * pdf
-
-
 def _check_count_shape(count: int, shape: int) -> None:
     if not (isinstance(count, int) and count >= 1):
         raise ValueError(f"count must be a positive integer, got {count!r}")
     if not (isinstance(shape, int) and shape >= 1):
         raise ValueError(f"shape must be a positive integer, got {shape!r}")
-
-
-def lomax_sum_pdf(x, count: int, shape: int):
-    """Density approximation for a sum of `count` i.i.d. Lomax(shape, 1) variables.
-
-    (shape^M M^(M-1)/(M-1)!) (1+x/M)^(-1-M*shape) ln^(M-1)(1+x/M) with M=count,
-    elementwise over an array and assembled in log domain. The log-power
-    factor vanishes at x=0 for M>1, and the density is 0 at x=inf.
-    """
-    _check_count_shape(count, shape)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    log_arg = np.log1p(x / count)
-    if count == 1:
-        return shape * np.exp((-1.0 - shape) * log_arg)
-    # log(0) = -inf makes the density 0 at x=0; at x=inf the sum is
-    # -inf + inf, so the limit 0 is set there
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_power = (count - 1) * np.log(log_arg)
-        log_pdf = (
-            count * math.log(shape)
-            + (count - 1) * math.log(count)
-            - math.lgamma(count)
-            + (-1.0 - count * shape) * log_arg
-            + log_power
-        )
-    return np.where(np.isposinf(log_arg), 0.0, np.exp(log_pdf))
-
-
-def _gamma_argument(x: float, count: int, shape: int) -> float:
-    # shape*M*log1p(x/M): P(M, .) of it is the Lomax-sum CDF at x
-    return shape * count * math.log1p(x / count)
-
-
-def _check_arguments(xs: Sequence[float], count: int, shape: int) -> None:
-    _check_count_shape(count, shape)
-    for x in xs:
-        if x < 0.0:
-            raise ValueError(f"argument must be nonnegative, got {x}")
 
 
 def lomax_sum_cdf(x: float, count: int, shape: int) -> float:
@@ -328,14 +280,7 @@ def lomax_sum_cdf(x: float, count: int, shape: int) -> float:
     _check_count_shape(count, shape)
     if x < 0.0:
         raise ValueError(f"argument must be nonnegative, got {x}")
-    return _scalar.gammainc(count, _gamma_argument(x, count, shape))
-
-
-def lomax_sum_cdf_curve(xs: Sequence[float], count: int, shape: int) -> list[float]:
-    """lomax_sum_cdf at each of xs, bit for bit, from one gammainc call."""
-    _check_arguments(xs, count, shape)
-    args = [_gamma_argument(x, count, shape) for x in xs]
-    return _special.gammainc(count, args).tolist()
+    return _scalar.gammainc(count, shape * count * math.log1p(x / count))
 
 
 def lomax_sum_cdf_lower_bound_curve(
@@ -348,10 +293,12 @@ def lomax_sum_cdf_lower_bound_curve(
     some left-tail comparisons plot; the default keeps the exact logarithm.
     Each value is formed with scalar math calls, c*shape*M first.
     """
-    _check_arguments(xs, count, shape)
+    _check_count_shape(count, shape)
     factor = math.exp(-math.lgamma(count + 1) / count) * shape * count
     bounds = []
     for x in xs:
+        if x < 0.0:
+            raise ValueError(f"argument must be nonnegative, got {x}")
         t = factor * (x / count if linearize else math.log1p(x / count))
         bounds.append(math.exp(count * math.log(-math.expm1(-t))) if t > 0.0 else 0.0)
     return bounds
@@ -460,16 +407,41 @@ def mrc_kstar(
 
 
 def combined_sir_pdf(x, dist: SirDistribution, antennas: int, scheme: Scheme):
-    """Density of the post-combining SIR at x, elementwise.
+    """Density of the post-combining SIR at x under the scaled-Lomax model, elementwise.
 
-    SC: max of the per-antenna values. MRC: the combined SIR Psi relates to
-    the normalized Lomax sum v through Psi = (eta/beta)*v, so
-    f_Psi(x) = (beta/eta) * f_v(x*beta/eta). Where x*beta/eta overflows, the
-    density is 0.
+    SC, the max over antennas: M * F(x)^(M-1) * f(x) with the per-antenna
+    scaled-Lomax F and f. MRC: the combined SIR Psi relates to the normalized
+    Lomax sum v through Psi = (eta/beta)*v, so f_Psi(x) = (beta/eta) * f_v(v)
+    at v = x*beta/eta, where f_v(v) = (eta^M M^(M-1)/(M-1)!)
+    (1+v/M)^(-1-M*eta) ln^(M-1)(1+v/M) is assembled in log domain; its
+    log-power factor vanishes at v=0 for M>1. Where x*beta overflows, or x
+    is infinite, the density is 0. Raises ValueError unless M is a positive
+    integer and every x is nonnegative.
     """
+    _check_count_shape(antennas, dist.eta)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise ValueError(f"SIR must be nonnegative, got {x}")
+    eta, beta = dist.eta, dist.beta
     if Scheme(scheme) is Scheme.SC:
-        return sc_pdf(x, dist, antennas)
-    scale = dist.beta / dist.eta
+        with np.errstate(over="ignore"):
+            log_arg = np.log1p(x * beta / eta)
+        pdf = beta * np.exp(-(eta + 1) * log_arg)
+        cdf = -np.expm1(-eta * log_arg)
+        return antennas * cdf ** (antennas - 1) * pdf
+    scale = beta / eta
     with np.errstate(over="ignore"):
-        v = np.multiply(x, scale)
-    return scale * lomax_sum_pdf(v, antennas, dist.eta)
+        log_arg = np.log1p(x * scale / antennas)
+    if antennas == 1:
+        return scale * (eta * np.exp((-1.0 - eta) * log_arg))
+    # log(0) = -inf makes the density 0 at x=0; at x=inf the sum is
+    # -inf + inf, so the limit 0 is set there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pdf = (
+            antennas * math.log(eta)
+            + (antennas - 1) * math.log(antennas)
+            - math.lgamma(antennas)
+            + (-1.0 - antennas * eta) * log_arg
+            + (antennas - 1) * np.log(log_arg)
+        )
+    return scale * np.where(np.isposinf(log_arg), 0.0, np.exp(log_pdf))

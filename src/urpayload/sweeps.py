@@ -22,10 +22,7 @@ from .rate_control import (
     Method,
     RateSolution,
     Scheme,
-    # not called here: fig3 uses the curve forms, but bench/tracing.py
-    # wraps sweeps.lomax_sum_cdf
-    lomax_sum_cdf,  # noqa: F401
-    lomax_sum_cdf_curve,
+    lomax_sum_cdf,
     lomax_sum_cdf_lower_bound_curve,
     mrc_kstar,
     sc_kstar_approx,
@@ -326,11 +323,13 @@ def _preset_bound_curves() -> list[BoundCurveRow]:
         for eta in _BOUND_GRID_ETA:
             curves = zip(
                 grid,
-                lomax_sum_cdf_curve(grid, antennas, eta),
                 lomax_sum_cdf_lower_bound_curve(grid, antennas, eta, linearize=True),
                 lomax_sum_cdf_lower_bound_curve(grid, antennas, eta, linearize=False),
             )
-            rows.extend(BoundCurveRow(antennas, eta, *point) for point in curves)
+            rows.extend(
+                BoundCurveRow(antennas, eta, x, lomax_sum_cdf(x, antennas, eta), linear, exact)
+                for x, linear, exact in curves
+            )
     return rows
 
 

@@ -6,6 +6,7 @@ reference setups and pinned; they are regression guards, not theory.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -77,10 +78,11 @@ def check_bound_ordering() -> list[CheckResult]:
 
 def _left_tail_gamma_grid(topology: SirDistribution) -> np.ndarray:
     # upper edge: gamma where the exact CDF reaches 1e-2, then nine decades down
+    cdf = functools.cache(lambda g: sir_cdf_exact(g, topology))
     hi = 1.0
-    while sir_cdf_exact(hi, topology) < 1e-2:
+    while cdf(hi) < 1e-2:
         hi *= 2.0
-    edge = find_root_monotone(lambda g: sir_cdf_exact(g, topology), 1e-2, Bracket(0.0, hi))
+    edge = find_root_monotone(cdf, 1e-2, Bracket(0.0, hi))
     top = math.log10(edge)
     return np.logspace(top - 9.0, top, 400)
 

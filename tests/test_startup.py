@@ -103,9 +103,9 @@ EXPORTS = {
     "numerics": ["Bracket", "BracketError", "find_root_monotone", "integrate_semi_infinite"],
     "rate_control": [
         "LinkConfig", "Method", "RateSolution", "Scheme", "combined_sir_pdf",
-        "lomax_sum_cdf", "lomax_sum_cdf_lower_bound_curve", "lomax_sum_pdf", "mrc_error",
+        "lomax_sum_cdf", "lomax_sum_cdf_lower_bound_curve", "mrc_error",
         "mrc_kstar", "mrc_quantile_closed", "mrc_quantile_numeric", "sc_error",
-        "sc_kstar_approx", "sc_kstar_exact", "sc_pdf", "theta_for_rate",
+        "sc_kstar_approx", "sc_kstar_exact", "theta_for_rate",
     ],
     "simulator": [
         "Semantics", "SimReport", "SimSpec", "UndersampledError", "run_sim",
@@ -272,13 +272,14 @@ def test_paths_without_special_leave_scipy_unloaded(call, loads_numpy):
             True,  # its CDF and its seed are scalar calls
         ),
         ("finite_blocklength.fb_kstar(dist, LinkConfig(4, 200, 1e-6))", False),
+        ('sweeps.preset_rows("fig3")', True),  # its CDF column is scalar calls
     ],
-    ids=["mrc_numeric", "fb"],
+    ids=["mrc_numeric", "fb", "fig3"],
 )
 def test_paths_with_special_load_it(call, loads_cython_special):
     out = run_fresh(
         f"""
-        from urpayload import finite_blocklength, rate_control
+        from urpayload import finite_blocklength, rate_control, sweeps
         before = numpy_loaded(), scipy_loaded()
         {call}
         print(*before, numpy_loaded(), "scipy.special" in sys.modules)
