@@ -137,13 +137,24 @@ def fb_error_conditional(sir, k: float, n: int):
     Q((C(SIR) - k/n) / sqrt(V(SIR)/n)) as 0.5*erfc(z/sqrt(2)), which is
     exactly 1.0 below z = -8.5 and exactly 0.0 above z = 40; a NaN SIR or
     payload gives NaN. At SIR=0 the dispersion vanishes and the limit is 1
-    for any positive payload.
+    for any positive payload. The result is a new float64 array of the SIR's
+    shape. The spread and the probability are each formed in one buffer, by
+    the ufuncs of `channel_dispersion` and `shannon_capacity` in their order,
+    so they hold those functions' doubles without a temporary per ufunc.
     """
     sir_arr = np.asarray(sir, dtype=float)
+    spread, prob = np.empty_like(sir_arr), np.empty_like(sir_arr)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        spread = np.sqrt(channel_dispersion(sir_arr) / n)
-        prob = 0.5 * _special.erfc((shannon_capacity(sir_arr) - k / n) / spread / _SQRT2)
-    return np.where(sir_arr == 0.0, 1.0 if k > 0 else 0.5, prob)
+        np.square(np.add(1.0, sir_arr, out=spread), out=spread)
+        np.subtract(1.0, np.divide(1.0, spread, out=spread), out=spread)
+        np.multiply(spread, _LOG2E_SQ, out=spread)
+        np.sqrt(np.divide(spread, n, out=spread), out=spread)
+        np.multiply(np.log1p(sir_arr, out=prob), _LOG2E, out=prob)
+        np.subtract(prob, k / n, out=prob)
+        np.divide(np.divide(prob, spread, out=prob), _SQRT2, out=prob)
+        np.multiply(0.5, _special.erfc(prob, out=prob), out=prob)
+    np.copyto(prob, 1.0 if k > 0 else 0.5, where=sir_arr == 0.0)
+    return prob
 
 
 def _grid_step(n: int) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
@@ -47,12 +48,16 @@ _BLOCK_TRIALS = 1 << 16
 # chunk's passes stay in a 2 MiB per-core L2, where 2 MiB chunks streamed from L3
 # (one thread, 2-core Xeon, topology B: M=1 5.0 -> 3.8 ms a block, M=2 12.3 -> 10.6)
 _CHUNK_GAINS = 1 << 16
-# A block keeps two _BLOCK_TRIALS x M float64 arrays (serving gains, then the
-# SIR, and the interference) per worker, 1 MiB per antenna: 256 MiB at this
-# cap. Far beyond it the allocation alone outgrows memory and the run stalls.
+# A block keeps one _BLOCK_TRIALS x M float64 array (serving gains, then the
+# SIR) per worker, 512 KiB per antenna, plus a chunk of interferer gains: 128
+# MiB at this cap. Far beyond it the allocation alone outgrows memory and the
+# run stalls.
 _MAX_ANTENNAS = 256
-# run_sim holds about 1.6 KB of bookkeeping per block of _BLOCK_TRIALS trials
-# (its future and result), some 240 MB at this cap
+# run_sim keeps at most this many blocks per worker submitted and not yet
+# reduced: enough that no worker waits while the oldest result is reduced
+_PENDING_PER_WORKER = 4
+# a variance-reduced run keeps two floats per block of _BLOCK_TRIALS trials
+# for its exact sums, some 10 MB at this cap
 MAX_TRIALS = 10**10
 # The thread pool starts a thread per submitted block while none is idle, up
 # to `workers`; a fixed cap keeps a spec valid on one machine valid on all.
@@ -243,22 +248,27 @@ def sample_sir_block(
     whole trials per chunk, in the C order of one (trials, eta, antennas)
     draw, and kept as log1p(-U) = -g. Contracted with the negated weights,
     (-g)(-w) is g*w and (-0)(-w) is +0 exactly: the same doubles as one
-    whole-block draw of g contracted with w.
+    whole-block draw of g contracted with w. Each chunk's interference
+    divides its rows of h in place, so a block holds one (trials, antennas)
+    array, the result, plus one chunk of gains and its interference.
     """
     negated_weights = -np.asarray(dist.path_losses, dtype=float)
     h = _exponential(rng, (trials, antennas))
-    interference = np.empty((trials, antennas))
     step = max(1, _CHUNK_GAINS // (negated_weights.size * antennas))
-    for start in range(0, trials, step):
-        stop = min(start + step, trials)
-        g = rng.random((stop - start, negated_weights.size, antennas))
-        np.log1p(np.negative(g, out=g), out=g)
-        # einsum, because tensordot and matmul sum in another order and
-        # differ from it in the last bits
-        np.einsum("tja,j->ta", g, negated_weights, out=interference[start:stop])
-    # inf past the largest double or over an all-zero interference row, NaN for 0/0
+    interference = np.empty((min(step, trials), antennas))
+    # inf past the largest double or over an all-zero interference row, NaN
+    # for 0/0; einsum and log1p(-U) for U in [0, 1) raise no FP warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.divide(h, interference, out=h)
+        for start in range(0, trials, step):
+            stop = min(start + step, trials)
+            g = rng.random((stop - start, negated_weights.size, antennas))
+            np.log1p(np.negative(g, out=g), out=g)
+            # einsum, because tensordot and matmul sum in another order and
+            # differ from it in the last bits
+            chunk = interference[: stop - start]
+            np.einsum("tja,j->ta", g, negated_weights, out=chunk)
+            np.divide(h[start:stop], chunk, out=h[start:stop])
+    return h
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -281,11 +291,26 @@ def _run_block(spec: SimSpec, theta: float | None, block: int, trials: int):
     return int(np.count_nonzero(draws < probs))
 
 
+def _block_results(spec: SimSpec, theta: float | None, pool):
+    """Each block's result in block order, submitting the next block to pool
+    as the oldest is taken, so at most _PENDING_PER_WORKER * workers blocks
+    are submitted and not yet taken."""
+    pending = deque()
+    for b, first in enumerate(range(0, spec.trials, _BLOCK_TRIALS)):
+        if len(pending) == _PENDING_PER_WORKER * spec.workers:
+            yield pending.popleft().result()
+        size = min(_BLOCK_TRIALS, spec.trials - first)
+        pending.append(pool.submit(_run_block, spec, theta, b, size))
+    while pending:
+        yield pending.popleft().result()
+
+
 def run_sim(spec: SimSpec) -> SimReport:
     """Run the simulation described by spec and summarize it.
 
     Per-block results are reduced in block order so floating-point sums are
-    reproducible; integer error counts are order-independent anyway.
+    reproducible; integer error counts are order-independent anyway. The
+    variance-reduced sums keep two floats per block for `math.fsum`.
     """
     from concurrent.futures import ThreadPoolExecutor  # and logging: 5 ms of each start
 
@@ -293,19 +318,20 @@ def run_sim(spec: SimSpec) -> SimReport:
     theta = None  # the finite-blocklength error needs no threshold
     if spec.semantics is Semantics.ASYMPTOTIC:
         theta = theta_for_rate(spec.threshold_bits, spec.blocklength)
-    starts = range(0, spec.trials, _BLOCK_TRIALS)
-    blocks = [(b, min(_BLOCK_TRIALS, spec.trials - start)) for b, start in enumerate(starts)]
-
     with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-        futures = [pool.submit(_run_block, spec, theta, b, size) for b, size in blocks]
-        results = [f.result() for f in futures]
+        results = _block_results(spec, theta, pool)
+        if spec.variance_reduced:
+            sums, squares = [], []
+            for block_sum, block_squares in results:
+                sums.append(block_sum)
+                squares.append(block_squares)
+        else:
+            errors = sum(results)
 
     elapsed = time.perf_counter() - start
     if spec.variance_reduced:
-        total = math.fsum(r[0] for r in results)
-        total_sq = math.fsum(r[1] for r in results)
-        mean = total / spec.trials
-        var = max(total_sq / spec.trials - mean * mean, 0.0)
+        mean = math.fsum(sums) / spec.trials
+        var = max(math.fsum(squares) / spec.trials - mean * mean, 0.0)
         half = _Z95 * math.sqrt(var / spec.trials)
         return SimReport(
             trials=spec.trials,
@@ -315,7 +341,6 @@ def run_sim(spec: SimSpec) -> SimReport:
             seed=spec.seed,
             elapsed=elapsed,
         )
-    errors = sum(results)
     return SimReport(
         trials=spec.trials,
         errors=errors,

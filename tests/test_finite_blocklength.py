@@ -90,10 +90,38 @@ class TestFbErrorConditional:
         for s, v in zip(sirs, vec):
             assert v == pytest.approx(fb_error_conditional(float(s), 50, 200), rel=1e-12)
 
+    @pytest.mark.parametrize("k", [0, 1, 8, 50.5, 400])
+    @pytest.mark.parametrize("n", [1, 200, 10**5])
+    def test_equals_the_one_expression_form(self, rng, k, n):
+        # the two-buffer form has the doubles of the expression it replaced
+        edges = [0.0, 5e-324, 1e-300, math.inf, math.nan]
+        sir = np.concatenate([edges, rng.exponential(size=5000) * np.geomspace(1e-9, 1e9, 5000)])
+        got = fb_error_conditional(sir, k, n)
+        assert got.tobytes() == one_expression_conditional(sir, k, n).tobytes()
+        for x in edges:
+            assert fb_error_conditional(x, k, n).tobytes() == (
+                one_expression_conditional(x, k, n).tobytes()
+            )
+
+    @pytest.mark.parametrize("sir", [1.5, np.float64(0.0), np.array(2.0), [0.0, 1.0, 4.0]])
+    def test_type_and_shape_of_the_one_expression_form(self, sir):
+        got, want = fb_error_conditional(sir, 8, 200), one_expression_conditional(sir, 8, 200)
+        assert type(got) is type(want) and got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     @given(st.floats(min_value=0.01, max_value=100.0), st.integers(min_value=1, max_value=400))
     @settings(max_examples=50)
     def test_monotone_in_payload(self, sir, k):
         assert fb_error_conditional(sir, k + 1, 200) >= fb_error_conditional(sir, k, 200)
+
+
+def one_expression_conditional(sir, k, n):
+    # fb_error_conditional as one expression with a temporary per ufunc
+    sir_arr = np.asarray(sir, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        spread = np.sqrt(channel_dispersion(sir_arr) / n)
+        prob = 0.5 * special.erfc((shannon_capacity(sir_arr) - k / n) / spread / math.sqrt(2.0))
+    return np.where(sir_arr == 0.0, 1.0 if k > 0 else 0.5, prob)
 
 
 def _check_against_sampled_expectation(main_dist, rng, antennas, k, n):

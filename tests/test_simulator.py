@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from urpayload import simulator
-from urpayload.finite_blocklength import fb_error_average
+from urpayload.finite_blocklength import fb_error_average, fb_error_conditional
 from urpayload.rate_control import Scheme, sc_error, theta_for_rate
 from urpayload.simulator import (
     Semantics,
@@ -161,15 +162,32 @@ class TestSampleSirBlockChunks:
         assert 0.0 < sir[3, 1] < math.inf
 
     def test_block_memory_is_capped(self):
-        # the one-shot draw peaks at 392 MiB here: 65536*24*16 gains, and temporaries
+        # the one-shot draw peaks at 392 MiB here: 65536*24*16 gains, and
+        # temporaries; the chunked draw holds the 8 MiB result, one 512 KiB
+        # chunk of gains and one chunk's interference
         dist = SirDistribution.from_beta(0.8, 24)
-        tracemalloc.start()
-        try:
-            sample_sir_block(dist, 16, 65536, np.random.default_rng(0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak_traced_bytes(sample_sir_block, dist, 16, 65536, np.random.default_rng(0)) < (
+            12 * 2**20
+        )
+
+    def test_asymptotic_mrc_block_memory(self):
+        # the 2 MiB SIR array, a chunk of gains and the 512 KiB combined SIRs
+        spec = spec_for(SETUP_B, antennas=4, scheme=Scheme.MRC, trials=65536)
+        theta = theta_for_rate(spec.threshold_bits, spec.blocklength)
+        simulator._run_block(spec, theta, 0, 1000)  # numpy's first-call set-up
+        assert peak_traced_bytes(simulator._run_block, spec, theta, 0, 65536) < 4 * 2**20
+
+
+def peak_traced_bytes(func, *args) -> int:
+    """Peak traced allocation of one call, after numpy and scipy.special
+    have imported (the first FB call alone traces about 16 MiB of import)."""
+    fb_error_conditional(np.array([1.0]), 8, 200)
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestRunSim:
@@ -312,6 +330,48 @@ class TestRunSim:
     def test_topology_must_be_a_sir_law(self):
         with pytest.raises(TypeError):
             spec_for(object())
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_pending_blocks_are_bounded(monkeypatch, workers, reduced):
+    # 10^8 trials are 1,526 blocks; at most _PENDING_PER_WORKER * workers of
+    # them are submitted and not yet taken at once, and they are taken in order
+    bound = simulator._PENDING_PER_WORKER * workers
+    pending, taken, peak = set(), [], [0]
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, spec, theta, block, trials):
+            future = super().submit(fn, spec, theta, block, trials)
+            pending.add(block)
+            peak[0] = max(peak[0], len(pending))
+            take = future.result
+
+            def result(timeout=None):
+                pending.remove(block)
+                taken.append(block)
+                return take(timeout)
+
+            future.result = result
+            return future
+
+    def stub_block(spec, theta, block, trials):
+        return (trials / 4.0, trials / 8.0) if reduced else trials // 2
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(simulator, "_run_block", stub_block)
+    fb = Semantics.FINITE_BLOCKLENGTH
+    semantics = fb if reduced else Semantics.ASYMPTOTIC
+    spec = spec_for(
+        SETUP_B, trials=10**8, semantics=semantics, variance_reduced=reduced, workers=workers
+    )
+    report = run_sim(spec)
+    assert taken == list(range(1526)) and not pending
+    assert peak[0] == bound
+    if reduced:
+        assert report.epsilon_hat == 0.25
+    else:
+        assert report.errors == 10**8 // 2
 
 
 # threshold bits by scheme and M: nonzero error counts on both laws at 70,000 trials
