@@ -30,16 +30,14 @@ _MODULE_NAMES = {
         "Method",
         "RateSolution",
         "Scheme",
+        "asymptotic_kstar",
         "combined_sir_pdf",
         "lomax_sum_cdf",
         "lomax_sum_cdf_lower_bound_curve",
         "mrc_error",
-        "mrc_kstar",
         "mrc_quantile_closed",
         "mrc_quantile_numeric",
         "sc_error",
-        "sc_kstar_approx",
-        "sc_kstar_exact",
         "theta_for_rate",
     ),
     "simulator": (

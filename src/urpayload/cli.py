@@ -116,6 +116,7 @@ _METHOD_ALIASES = {
     ("fb", Scheme.SC): Method.FB,
     ("fb", Scheme.MRC): Method.FB,
 }
+_METHODS_HELP = "comma list of " + "|".join(dict.fromkeys(alias for alias, _ in _METHOD_ALIASES))
 
 
 def _parse_methods(raw: str, scheme: Scheme) -> list[Method]:
@@ -294,9 +295,7 @@ def build_parser() -> _Parser:
     rate = sub.add_parser("rate", help="maximum payload for one link configuration")
     _add_source_flags(rate)
     _add_link_flags(rate)
-    rate.add_argument(
-        "--method", default="approx", help="comma list of exact|approx|numeric|closed|fb"
-    )
+    rate.add_argument("--method", default="approx", help=_METHODS_HELP)
     rate.add_argument("--json", action="store_true", help="emit JSON instead of text")
     rate.set_defaults(handler=_cmd_rate)
 
@@ -311,7 +310,7 @@ def build_parser() -> _Parser:
         "--method",
         dest="methods",
         default="approx",
-        help="comma list of exact|approx|numeric|closed|fb",
+        help=_METHODS_HELP,
     )
     sweep.add_argument("--out", help="CSV path (default stdout)")
     sweep.set_defaults(handler=_cmd_sweep)

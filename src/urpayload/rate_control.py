@@ -2,10 +2,12 @@
 
 Given the per-antenna SIR law and a reliability target, these routines size
 the largest payload k (bits per block of n channel uses) whose decoding
-error probability stays below the target. Selection combining admits both an
-exact product-form solve and a closed form; maximum-ratio combining goes
-through the distribution of a sum of i.i.d. Lomax variables, for which a
-gamma-based approximation and a closed-form quantile bound are provided.
+error probability stays below the target. Each asymptotic method is one row
+of a table: the scheme it solves, its real payload (a closed form or a
+root), and the error measure that `asymptotic_kstar` settles the integer
+payload against. Selection combining has an exact product-form root and a
+closed form; maximum-ratio combining goes through the distribution of a sum
+of i.i.d. Lomax variables, with a numeric and a closed-form quantile.
 `combined_sir_pdf` is the one density of the combined SIR, for either
 scheme, that the finite-blocklength average integrates. All left-tail
 arithmetic is done in log domain, and the special functions are scalar
@@ -36,16 +38,14 @@ __all__ = [
     "Method",
     "RateSolution",
     "Scheme",
+    "asymptotic_kstar",
     "combined_sir_pdf",
     "lomax_sum_cdf",
     "lomax_sum_cdf_lower_bound_curve",
     "mrc_error",
-    "mrc_kstar",
     "mrc_quantile_closed",
     "mrc_quantile_numeric",
     "sc_error",
-    "sc_kstar_approx",
-    "sc_kstar_exact",
     "theta_for_rate",
 ]
 
@@ -204,27 +204,28 @@ def _finish(
 
 
 def _settle(
-    method: Method, cfg: LinkConfig, k_real: float, error_at_theta: Callable[[float], float]
+    method: Method,
+    dist: SirDistribution,
+    cfg: LinkConfig,
+    k_real: float,
+    error: Callable[[float, SirDistribution, int], float],
 ) -> RateSolution:
-    """The largest payload k near k_real whose error_at_theta(theta(k)) meets the target."""
-    n = cfg.blocklength
-    k, e = _max_feasible_k(lambda j: error_at_theta(theta_for_rate(j, n)), cfg.epsilon_th, k_real)
+    """The largest payload k near k_real whose error(theta(k), dist, M) meets the target."""
+    n, m = cfg.blocklength, cfg.antennas
+    k, e = _max_feasible_k(lambda j: error(theta_for_rate(j, n), dist, m), cfg.epsilon_th, k_real)
     return _finish(k, k_real, e, n, method)
 
 
-def sc_kstar_exact(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
-    """Maximum payload under SC from the exact product-form constraint.
+def _sc_exact_k_real(dist: SirDistribution, cfg: LinkConfig) -> float:
+    """The real SC payload from the exact product-form constraint.
 
     Solves prod_j(1 + theta(k)*w_j) = 1/(1 - eps^(1/M)) for real k with
     find_root_monotone on the log product (strictly increasing in k) to 1e-9,
-    started from the closed-form k_real of sc_kstar_approx: the bisection's
-    answer from a handful of log products, none evaluated twice. The integer
-    payload is then settled against the exact error itself.
+    started from the closed-form k_real of SC approx: the bisection's answer
+    from a handful of log products, none evaluated twice.
     """
-    if cfg.scheme is not Scheme.SC:
-        raise ValueError("sc_kstar_exact requires an SC-scheme config")
-    n, m, eps = cfg.blocklength, cfg.antennas, cfg.epsilon_th
-    target = _log_tail_complement(eps, m)
+    n = cfg.blocklength
+    target = _log_tail_complement(cfg.epsilon_th, cfg.antennas)
 
     # the root search asks again for the doubling's last point; a dict, as
     # building a functools.cache wrapper takes longer than the call it saves
@@ -246,21 +247,7 @@ def sc_kstar_exact(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     while log_product(hi) < target:
         hi *= 2.0
     estimate = _k_real(n, dist, math.expm1(target / dist.eta))
-    k_real = find_root_monotone(log_product, target, Bracket(0.0, hi), tol=1e-9, guess=estimate)
-    return _settle(Method.SC_EXACT, cfg, k_real, lambda t: sc_error(t, dist, m, exact=True))
-
-
-def sc_kstar_approx(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
-    """Closed-form SC payload n*log2((eta/beta)*((1-eps^(1/M))^(-1/eta) - 1) + 1).
-
-    (1-eps^(1/M))^(-1/eta) - 1 is formed as expm1(-log1p(-eps^(1/M))/eta) so
-    stringent targets keep precision. The integer payload is settled against
-    the scaled-Lomax error measure.
-    """
-    if cfg.scheme is not Scheme.SC:
-        raise ValueError("sc_kstar_approx requires an SC-scheme config")
-    k_real = _closed_form_k_real(dist, cfg)
-    return _settle(Method.SC_APPROX, cfg, k_real, lambda t: sc_error(t, dist, cfg.antennas))
+    return find_root_monotone(log_product, target, Bracket(0.0, hi), tol=1e-9, guess=estimate)
 
 
 def _check_count_shape(count: int, shape: int) -> None:
@@ -357,12 +344,12 @@ def _k_real(n: int, dist: SirDistribution, growth: float) -> float:
 
 
 def _closed_form_k_real(dist: SirDistribution, cfg: LinkConfig) -> float:
-    """The asymptotic real payload in closed form, for either scheme.
+    """The real payload of SC approx or MRC closed, by cfg's scheme, in closed form.
 
-    growth is expm1(L/eta) under SC, as `sc_kstar_approx` solves it, and the
-    closed quantile (M!)^(1/M)/eta * L under MRC, as `mrc_kstar` with
-    MRC_CLOSED does, with L = -log(1 - eps^(1/M)); no integer payload is
-    settled.
+    n*log2((eta/beta)*growth + 1) with L = -log(1 - eps^(1/M)): growth is
+    expm1(L/eta) = (1-eps^(1/M))^(-1/eta) - 1 under SC, formed so that
+    stringent targets keep precision, and the closed quantile
+    (M!)^(1/M)/eta * L under MRC. No integer payload is settled.
     """
     if cfg.scheme is Scheme.SC:
         growth = math.expm1(_log_tail_complement(cfg.epsilon_th, cfg.antennas) / dist.eta)
@@ -382,28 +369,54 @@ def mrc_error(theta: float, dist: SirDistribution, antennas: int) -> float:
     return lomax_sum_cdf(dist.beta * theta / dist.eta, antennas, dist.eta)
 
 
-def mrc_kstar(
-    dist: SirDistribution, cfg: LinkConfig, method: Method = Method.MRC_NUMERIC
-) -> RateSolution:
-    """Maximum payload under MRC: n*log2((eta/beta)*quantile(eps) + 1).
+class _Asymptotic(NamedTuple):
+    """One asymptotic method: the scheme it solves, its real payload, and its error measure."""
 
-    `method` picks the numeric or the closed-form quantile. The closed
-    quantile can overshoot slightly, so for either method the integer
-    payload is settled against the Lomax-sum error measure, keeping
-    predicted_epsilon <= the target; k_real retains the raw quantile-based
-    value.
+    scheme: Scheme
+    k_real: Callable[[SirDistribution, LinkConfig], float]
+    error: Callable[[float, SirDistribution, int], float]
+
+
+# The error measures are lambdas, so that `sc_error` and `mrc_error` are
+# looked up in this module's globals at each call: a wrapper put on those
+# names (a benchmark's call counter, a test's spy) sees every evaluation,
+# which a function object captured here would bypass.
+_ASYMPTOTIC: dict[Method, _Asymptotic] = {
+    Method.SC_EXACT: _Asymptotic(
+        Scheme.SC, _sc_exact_k_real, lambda t, dist, m: sc_error(t, dist, m, exact=True)
+    ),
+    Method.SC_APPROX: _Asymptotic(
+        Scheme.SC, _closed_form_k_real, lambda t, dist, m: sc_error(t, dist, m)
+    ),
+    Method.MRC_NUMERIC: _Asymptotic(
+        Scheme.MRC,
+        lambda dist, cfg: _k_real(
+            cfg.blocklength, dist, mrc_quantile_numeric(cfg.epsilon_th, cfg.antennas, dist.eta)
+        ),
+        lambda t, dist, m: mrc_error(t, dist, m),
+    ),
+    Method.MRC_CLOSED: _Asymptotic(
+        Scheme.MRC, _closed_form_k_real, lambda t, dist, m: mrc_error(t, dist, m)
+    ),
+}
+
+
+def asymptotic_kstar(method: Method, dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
+    """Maximum payload under `method`, one of the asymptotic SC or MRC methods.
+
+    The method's real payload k_real (a closed form or a root) is settled to
+    the largest integer payload whose error, under the method's own measure,
+    meets the target, so predicted_epsilon <= the target even where the
+    closed MRC quantile overshoots. Raises ValueError for FB, which
+    `fb_kstar` solves, and for a method whose scheme is not cfg's.
     """
-    if cfg.scheme is not Scheme.MRC:
-        raise ValueError("mrc_kstar requires an MRC-scheme config")
-    m = cfg.antennas
     method = Method(method)
-    if method is Method.MRC_NUMERIC:
-        k_real = _k_real(cfg.blocklength, dist, mrc_quantile_numeric(cfg.epsilon_th, m, dist.eta))
-    elif method is Method.MRC_CLOSED:
-        k_real = _closed_form_k_real(dist, cfg)
-    else:
-        raise ValueError(f"mrc_kstar requires an MRC method, got {method.value}")
-    return _settle(method, cfg, k_real, lambda t: mrc_error(t, dist, m))
+    row = _ASYMPTOTIC.get(method)
+    if row is None:
+        raise ValueError(f"{method.value} is not an asymptotic method; fb_kstar solves it")
+    if row.scheme is not cfg.scheme:
+        raise ValueError(f"{method.value} requires an {row.scheme.name}-scheme config")
+    return _settle(method, dist, cfg, row.k_real(dist, cfg), row.error)
 
 
 def combined_sir_pdf(x, dist: SirDistribution, antennas: int, scheme: Scheme):

@@ -22,11 +22,9 @@ from .rate_control import (
     Method,
     RateSolution,
     Scheme,
+    asymptotic_kstar,
     lomax_sum_cdf,
     lomax_sum_cdf_lower_bound_curve,
-    mrc_kstar,
-    sc_kstar_approx,
-    sc_kstar_exact,
 )
 from .sir_model import (
     SirDistribution,
@@ -48,10 +46,6 @@ __all__ = [
     "solve",
     "write_csv",
 ]
-
-
-_SC_METHODS = {Method.SC_EXACT, Method.SC_APPROX}
-_MRC_METHODS = {Method.MRC_NUMERIC, Method.MRC_CLOSED}
 
 
 def _axis_values(axis: Axis, values: Sequence[float]) -> tuple[float, ...]:
@@ -93,11 +87,6 @@ class SweepSpec:
             )
         if not self.methods:
             raise ValueError("sweep needs at least one method")
-        for method in self.methods:
-            if method in _SC_METHODS and self.config.scheme is not Scheme.SC:
-                raise ValueError(f"{method.value} requires an SC-scheme config")
-            if method in _MRC_METHODS and self.config.scheme is not Scheme.MRC:
-                raise ValueError(f"{method.value} requires an MRC-scheme config")
 
 
 class SweepRow(NamedTuple):
@@ -123,18 +112,14 @@ class SweepRow(NamedTuple):
 def solve(
     method: Method, dist: SirDistribution, config: LinkConfig, topology=None
 ) -> RateSolution:
-    """Dispatch one allocation method on one link configuration."""
+    """Solve one link with one method: FB by `fb_kstar`, the others by `asymptotic_kstar`.
+
+    A method whose scheme is not config's raises ValueError.
+    """
     del topology  # unused: bench/workloads.py passes `dist` again; ROADMAP item 7 drops it
-    method = Method(method)
-    if method is Method.SC_EXACT:
-        return sc_kstar_exact(dist, config)
-    if method is Method.SC_APPROX:
-        return sc_kstar_approx(dist, config)
-    if method in _MRC_METHODS:
-        return mrc_kstar(dist, config, method)
-    if method is Method.FB:
+    if Method(method) is Method.FB:
         return fb_kstar(dist, config)
-    raise ValueError(f"unknown method {method!r}")
+    return asymptotic_kstar(method, dist, config)
 
 
 def _at_axis_value(spec: SweepSpec, value: float) -> tuple[LinkConfig, SirDistribution]:

@@ -14,7 +14,7 @@ from typing import Optional
 from .finite_blocklength import fb_error_average
 from .names import SCOPES
 from .numerics import Bracket, find_root_monotone, np
-from .rate_control import LinkConfig, Method, Scheme, mrc_error, sc_error, theta_for_rate
+from .rate_control import _ASYMPTOTIC, LinkConfig, Method, Scheme, theta_for_rate
 from .simulator import Semantics, SimSpec, run_sim
 from .sir_model import SirDistribution, sir_cdf_approx, sir_cdf_exact
 from .sweeps import CDF_SETUPS, preset_rows, solve
@@ -171,13 +171,10 @@ def _analytic_point(
     cfg = LinkConfig(point.antennas, n, point.epsilon_target, point.scheme)
     method = Method.SC_EXACT if point.scheme is Scheme.SC else Method.MRC_NUMERIC
     k = max(solve(method, dist, cfg).k_star, 1)
-    theta = theta_for_rate(k, n)
     if point.semantics is Semantics.FINITE_BLOCKLENGTH:
         prediction = fb_error_average(dist, point.antennas, point.scheme, k, n).epsilon_fb
-    elif point.scheme is Scheme.SC:
-        prediction = sc_error(theta, dist, point.antennas, exact=True)
     else:
-        prediction = mrc_error(theta, dist, point.antennas)
+        prediction = _ASYMPTOTIC[method].error(theta_for_rate(k, n), dist, point.antennas)
     return k, prediction
 
 

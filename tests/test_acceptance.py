@@ -29,9 +29,9 @@ import pytest
 from urpayload.finite_blocklength import fb_error_average, fb_kstar
 from urpayload.rate_control import (
     LinkConfig,
+    Method,
     Scheme,
-    mrc_kstar,
-    sc_kstar_approx,
+    asymptotic_kstar,
 )
 from urpayload.simulator import Semantics
 from urpayload.sir_model import SirDistribution
@@ -70,7 +70,7 @@ def test_01_beta_reproduction():
 def test_02_headline_payloads():
     dist = SirDistribution.from_beta(0.306102, 10)
     cfg = LinkConfig(2, 200, 7e-5, Scheme.SC)
-    asym = sc_kstar_approx(dist, cfg)
+    asym = asymptotic_kstar(Method.SC_APPROX, dist, cfg)
     fb = fb_kstar(dist, cfg)
     ok = abs(asym.k_star - 8) <= 1 and abs(fb.k_star - 4) <= 1
     report(2, "headline payloads: asymptotic 8 +/- 1 bits, finite-blocklength 4 +/- 1 bits",
@@ -82,8 +82,10 @@ def test_03_mrc_doubles_sc():
     dist = SirDistribution.from_beta(0.306102, 10)
     ratios = {}
     for antennas in (4, 8):
-        sc = sc_kstar_approx(dist, LinkConfig(antennas, 200, 1e-5, Scheme.SC))
-        mrc = mrc_kstar(dist, LinkConfig(antennas, 200, 1e-5, Scheme.MRC))
+        sc = asymptotic_kstar(Method.SC_APPROX, dist, LinkConfig(antennas, 200, 1e-5, Scheme.SC))
+        mrc = asymptotic_kstar(
+            Method.MRC_NUMERIC, dist, LinkConfig(antennas, 200, 1e-5, Scheme.MRC)
+        )
         ratios[antennas] = mrc.k_star / sc.k_star
     ok = all(1.6 <= r <= 2.4 for r in ratios.values())
     report(3, "sum combining doubles the selection-combining payload at 4 and 8 antennas",

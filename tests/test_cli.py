@@ -12,6 +12,7 @@ from urpayload.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    _METHOD_ALIASES,
     main,
 )
 
@@ -768,6 +769,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["validate", "everything"])
         assert excinfo.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["rate", "sweep"])
+def test_method_help_lists_every_alias(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == EXIT_OK
+    (listed,) = re.findall(r"comma list of (\w+(?:\|\w+)+)", capsys.readouterr().out)
+    aliases = listed.split("|")
+    assert len(aliases) == len(set(aliases))
+    assert set(aliases) == {alias for alias, _ in _METHOD_ALIASES}
 
 
 def _flags(values: dict) -> list[str]:

@@ -29,11 +29,10 @@ from urpayload.rate_control import (
     _closed_form_k_real,
     _finish,
     _max_feasible_k,
+    asymptotic_kstar,
     combined_sir_pdf,
     mrc_error,
-    mrc_kstar,
     sc_error,
-    sc_kstar_approx,
     theta_for_rate,
 )
 from urpayload.sir_model import SirDistribution
@@ -495,7 +494,8 @@ class TestFbErrorAverageReference:
     def test_matches_adaptive_reference(self, beta, eta, antennas, scheme, n, eps):
         dist = SirDistribution.from_beta(beta, eta)
         cfg = LinkConfig(antennas, n, eps, scheme)
-        asym = sc_kstar_approx(dist, cfg) if scheme is Scheme.SC else mrc_kstar(dist, cfg)
+        method = Method.SC_APPROX if scheme is Scheme.SC else Method.MRC_NUMERIC
+        asym = asymptotic_kstar(method, dist, cfg)
         k = max(asym.k_star, 1)
         got = fb_error_average(dist, antennas, scheme, k, n).epsilon_fb
         want = _reference_average(dist, antennas, scheme, k, n)
@@ -514,7 +514,7 @@ class TestFbKstar:
         # formulations agree to within a couple of bits
         dist = SirDistribution.from_beta(0.05, 8)
         cfg = LinkConfig(2, 200, 1e-3, Scheme.SC)
-        asym = sc_kstar_approx(dist, cfg)
+        asym = asymptotic_kstar(Method.SC_APPROX, dist, cfg)
         fb = fb_kstar(dist, cfg)
         assert asym.k_star > 100
         assert abs(fb.k_star - asym.k_star) <= 2
@@ -524,14 +524,14 @@ class TestFbKstar:
         # agreement stays below 2% (measured: 4/547 ~ 0.7%)
         dist = SirDistribution.from_beta(0.1, 8)
         cfg = LinkConfig(8, 200, 1e-3, Scheme.SC)
-        asym = sc_kstar_approx(dist, cfg)
+        asym = asymptotic_kstar(Method.SC_APPROX, dist, cfg)
         fb = fb_kstar(dist, cfg)
         assert asym.k_star > 100
         assert abs(fb.k_star - asym.k_star) / asym.k_star < 0.02
 
     def test_small_payload_gap_is_wider(self, main_dist):
         cfg = LinkConfig(2, 200, 7e-5, Scheme.SC)
-        asym = sc_kstar_approx(main_dist, cfg)
+        asym = asymptotic_kstar(Method.SC_APPROX, main_dist, cfg)
         fb = fb_kstar(main_dist, cfg)
         assert asym.k_star <= 30
         assert fb.k_star < asym.k_star
@@ -558,18 +558,18 @@ class TestFbKstar:
     def test_never_far_above_asymptotic(self, main_dist):
         for antennas, eps in ((1, 1e-2), (2, 1e-4), (4, 1e-6)):
             cfg = LinkConfig(antennas, 200, eps, Scheme.SC)
-            asym = sc_kstar_approx(main_dist, cfg)
+            asym = asymptotic_kstar(Method.SC_APPROX, main_dist, cfg)
             fb = fb_kstar(main_dist, cfg)
             assert fb.k_star <= asym.k_star + 2
             mrc_cfg = LinkConfig(antennas, 200, eps, Scheme.MRC)
-            asym_mrc = mrc_kstar(main_dist, mrc_cfg)
+            asym_mrc = asymptotic_kstar(Method.MRC_NUMERIC, main_dist, mrc_cfg)
             fb_mrc = fb_kstar(main_dist, mrc_cfg)
             assert fb_mrc.k_star <= asym_mrc.k_star + 2
 
     def test_never_far_above_asymptotic_at_long_blocklength(self):
         dist = SirDistribution.from_beta(0.8, 8)
         cfg = LinkConfig(2, 10**6, 1e-6, Scheme.MRC)
-        asym = mrc_kstar(dist, cfg)
+        asym = asymptotic_kstar(Method.MRC_NUMERIC, dist, cfg)
         fb = fb_kstar(dist, cfg)
         assert fb.k_star <= asym.k_star + 2
 
@@ -584,7 +584,7 @@ class TestFbKstar:
         gaps = []
         for n in (200, 400, 800, 1600):
             cfg = LinkConfig(2, n, 1e-6, Scheme.SC)
-            asym = sc_kstar_approx(dist, cfg)
+            asym = asymptotic_kstar(Method.SC_APPROX, dist, cfg)
             fb = fb_kstar(dist, cfg)
             gaps.append(abs(fb.k_star / n - asym.k_real / n))
         assert all(b <= a for a, b in zip(gaps, gaps[1:]))
@@ -645,7 +645,7 @@ class TestFbKstar:
     def test_mrc_scheme_dispatch(self, main_dist):
         cfg = LinkConfig(4, 200, 1e-5, Scheme.MRC)
         sol = fb_kstar(main_dist, cfg)
-        asym = mrc_kstar(main_dist, cfg)
+        asym = asymptotic_kstar(Method.MRC_NUMERIC, main_dist, cfg)
         assert 0 < sol.k_star <= asym.k_star + 2
         assert sol.predicted_epsilon <= 1e-5
 
@@ -704,10 +704,10 @@ class TestSeedIndependence:
         n = 200
         cfg = LinkConfig(4, n, 1e-6, scheme)
         if scheme is Scheme.SC:
-            k_cf = sc_kstar_approx(dist, cfg).k_real
+            k_cf = asymptotic_kstar(Method.SC_APPROX, dist, cfg).k_real
             error = lambda k: sc_error(theta_for_rate(k, n), dist, 4)  # noqa: E731
         else:
-            k_cf = mrc_kstar(dist, cfg, Method.MRC_CLOSED).k_real
+            k_cf = asymptotic_kstar(Method.MRC_CLOSED, dist, cfg).k_real
             error = lambda k: mrc_error(theta_for_rate(k, n), dist, 4)  # noqa: E731
         assert _closed_form_k_real(dist, cfg) == k_cf
         slope = math.log(error(k_cf + 0.5) / error(k_cf - 0.5))

@@ -167,7 +167,7 @@ CURVES = {
     "steps": lambda hi: lambda x: math.floor(64.0 * x / hi),
 }
 
-# the callers' brackets: fb_kstar's k_real, sc_kstar_exact,
+# the callers' brackets: fb_kstar's k_real, the SC exact root,
 # mrc_quantile_numeric, and the default tolerance
 BRACKETS = {
     "unit": lambda size: (Bracket(float(int(size)), float(int(size)) + 1.0), 2.0**-30),

@@ -1,4 +1,5 @@
 import bisect
+import json
 import math
 import random
 
@@ -9,23 +10,21 @@ from hypothesis import strategies as st
 import scipy.special
 from scipy import integrate
 
-from urpayload import rate_control
+from urpayload import cli, rate_control
 from urpayload.finite_blocklength import fb_error_average
 from urpayload.numerics import Bracket
 from urpayload.rate_control import (
     LinkConfig,
     Method,
     Scheme,
+    asymptotic_kstar,
     combined_sir_pdf,
     lomax_sum_cdf,
     lomax_sum_cdf_lower_bound_curve,
     mrc_error,
-    mrc_kstar,
     mrc_quantile_closed,
     mrc_quantile_numeric,
     sc_error,
-    sc_kstar_approx,
-    sc_kstar_exact,
     theta_for_rate,
 )
 from urpayload.simulator import sample_sir_block
@@ -137,19 +136,19 @@ class TestScKstarExact:
         cfg_loose = LinkConfig(2, 200, 0.999, Scheme.SC)
         cfg_tight = LinkConfig(2, 200, 1e-3, Scheme.SC)
         assert (
-            sc_kstar_exact(main_dist, cfg_loose).k_star
-            > sc_kstar_exact(main_dist, cfg_tight).k_star
+            asymptotic_kstar(Method.SC_EXACT, main_dist, cfg_loose).k_star
+            > asymptotic_kstar(Method.SC_EXACT, main_dist, cfg_tight).k_star
         )
 
     def test_headline_payload(self, main_dist):
         cfg = LinkConfig(2, 200, 7e-5, Scheme.SC)
-        sol = sc_kstar_exact(main_dist, cfg)
+        sol = asymptotic_kstar(Method.SC_EXACT, main_dist, cfg)
         assert abs(sol.k_star - 8) <= 1
         assert sol.predicted_epsilon <= 7e-5
 
     def test_equals_grid_search(self, main_dist):
         cfg = LinkConfig(8, 200, 1e-5, Scheme.SC)
-        sol = sc_kstar_exact(main_dist, cfg)
+        sol = asymptotic_kstar(Method.SC_EXACT, main_dist, cfg)
         feasible = [
             k
             for k in range(1, 2001)
@@ -158,9 +157,15 @@ class TestScKstarExact:
         ]
         assert sol.k_star == max(feasible)
 
-    def test_requires_sc_scheme(self, main_dist):
+    def test_requires_sc_scheme(self, main_dist, monkeypatch):
+        # an MRC config is refused before the root search starts
+        def never(*args, **kwargs):
+            raise AssertionError("root search ran on a refused config")
+
+        monkeypatch.setattr(rate_control, "find_root_monotone", never)
+        monkeypatch.setattr(rate_control, "sir_log_survival_exact", never)
         with pytest.raises(ValueError):
-            sc_kstar_exact(main_dist, LinkConfig(2, 200, 1e-4, Scheme.MRC))
+            asymptotic_kstar(Method.SC_EXACT, main_dist, LinkConfig(2, 200, 1e-4, Scheme.MRC))
 
     def test_topology_and_its_distribution_solve_identically(self, main_dist):
         # the distances and their path losses give one law, so one solution
@@ -168,11 +173,13 @@ class TestScKstarExact:
         dist = SirDistribution.from_path_losses(20.0**3.5, [r ** (-3.5) for r in distances])
         for eps in (1e-2, 1e-6, 1e-9):
             cfg = LinkConfig(4, 200, eps, Scheme.SC)
-            assert sc_kstar_exact(main_dist, cfg) == sc_kstar_exact(dist, cfg)
+            assert asymptotic_kstar(Method.SC_EXACT, main_dist, cfg) == asymptotic_kstar(
+                Method.SC_EXACT, dist, cfg
+            )
 
     def test_few_log_product_evaluations(self, monkeypatch):
         # bisection to 1e-9 on [0, n] called the log product 42 times here,
-        # the search from the bracket's ends 7, and from sc_kstar_approx's
+        # the search from the bracket's ends 7, and from SC approx's
         # k_real 4; none is at a point evaluated before, such as the end of
         # the bracket's doubling, which the search asks for again
         calls, points = 0, []
@@ -194,7 +201,7 @@ class TestScKstarExact:
         monkeypatch.setattr(rate_control, "find_root_monotone", counting)
         monkeypatch.setattr(rate_control, "sir_log_survival_exact", recording)
         cfg = LinkConfig(4, 200, 1e-6, Scheme.SC)
-        sol = sc_kstar_exact(SirDistribution.from_beta(0.8, 8), cfg)
+        sol = asymptotic_kstar(Method.SC_EXACT, SirDistribution.from_beta(0.8, 8), cfg)
         assert sol.k_star > 0
         assert 0 < calls <= 5
         assert len(points) == len(set(points))
@@ -212,7 +219,7 @@ class TestScKstarExact:
         ],
     )
     def test_root_below_threshold_overflow_solves(self, beta, eta, cfg, k_star, k_real):
-        sol = sc_kstar_exact(SirDistribution.from_beta(beta, eta), cfg)
+        sol = asymptotic_kstar(Method.SC_EXACT, SirDistribution.from_beta(beta, eta), cfg)
         assert sol.k_star == k_star
         assert sol.k_real.hex() == k_real.hex()
         assert 512 < sol.k_real / cfg.blocklength < 1024
@@ -220,7 +227,7 @@ class TestScKstarExact:
     def test_infeasible_sets_flag(self, main_dist):
         # beta so large that even one bit misses an extreme target
         dist = SirDistribution.from_beta(50.0, 2)
-        sol = sc_kstar_exact(dist, LinkConfig(1, 200, 1e-9, Scheme.SC))
+        sol = asymptotic_kstar(Method.SC_EXACT, dist, LinkConfig(1, 200, 1e-9, Scheme.SC))
         assert sol.k_star == 0 and sol.infeasible
 
 
@@ -229,7 +236,7 @@ class TestScKstarApprox:
     def test_single_antenna_single_interferer_reduction(self, eps):
         # eta=1, beta=1, n=1: k_real = -log2(1 - eps)
         dist = SirDistribution.from_beta(1.0, 1)
-        sol = sc_kstar_approx(dist, LinkConfig(1, 1, eps, Scheme.SC))
+        sol = asymptotic_kstar(Method.SC_APPROX, dist, LinkConfig(1, 1, eps, Scheme.SC))
         assert sol.k_real == pytest.approx(-math.log2(1.0 - eps), rel=1e-12)
         feasible = [
             k
@@ -240,13 +247,13 @@ class TestScKstarApprox:
 
     def test_within_one_bit_of_exact(self, main_dist):
         cfg = LinkConfig(2, 200, 7e-5, Scheme.SC)
-        exact = sc_kstar_exact(main_dist, cfg)
-        approx = sc_kstar_approx(main_dist, cfg)
+        exact = asymptotic_kstar(Method.SC_EXACT, main_dist, cfg)
+        approx = asymptotic_kstar(Method.SC_APPROX, main_dist, cfg)
         assert abs(approx.k_star - exact.k_star) <= 1
 
     def test_against_high_precision_evaluation(self):
         dist = SirDistribution.from_beta(0.8, 8)
-        sol = sc_kstar_approx(dist, LinkConfig(4, 400, 1e-6, Scheme.SC))
+        sol = asymptotic_kstar(Method.SC_APPROX, dist, LinkConfig(4, 400, 1e-6, Scheme.SC))
         assert sol.k_real == pytest.approx(SC_APPROX_K_REAL_REFERENCE, rel=1e-12)
 
     def test_never_exceeds_target_under_exact_error(self, main_dist):
@@ -259,8 +266,8 @@ class TestScKstarApprox:
         for eps in (1e-2, 1e-4, 1e-6):
             for antennas in (1, 2, 4):
                 cfg = LinkConfig(antennas, 200, eps, Scheme.SC)
-                sol = sc_kstar_approx(main_dist, cfg)
-                exact_sol = sc_kstar_exact(main_dist, cfg)
+                sol = asymptotic_kstar(Method.SC_APPROX, main_dist, cfg)
+                exact_sol = asymptotic_kstar(Method.SC_EXACT, main_dist, cfg)
                 assert sol.k_star <= exact_sol.k_star
                 if sol.infeasible:
                     assert exact_sol.k_star <= 1
@@ -270,9 +277,14 @@ class TestScKstarApprox:
                 if eps ** (1.0 / antennas) <= 0.05:
                     assert sol.k_star >= exact_sol.k_star - 1
 
-    def test_requires_sc_scheme(self, main_dist):
+    def test_requires_sc_scheme(self, main_dist, monkeypatch):
+        # an MRC config is refused before any error evaluation
+        def never(*args, **kwargs):
+            raise AssertionError("error measure ran on a refused config")
+
+        monkeypatch.setattr(rate_control, "sc_error", never)
         with pytest.raises(ValueError, match="SC-scheme"):
-            sc_kstar_approx(main_dist, LinkConfig(2, 200, 1e-4, Scheme.MRC))
+            asymptotic_kstar(Method.SC_APPROX, main_dist, LinkConfig(2, 200, 1e-4, Scheme.MRC))
 
 
 class TestScPdf:
@@ -568,39 +580,100 @@ class TestMrcQuantiles:
 
 class TestMrcKstar:
     def test_single_antenna_matches_sc(self, main_dist):
-        sc = sc_kstar_approx(main_dist, LinkConfig(1, 200, 1e-4, Scheme.SC))
-        mrc = mrc_kstar(main_dist, LinkConfig(1, 200, 1e-4, Scheme.MRC))
+        sc = asymptotic_kstar(Method.SC_APPROX, main_dist, LinkConfig(1, 200, 1e-4, Scheme.SC))
+        mrc = asymptotic_kstar(
+            Method.MRC_NUMERIC, main_dist, LinkConfig(1, 200, 1e-4, Scheme.MRC)
+        )
         assert mrc.k_star == sc.k_star
         assert mrc.k_real == pytest.approx(sc.k_real, rel=1e-8)
 
     def test_beats_sc_payload(self):
         dist = SirDistribution.from_beta(0.8, 8)
-        sc = sc_kstar_approx(dist, LinkConfig(4, 400, 1e-6, Scheme.SC))
-        mrc = mrc_kstar(dist, LinkConfig(4, 400, 1e-6, Scheme.MRC))
+        sc = asymptotic_kstar(Method.SC_APPROX, dist, LinkConfig(4, 400, 1e-6, Scheme.SC))
+        mrc = asymptotic_kstar(Method.MRC_NUMERIC, dist, LinkConfig(4, 400, 1e-6, Scheme.MRC))
         assert mrc.k_star >= sc.k_star
 
     @pytest.mark.parametrize("antennas", [4, 8])
     def test_doubles_sc_at_reference_point(self, main_dist, antennas):
-        sc = sc_kstar_approx(main_dist, LinkConfig(antennas, 200, 1e-5, Scheme.SC))
-        mrc = mrc_kstar(main_dist, LinkConfig(antennas, 200, 1e-5, Scheme.MRC))
+        sc = asymptotic_kstar(
+            Method.SC_APPROX, main_dist, LinkConfig(antennas, 200, 1e-5, Scheme.SC)
+        )
+        mrc = asymptotic_kstar(
+            Method.MRC_NUMERIC, main_dist, LinkConfig(antennas, 200, 1e-5, Scheme.MRC)
+        )
         assert 1.6 <= mrc.k_star / sc.k_star <= 2.4
 
     def test_closed_quantile_payload_respects_target(self, main_dist):
         for eps in (1e-3, 1e-6, 1e-9):
             cfg = LinkConfig(6, 400, eps, Scheme.MRC)
-            sol = mrc_kstar(main_dist, cfg, Method.MRC_CLOSED)
+            sol = asymptotic_kstar(Method.MRC_CLOSED, main_dist, cfg)
             assert sol.predicted_epsilon <= eps
             assert mrc_error(sol.theta, main_dist, 6) <= eps
 
-    def test_requires_mrc_scheme(self, main_dist):
-        for method in (Method.MRC_NUMERIC, Method.MRC_CLOSED):
-            with pytest.raises(ValueError, match="MRC-scheme"):
-                mrc_kstar(main_dist, LinkConfig(2, 200, 1e-4, Scheme.SC), method)
-
-    @pytest.mark.parametrize("method", [Method.SC_EXACT, Method.SC_APPROX, Method.FB])
+    @pytest.mark.parametrize("method", [Method.SC_EXACT, Method.SC_APPROX])
     def test_rejects_non_mrc_method(self, main_dist, method):
-        with pytest.raises(ValueError, match="MRC method"):
-            mrc_kstar(main_dist, LinkConfig(2, 200, 1e-4, Scheme.MRC), method)
+        # the refusal names the method and the scheme its row solves
+        with pytest.raises(ValueError, match=rf"^{method.value} requires an SC-scheme config$"):
+            asymptotic_kstar(method, main_dist, LinkConfig(2, 200, 1e-4, Scheme.MRC))
+
+
+class TestMethodTable:
+    @pytest.mark.parametrize(
+        "method, scheme, match",
+        [
+            (Method.SC_EXACT, Scheme.MRC, "SC-scheme"),
+            (Method.SC_APPROX, Scheme.MRC, "SC-scheme"),
+            (Method.MRC_NUMERIC, Scheme.SC, "MRC-scheme"),
+            (Method.MRC_CLOSED, Scheme.SC, "MRC-scheme"),
+            (Method.FB, Scheme.SC, "not an asymptotic method"),
+            (Method.FB, Scheme.MRC, "not an asymptotic method"),
+        ],
+    )
+    def test_refuses_fb_and_other_scheme(self, main_dist, method, scheme, match):
+        with pytest.raises(ValueError, match=match):
+            asymptotic_kstar(method, main_dist, LinkConfig(2, 200, 1e-4, scheme))
+
+    @pytest.mark.parametrize(
+        "method, measure",
+        [
+            (Method.SC_EXACT, "sc_error"),
+            (Method.SC_APPROX, "sc_error"),
+            (Method.MRC_NUMERIC, "mrc_error"),
+            (Method.MRC_CLOSED, "mrc_error"),
+        ],
+    )
+    def test_error_measure_is_looked_up_at_call_time(self, main_dist, monkeypatch, method, measure):
+        # a wrapper put on the module's name, as a call counter is, sees the
+        # solve's error evaluations
+        original, calls = getattr(rate_control, measure), []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rate_control, measure, spy)
+        scheme = rate_control._ASYMPTOTIC[method].scheme
+        sol = asymptotic_kstar(method, main_dist, LinkConfig(2, 200, 1e-4, scheme))
+        assert calls and sol.k_star > 0
+
+    def test_cli_aliases_agree_with_rows(self):
+        # the parser loads no solver module, so its alias table is a second
+        # list of which method solves which scheme
+        rows = rate_control._ASYMPTOTIC
+        for (alias, scheme), method in cli._METHOD_ALIASES.items():
+            assert method is Method.FB or rows[method].scheme is scheme, alias
+        assert set(rows) == set(Method) - {Method.FB}
+
+    @pytest.mark.parametrize("method", [m for m in Method if m is not Method.FB])
+    def test_every_row_is_reachable_from_the_cli(self, method, capsys):
+        scheme = rate_control._ASYMPTOTIC[method].scheme
+        aliases = [a for (a, s), m in cli._METHOD_ALIASES.items() if m is method and s is scheme]
+        assert aliases
+        for alias in aliases:
+            argv = ["rate", "--beta", "0.8", "--eta", "8", "--M", "2", "--eps", "1e-3"]
+            assert cli.main(argv + ["--scheme", scheme.value, "--method", alias, "--json"]) == 0
+            (record,) = json.loads(capsys.readouterr().out)["results"]
+            assert record["method"] == method.value
 
 
 def plain_walk_max_feasible_k(error_at_k, epsilon_th, k_guess):
@@ -668,7 +741,7 @@ class TestMaxFeasibleK:
         monkeypatch.setattr(rate_control, "mrc_error", counting)
         dist = SirDistribution.from_beta(beta, eta)
         cfg = LinkConfig(antennas, n, eps, Scheme.MRC)
-        assert mrc_kstar(dist, cfg, Method.MRC_CLOSED).k_star == k_star
+        assert asymptotic_kstar(Method.MRC_CLOSED, dist, cfg).k_star == k_star
         assert calls <= 20
 
 
@@ -682,37 +755,44 @@ class TestSolutionInvariants:
     @settings(max_examples=60, deadline=None)
     def test_predicted_error_never_exceeds_target(self, beta, eta, antennas, eps):
         dist = SirDistribution.from_beta(beta, eta)
-        sc = sc_kstar_approx(dist, LinkConfig(antennas, 200, eps, Scheme.SC))
+        sc = asymptotic_kstar(Method.SC_APPROX, dist, LinkConfig(antennas, 200, eps, Scheme.SC))
         assert sc.predicted_epsilon <= eps
-        mrc = mrc_kstar(dist, LinkConfig(antennas, 200, eps, Scheme.MRC))
+        mrc = asymptotic_kstar(
+            Method.MRC_NUMERIC, dist, LinkConfig(antennas, 200, eps, Scheme.MRC)
+        )
         assert mrc.predicted_epsilon <= eps
 
     def test_payload_scales_linearly_in_blocklength(self, main_dist):
         for n in (100, 200, 400):
             cfg_n = LinkConfig(2, n, 1e-4, Scheme.SC)
             cfg_2n = LinkConfig(2, 2 * n, 1e-4, Scheme.SC)
-            approx_n = sc_kstar_approx(main_dist, cfg_n).k_real
-            approx_2n = sc_kstar_approx(main_dist, cfg_2n).k_real
+            approx_n = asymptotic_kstar(Method.SC_APPROX, main_dist, cfg_n).k_real
+            approx_2n = asymptotic_kstar(Method.SC_APPROX, main_dist, cfg_2n).k_real
             assert approx_2n == pytest.approx(2.0 * approx_n, rel=1e-12)
-            exact_n = sc_kstar_exact(main_dist, cfg_n).k_real
-            exact_2n = sc_kstar_exact(main_dist, cfg_2n).k_real
+            exact_n = asymptotic_kstar(Method.SC_EXACT, main_dist, cfg_n).k_real
+            exact_2n = asymptotic_kstar(Method.SC_EXACT, main_dist, cfg_2n).k_real
             assert exact_2n == pytest.approx(2.0 * exact_n, rel=1e-6)
 
     def test_payload_monotone_in_target_and_antennas(self, main_dist):
         k_by_eps = [
-            sc_kstar_approx(main_dist, LinkConfig(2, 200, eps, Scheme.SC)).k_real
+            asymptotic_kstar(
+                Method.SC_APPROX, main_dist, LinkConfig(2, 200, eps, Scheme.SC)
+            ).k_real
             for eps in (1e-9, 1e-6, 1e-3, 1e-1)
         ]
         assert k_by_eps == sorted(k_by_eps)
         k_by_m = [
-            mrc_kstar(main_dist, LinkConfig(m, 200, 1e-6, Scheme.MRC)).k_real
+            asymptotic_kstar(
+                Method.MRC_NUMERIC, main_dist, LinkConfig(m, 200, 1e-6, Scheme.MRC)
+            ).k_real
             for m in (1, 2, 4, 8)
         ]
         assert k_by_m == sorted(k_by_m)
 
     def test_payload_decreases_with_beta(self):
         k_by_beta = [
-            sc_kstar_approx(
+            asymptotic_kstar(
+                Method.SC_APPROX,
                 SirDistribution.from_beta(beta, 8), LinkConfig(2, 200, 1e-4, Scheme.SC)
             ).k_real
             for beta in (0.1, 0.3, 1.0, 3.0)
@@ -720,7 +800,7 @@ class TestSolutionInvariants:
         assert k_by_beta == sorted(k_by_beta, reverse=True)
 
     def test_theta_matches_payload(self, main_dist):
-        sol = sc_kstar_approx(main_dist, LinkConfig(2, 200, 1e-4, Scheme.SC))
+        sol = asymptotic_kstar(Method.SC_APPROX, main_dist, LinkConfig(2, 200, 1e-4, Scheme.SC))
         assert sol.theta == pytest.approx(theta_for_rate(sol.k_star, 200), rel=1e-15)
         k_from_theta = 200 * math.log1p(sol.theta) / math.log(2)
         assert k_from_theta == pytest.approx(sol.k_star, rel=1e-12)

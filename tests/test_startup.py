@@ -102,10 +102,10 @@ EXPORTS = {
     ],
     "numerics": ["Bracket", "BracketError", "find_root_monotone", "integrate_semi_infinite"],
     "rate_control": [
-        "LinkConfig", "Method", "RateSolution", "Scheme", "combined_sir_pdf",
-        "lomax_sum_cdf", "lomax_sum_cdf_lower_bound_curve", "mrc_error",
-        "mrc_kstar", "mrc_quantile_closed", "mrc_quantile_numeric", "sc_error",
-        "sc_kstar_approx", "sc_kstar_exact", "theta_for_rate",
+        "LinkConfig", "Method", "RateSolution", "Scheme", "asymptotic_kstar",
+        "combined_sir_pdf", "lomax_sum_cdf", "lomax_sum_cdf_lower_bound_curve",
+        "mrc_error", "mrc_quantile_closed", "mrc_quantile_numeric", "sc_error",
+        "theta_for_rate",
     ],
     "simulator": [
         "Semantics", "SimReport", "SimSpec", "UndersampledError", "run_sim",
@@ -242,8 +242,8 @@ def test_csv_of_python_values_loads_no_numpy():
 @pytest.mark.parametrize(
     "call, loads_numpy",
     [
-        ("rate_control.sc_kstar_exact(dist, LinkConfig(4, 200, 1e-6))", False),
-        ("rate_control.sc_kstar_approx(dist, LinkConfig(4, 200, 1e-6))", False),
+        ("rate_control.asymptotic_kstar(Method.SC_EXACT, dist, LinkConfig(4, 200, 1e-6))", False),
+        ("rate_control.asymptotic_kstar(Method.SC_APPROX, dist, LinkConfig(4, 200, 1e-6))", False),
         ('sweeps.preset_rows("fig2pp")', True),
         (
             "simulator.run_sim(simulator.SimSpec(dist, 2, Scheme.SC, 8, 200, 'asymptotic', 10**5, 3))",
@@ -268,7 +268,8 @@ def test_paths_without_special_leave_scipy_unloaded(call, loads_numpy):
     "call, loads_cython_special",
     [
         (
-            "rate_control.mrc_kstar(dist, LinkConfig(4, 200, 1e-6, Scheme.MRC), Method.MRC_NUMERIC)",
+            "rate_control.asymptotic_kstar("
+            "Method.MRC_NUMERIC, dist, LinkConfig(4, 200, 1e-6, Scheme.MRC))",
             True,  # its CDF and its seed are scalar calls
         ),
         ("finite_blocklength.fb_kstar(dist, LinkConfig(4, 200, 1e-6))", False),

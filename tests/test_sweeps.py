@@ -53,10 +53,10 @@ class TestSweepSpec:
     def test_method_scheme_consistency(self, dist):
         cfg = LinkConfig(2, 200, 1e-3, Scheme.SC)
         with pytest.raises(ValueError, match="MRC"):
-            SweepSpec(Axis.EPSILON_TH, (1e-3,), cfg, dist, (Method.MRC_NUMERIC,))
+            run_sweep(SweepSpec(Axis.EPSILON_TH, (1e-3,), cfg, dist, (Method.MRC_NUMERIC,)))
         mrc = LinkConfig(2, 200, 1e-3, Scheme.MRC)
         with pytest.raises(ValueError, match="requires an SC-scheme config"):
-            SweepSpec(Axis.EPSILON_TH, (1e-3,), mrc, dist, (Method.SC_EXACT,))
+            run_sweep(SweepSpec(Axis.EPSILON_TH, (1e-3,), mrc, dist, (Method.SC_EXACT,)))
 
     def test_empty_values_rejected(self, dist):
         cfg = LinkConfig(2, 200, 1e-3, Scheme.SC)
