@@ -4,28 +4,28 @@ At short blocklengths the sharp SIR-threshold picture breaks down: even
 above threshold a block can fail, and the normal approximation gives the
 conditional error of k bits over n channel uses at a given SIR. Averaging
 that over the post-combining SIR density yields the average error, and the
-payload search walks integer k from a seed until the average error meets
-the target. The seed is the closed-form asymptotic payload less the
-dispersion penalty of the normal approximation (Polyanskiy, Poor and Verdu,
-IEEE T-IT 2010): where the log of the asymptotic error is linear in the
-rate, the Gaussian margin multiplies the error by a constant, which costs
-n*lam*V/2 bits (`_seed_k`). The average is a fixed trapezoid rule on
-a log-SIR grid. Its conditional error is exactly 1.0 below a narrow window
-of nodes, so one average evaluates the error only on that window and takes
-the part below it from prefix sums of the density. The window stops where
-the rate margin is _Z_TOP = 12 spreads, where the error is below Q(12) ~
-1.8e-33, and a certificate decides per call whether the nodes above may be
-dropped: they hold at most Q(12) times the law's mass, and the cut stands
-where that is at most 2^-60 of the average, i.e. for averages above about
-2e-15. Below that, the average is summed again on the window that runs to
-z = 40, above which the error is exactly 0.0. The capacity, the spread and
-the window edges depend only on the blocklength and are cached per
-blocklength. The density times x, its prefix sums and its mass depend only
-on the law, the antennas, the scheme and the grid, and are evaluated once
-per law: a bounded cache keeps those of the _LAW_CACHE_SIZE laws used last,
-so the solves of one curve, which share a law across targets, reuse them.
-`fb_error_average(dist, antennas, scheme, k, n)` and `fb_kstar(dist, cfg)`
-are both keyed by the law and share it.
+payload search walks integer k from a seed until the average error meets the
+target. The seed is the payload of the scheme's closed-form row of
+`rate_control._ASYMPTOTIC` less the dispersion penalty of the normal
+approximation (Polyanskiy, Poor and Verdu, IEEE T-IT 2010): where the log of
+that row's error is linear in the rate, the Gaussian margin multiplies the
+error by a constant, which costs n*lam*V/2 bits (`_seed_k`). The average is
+a fixed trapezoid rule on a log-SIR grid. Its conditional error is exactly
+1.0 below a narrow window of nodes, so one average evaluates the error only
+on that window and takes the part below it from prefix sums of the density.
+The window stops where the rate margin is _Z_TOP = 12 spreads, where the
+error is below Q(12) ~ 1.8e-33, and a certificate decides per call whether
+the nodes above may be dropped: they hold at most Q(12) times the law's
+mass, and the cut stands where that is at most 2^-60 of the average, i.e.
+for averages above about 2e-15. Below that, the average is summed again on
+the window that runs to z = 40, above which the error is exactly 0.0. The
+capacity, the spread and the window edges depend only on the blocklength and
+are cached per blocklength. The density times x, its prefix sums and its
+mass depend only on the law, the antennas, the scheme and the grid, and are
+evaluated once per law: a bounded cache keeps those of the _LAW_CACHE_SIZE
+laws used last, so the solves of one curve, which share a law across
+targets, reuse them. `fb_error_average(dist, antennas, scheme, k, n)` and
+`fb_kstar(dist, cfg)` are both keyed by the law and share it.
 """
 from __future__ import annotations
 
@@ -45,16 +45,15 @@ from .numerics import (
     trapezoid_from_sums,
 )
 from .rate_control import (
+    _ASYMPTOTIC,
+    _CLOSED_FORM,
     LinkConfig,
     Method,
     RateSolution,
     Scheme,
     _finish,
     _max_feasible_k,
-    _closed_form_k_real,
     combined_sir_pdf,
-    mrc_error,
-    sc_error,
     theta_for_rate,
 )
 from .sir_model import SirDistribution
@@ -346,20 +345,21 @@ def fb_error_average(
 def _seed_k(dist: SirDistribution, cfg: LinkConfig) -> float:
     """The closed-form payload k_cf less the dispersion penalty n*lam*V/2.
 
+    k_cf and the error are those of the scheme's closed-form row (`_CLOSED_FORM`).
     lam is d ln(eps_asym)/dk at k_cf, a central difference over +-1/2 bit
-    of the scheme's asymptotic error, and V the dispersion at theta(k_cf).
+    of that error, and V the dispersion at theta(k_cf).
     Where ln F_C is linear in the rate with slope n*lam, averaging over the
     Gaussian margin of spread s = sqrt(V/n) multiplies F_C by
     exp((n*lam*s)^2/2), which the rate pays back by n*lam*s^2/2. Falls back
     to k_cf where the slope or its logarithms are undefined.
     """
-    k_cf = _closed_form_k_real(dist, cfg)
+    row = _ASYMPTOTIC[_CLOSED_FORM[cfg.scheme]]
+    k_cf = row.k_real(dist, cfg)
     n, antennas = cfg.blocklength, cfg.antennas
     if not (0.5 < k_cf and (k_cf + 0.5) / n < _MAX_SEED_RATE):
         return k_cf
-    error = sc_error if cfg.scheme is Scheme.SC else mrc_error
-    lower = error(theta_for_rate(k_cf - 0.5, n), dist, antennas)
-    upper = error(theta_for_rate(k_cf + 0.5, n), dist, antennas)
+    lower = row.error(theta_for_rate(k_cf - 0.5, n), dist, antennas)
+    upper = row.error(theta_for_rate(k_cf + 0.5, n), dist, antennas)
     if not 0.0 < lower <= upper:
         return k_cf
     slope = math.log(upper) - math.log(lower)
@@ -371,10 +371,11 @@ def _seed_k(dist: SirDistribution, cfg: LinkConfig) -> float:
 def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     """Maximum payload under the finite-blocklength error constraint.
 
-    Seeds the search with the closed-form asymptotic real payload k_cf for
-    the configured combining scheme less its dispersion penalty n*lam*V/2
-    (`_seed_k`), then walks integer k (down while violating, up while slack
-    remains) to the largest k whose average error stays within the target.
+    Seeds the search with the real payload k_cf of the configured scheme's
+    closed-form row of `rate_control._ASYMPTOTIC` less its dispersion
+    penalty n*lam*V/2 (`_seed_k`), then walks integer k (down while
+    violating, up while slack remains) to the largest k whose average error
+    stays within the target.
     The penalty is what a Gaussian rate margin of variance V/n costs an
     error whose log rises by lam per bit; the seed starts on k* in 471 of
     the figure presets' 648 solves, where k_cf did in 157. The answer

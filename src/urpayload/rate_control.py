@@ -7,7 +7,9 @@ of a table: the scheme it solves, its real payload (a closed form or a
 root), and the error measure that `asymptotic_kstar` settles the integer
 payload against. Selection combining has an exact product-form root and a
 closed form; maximum-ratio combining goes through the distribution of a sum
-of i.i.d. Lomax variables, with a numeric and a closed-form quantile.
+of i.i.d. Lomax variables, with a numeric and a closed-form quantile. The
+finite-blocklength search seeds from its scheme's closed-form row, which
+`_CLOSED_FORM` names: that row's payload and error measure.
 `combined_sir_pdf` is the one density of the combined SIR, for either
 scheme, that the finite-blocklength average integrates. All left-tail
 arithmetic is done in log domain, and the special functions are scalar
@@ -203,17 +205,19 @@ def _finish(
     )
 
 
-def _settle(
-    method: Method,
-    dist: SirDistribution,
-    cfg: LinkConfig,
-    k_real: float,
-    error: Callable[[float, SirDistribution, int], float],
-) -> RateSolution:
-    """The largest payload k near k_real whose error(theta(k), dist, M) meets the target."""
-    n, m = cfg.blocklength, cfg.antennas
-    k, e = _max_feasible_k(lambda j: error(theta_for_rate(j, n), dist, m), cfg.epsilon_th, k_real)
-    return _finish(k, k_real, e, n, method)
+def _k_real(n: int, dist: SirDistribution, growth: float) -> float:
+    """n*log2(1 + (eta/beta)*growth): the real payload at SIR threshold (eta/beta)*growth."""
+    return n * math.log1p((dist.eta / dist.beta) * growth) / _LN2
+
+
+def _sc_approx_k_real(dist: SirDistribution, cfg: LinkConfig) -> float:
+    """The real SC payload in closed form: `_k_real` at growth expm1(L/eta).
+
+    L = -log(1 - eps^(1/M)), so growth = (1-eps^(1/M))^(-1/eta) - 1, formed
+    so that stringent targets keep precision.
+    """
+    growth = math.expm1(_log_tail_complement(cfg.epsilon_th, cfg.antennas) / dist.eta)
+    return _k_real(cfg.blocklength, dist, growth)
 
 
 def _sc_exact_k_real(dist: SirDistribution, cfg: LinkConfig) -> float:
@@ -221,7 +225,7 @@ def _sc_exact_k_real(dist: SirDistribution, cfg: LinkConfig) -> float:
 
     Solves prod_j(1 + theta(k)*w_j) = 1/(1 - eps^(1/M)) for real k with
     find_root_monotone on the log product (strictly increasing in k) to 1e-9,
-    started from the closed-form k_real of SC approx: the bisection's answer
+    started from SC approx's `_sc_approx_k_real`: the bisection's answer
     from a handful of log products, none evaluated twice.
     """
     n = cfg.blocklength
@@ -246,7 +250,7 @@ def _sc_exact_k_real(dist: SirDistribution, cfg: LinkConfig) -> float:
     hi = float(n)
     while log_product(hi) < target:
         hi *= 2.0
-    estimate = _k_real(n, dist, math.expm1(target / dist.eta))
+    estimate = _sc_approx_k_real(dist, cfg)
     return find_root_monotone(log_product, target, Bracket(0.0, hi), tol=1e-9, guess=estimate)
 
 
@@ -338,26 +342,6 @@ def mrc_quantile_closed(epsilon: float, antennas: int, eta: int) -> float:
     )
 
 
-def _k_real(n: int, dist: SirDistribution, growth: float) -> float:
-    """n*log2(1 + (eta/beta)*growth): the real payload at SIR threshold (eta/beta)*growth."""
-    return n * math.log1p((dist.eta / dist.beta) * growth) / _LN2
-
-
-def _closed_form_k_real(dist: SirDistribution, cfg: LinkConfig) -> float:
-    """The real payload of SC approx or MRC closed, by cfg's scheme, in closed form.
-
-    n*log2((eta/beta)*growth + 1) with L = -log(1 - eps^(1/M)): growth is
-    expm1(L/eta) = (1-eps^(1/M))^(-1/eta) - 1 under SC, formed so that
-    stringent targets keep precision, and the closed quantile
-    (M!)^(1/M)/eta * L under MRC. No integer payload is settled.
-    """
-    if cfg.scheme is Scheme.SC:
-        growth = math.expm1(_log_tail_complement(cfg.epsilon_th, cfg.antennas) / dist.eta)
-    else:
-        growth = mrc_quantile_closed(cfg.epsilon_th, cfg.antennas, dist.eta)
-    return _k_real(cfg.blocklength, dist, growth)
-
-
 def mrc_error(theta: float, dist: SirDistribution, antennas: int) -> float:
     """MRC error probability: P(sum of per-antenna SIRs < theta).
 
@@ -386,7 +370,7 @@ _ASYMPTOTIC: dict[Method, _Asymptotic] = {
         Scheme.SC, _sc_exact_k_real, lambda t, dist, m: sc_error(t, dist, m, exact=True)
     ),
     Method.SC_APPROX: _Asymptotic(
-        Scheme.SC, _closed_form_k_real, lambda t, dist, m: sc_error(t, dist, m)
+        Scheme.SC, _sc_approx_k_real, lambda t, dist, m: sc_error(t, dist, m)
     ),
     Method.MRC_NUMERIC: _Asymptotic(
         Scheme.MRC,
@@ -396,9 +380,15 @@ _ASYMPTOTIC: dict[Method, _Asymptotic] = {
         lambda t, dist, m: mrc_error(t, dist, m),
     ),
     Method.MRC_CLOSED: _Asymptotic(
-        Scheme.MRC, _closed_form_k_real, lambda t, dist, m: mrc_error(t, dist, m)
+        Scheme.MRC,
+        lambda dist, cfg: _k_real(
+            cfg.blocklength, dist, mrc_quantile_closed(cfg.epsilon_th, cfg.antennas, dist.eta)
+        ),
+        lambda t, dist, m: mrc_error(t, dist, m),
     ),
 }
+# The closed-form row of each scheme, which seeds the finite-blocklength search
+_CLOSED_FORM: dict[Scheme, Method] = {Scheme.SC: Method.SC_APPROX, Scheme.MRC: Method.MRC_CLOSED}
 
 
 def asymptotic_kstar(method: Method, dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
@@ -408,7 +398,8 @@ def asymptotic_kstar(method: Method, dist: SirDistribution, cfg: LinkConfig) -> 
     the largest integer payload whose error, under the method's own measure,
     meets the target, so predicted_epsilon <= the target even where the
     closed MRC quantile overshoots. Raises ValueError for FB, which
-    `fb_kstar` solves, and for a method whose scheme is not cfg's.
+    `fb_kstar` solves, and for a method whose scheme is not cfg's. The FB
+    seed reads the same table: the closed-form row of its scheme.
     """
     method = Method(method)
     row = _ASYMPTOTIC.get(method)
@@ -416,7 +407,10 @@ def asymptotic_kstar(method: Method, dist: SirDistribution, cfg: LinkConfig) -> 
         raise ValueError(f"{method.value} is not an asymptotic method; fb_kstar solves it")
     if row.scheme is not cfg.scheme:
         raise ValueError(f"{method.value} requires an {row.scheme.name}-scheme config")
-    return _settle(method, dist, cfg, row.k_real(dist, cfg), row.error)
+    n, m, error = cfg.blocklength, cfg.antennas, row.error
+    k_real = row.k_real(dist, cfg)
+    k, e = _max_feasible_k(lambda j: error(theta_for_rate(j, n), dist, m), cfg.epsilon_th, k_real)
+    return _finish(k, k_real, e, n, method)
 
 
 def combined_sir_pdf(x, dist: SirDistribution, antennas: int, scheme: Scheme):

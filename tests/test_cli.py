@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urpayload.cli import (
     EXIT_BAD_CONFIG,
@@ -15,6 +19,7 @@ from urpayload.cli import (
     _METHOD_ALIASES,
     main,
 )
+from urpayload.names import Scheme
 
 FIG2_FLAGS = ["--beta", "0.306102", "--eta", "10", "--M", "2", "--n", "200"]
 
@@ -784,6 +789,59 @@ def test_method_help_lists_every_alias(command, capsys):
 
 def _flags(values: dict) -> list[str]:
     return [text for name, value in values.items() for text in (f"--{name}", value)]
+
+
+# extreme but valid values: the smallest subnormal and the largest double
+# below 1 as targets, and laws from a subnormal beta up
+_EXTREME_EPS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 0.9999999999999999]),
+    st.floats(5e-324, 0.9999999999999999),
+)
+_EXTREME_BETA = st.one_of(st.sampled_from([5e-324, 1e-308, 1e308]), st.floats(5e-324, 1e308))
+
+
+@st.composite
+def _extreme_rate_or_sweep(draw):
+    """`rate` or `sweep` argv over every alias; eta <= 10^4 for exact, n <= 10^4 for fb."""
+    alias = draw(st.sampled_from(sorted({alias for alias, _ in _METHOD_ALIASES})))
+    eta = st.integers(1, 10**4 if alias == "exact" else 10**6)
+    antennas = st.integers(1, 1024)
+    blocklength = st.integers(1, 10**4 if alias == "fb" else 10**8)
+    values = {
+        "beta": repr(draw(_EXTREME_BETA)),
+        "eta": str(draw(eta)),
+        "M": str(draw(antennas)),
+        "n": str(draw(blocklength)),
+        "eps": repr(draw(_EXTREME_EPS)),
+        "scheme": draw(st.sampled_from([s.value for s in Scheme])),
+        "method": alias,
+    }
+    if draw(st.booleans()):
+        return ["rate", *_flags(values)]
+    axis, strategy = draw(
+        st.sampled_from(
+            [("eps", _EXTREME_EPS), ("beta", _EXTREME_BETA), ("M", antennas), ("n", blocklength)]
+        )
+    )
+    points = draw(st.lists(strategy, min_size=1, max_size=2))
+    return ["sweep", *_flags(values), "--axis", axis, "--values", ",".join(map(repr, points))]
+
+
+class TestExitCodeProperty:
+    @pytest.mark.filterwarnings("ignore:normal approximation validated")
+    @given(argv=_extreme_rate_or_sweep())
+    @settings(max_examples=300, deadline=None)
+    def test_extreme_valid_flags_exit_cleanly(self, argv):
+        # success, infeasible, usage or configuration error: never a
+        # traceback, and never a numpy warning (an error in this suite)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_USAGE, EXIT_BAD_CONFIG), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from urpayload import finite_blocklength, numerics
+from urpayload import finite_blocklength, numerics, rate_control
 from urpayload.finite_blocklength import (
     _grid_step,
     channel_dispersion,
@@ -26,7 +26,6 @@ from urpayload.rate_control import (
     LinkConfig,
     Method,
     Scheme,
-    _closed_form_k_real,
     _finish,
     _max_feasible_k,
     asymptotic_kstar,
@@ -36,6 +35,12 @@ from urpayload.rate_control import (
     theta_for_rate,
 )
 from urpayload.sir_model import SirDistribution
+
+
+def _closed_form_row(scheme):
+    # the method-table row that seeds the FB search for `scheme`
+    return rate_control._ASYMPTOTIC[rate_control._CLOSED_FORM[scheme]]
+
 
 LOG2E_SQ = 2.0813689810056078  # (log2 e)^2, 50-digit frozen
 # Frozen 50-digit arithmetic oracle for Q((1 - 0.5)/sqrt(V(1)/200)).
@@ -709,7 +714,7 @@ class TestSeedIndependence:
         else:
             k_cf = asymptotic_kstar(Method.MRC_CLOSED, dist, cfg).k_real
             error = lambda k: mrc_error(theta_for_rate(k, n), dist, 4)  # noqa: E731
-        assert _closed_form_k_real(dist, cfg) == k_cf
+        assert _closed_form_row(scheme).k_real(dist, cfg) == k_cf
         slope = math.log(error(k_cf + 0.5) / error(k_cf - 0.5))
         penalty = n * slope * channel_dispersion(theta_for_rate(k_cf, n)) / 2.0
         seed = finite_blocklength._seed_k(dist, cfg)
@@ -737,7 +742,7 @@ class TestSeedIndependence:
         cfg = LinkConfig(antennas, n, eps, scheme)
         try:
             dist = SirDistribution.from_beta(beta, eta)
-            k_cf = _closed_form_k_real(dist, cfg)
+            k_cf = _closed_form_row(scheme).k_real(dist, cfg)
         except ValueError:  # beta/eta underflows, or eps^(1/M) rounds to 1.0
             return
         seed = finite_blocklength._seed_k(dist, cfg)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import scipy.special
 from scipy import integrate
 
-from urpayload import cli, rate_control
+from urpayload import cli, finite_blocklength, rate_control
 from urpayload.finite_blocklength import fb_error_average
 from urpayload.numerics import Bracket
 from urpayload.rate_control import (
@@ -655,6 +655,21 @@ class TestMethodTable:
         scheme = rate_control._ASYMPTOTIC[method].scheme
         sol = asymptotic_kstar(method, main_dist, LinkConfig(2, 200, 1e-4, scheme))
         assert calls and sol.k_star > 0
+
+    def test_closed_form_rows_seed_without_a_root_search(self, main_dist, monkeypatch):
+        # _CLOSED_FORM names the row the FB search seeds from, for each scheme:
+        # one of that scheme, whose payload is a closed form
+        def no_root_search(*args, **kwargs):
+            raise AssertionError("a closed-form row ran a root search")
+
+        monkeypatch.setattr(rate_control, "find_root_monotone", no_root_search)
+        assert set(rate_control._CLOSED_FORM) == set(Scheme)
+        for scheme, method in rate_control._CLOSED_FORM.items():
+            row = rate_control._ASYMPTOTIC[method]
+            assert row.scheme is scheme, method
+            cfg = LinkConfig(4, 200, 1e-6, scheme)
+            assert math.isfinite(row.k_real(main_dist, cfg))
+            assert math.isfinite(finite_blocklength._seed_k(main_dist, cfg))
 
     def test_cli_aliases_agree_with_rows(self):
         # the parser loads no solver module, so its alias table is a second
