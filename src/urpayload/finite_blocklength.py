@@ -23,9 +23,10 @@ capacity, the spread and the window edges depend only on the blocklength and
 are cached per blocklength. The density times x, its prefix sums and its
 mass depend only on the law, the antennas, the scheme and the grid, and are
 evaluated once per law: a bounded cache keeps those of the _LAW_CACHE_SIZE
-laws used last, so the solves of one curve, which share a law across
-targets, reuse them. `fb_error_average(dist, antennas, scheme, k, n)` and
-`fb_kstar(dist, cfg)` are both keyed by the law and share it.
+laws used last, so solves that follow each other on one law reuse them, as
+the figure presets' solves of one law's targets do.
+`fb_error_average(dist, antennas, scheme, k, n)` and `fb_kstar(dist, cfg)`
+are both keyed by the law and share it.
 """
 from __future__ import annotations
 
@@ -98,12 +99,14 @@ _Q_ZERO_ABOVE = 40.0
 _Z_TOP = 12.0
 _Q_AT_TOP = 0.5 * math.erfc(_Z_TOP / _SQRT2)
 _CUT_TOLERANCE = 2.0**-60
-# Laws whose per-law arrays are kept: the 21 betas of the fig4 preset's
-# curves with room to spare, 3.8 MB at the presets' grid of 7,411 nodes.
-# The per-blocklength and per-law arrays are cached only on grids that
-# `grid_is_kept` (n up to about 10^5): 2.2 MB per blocklength and 0.9 MB per
-# law there, 28 MB for a full law cache.
-_LAW_CACHE_SIZE = 32
+# Laws whose per-law arrays are kept: the law in use and the one before it,
+# 0.24 MB at the presets' grid of 7,411 nodes. The figure presets solve all
+# the targets of one law back to back (`sweeps._KstarFigure`), so no law is
+# needed again once the next has been built. The per-blocklength and per-law
+# arrays are cached only on grids that `grid_is_kept` (n up to about 10^5):
+# 2.2 MB per blocklength and 0.9 MB per law there, 1.8 MB for a full law
+# cache.
+_LAW_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -386,7 +389,8 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     |ln err(k) - ln eps| in size, which is close to linear over one bit, so
     its interpolation lands closer; bisection's answer depends only on the
     signs, so the double is the same. The density's arrays come from a
-    cache of the _LAW_CACHE_SIZE laws used last.
+    cache of the _LAW_CACHE_SIZE laws used last, so a caller that solves
+    one law's targets back to back builds them once.
 
     Raises ValueError when the density's mass on the integration grid is not
     1, i.e. when the SIR law lies outside the range the average covers, and

@@ -49,9 +49,11 @@ _BLOCK_TRIALS = 1 << 16
 # (one thread, 2-core Xeon, topology B: M=1 5.0 -> 3.8 ms a block, M=2 12.3 -> 10.6)
 _CHUNK_GAINS = 1 << 16
 # A block keeps one _BLOCK_TRIALS x M float64 array (serving gains, then the
-# SIR) per worker, 512 KiB per antenna, plus a chunk of interferer gains: 128
-# MiB at this cap. Far beyond it the allocation alone outgrows memory and the
-# run stalls.
+# SIR) per worker, 512 KiB per antenna, 128 MiB at this cap, plus a chunk of
+# interferer gains of max(512 KiB, 8*eta*M bytes): a chunk holds whole
+# trials, so past eta*M = 2^16 it is one trial, 2 GiB at this cap and eta's
+# 10^6 (`sample_sir_block`). Far beyond it the allocation alone outgrows
+# memory and the run stalls.
 _MAX_ANTENNAS = 256
 # run_sim keeps at most this many blocks per worker submitted and not yet
 # reduced: enough that no worker waits while the oldest result is reduced
@@ -244,13 +246,16 @@ def sample_sir_block(
 
     SIR_i = h_i / sum_j g_ji * w_j with h, g unit exponentials and w the
     law's interference weights `path_losses` (r0^alpha * r_j^(-alpha)).
-    The interferer gains are drawn at most _CHUNK_GAINS doubles at a time,
-    whole trials per chunk, in the C order of one (trials, eta, antennas)
-    draw, and kept as log1p(-U) = -g. Contracted with the negated weights,
+    The interferer gains are drawn in chunks of whole trials, as many as
+    _CHUNK_GAINS doubles hold and at least one, so a chunk is at most
+    max(_CHUNK_GAINS, eta*antennas) doubles: max(512 KiB, 8*eta*antennas
+    bytes). They come in the C order of one (trials, eta, antennas) draw and
+    are kept as log1p(-U) = -g. Contracted with the negated weights,
     (-g)(-w) is g*w and (-0)(-w) is +0 exactly: the same doubles as one
     whole-block draw of g contracted with w. Each chunk's interference
     divides its rows of h in place, so a block holds one (trials, antennas)
-    array, the result, plus one chunk of gains and its interference.
+    array, the result, plus one chunk of gains and its interference, and
+    while the next chunk is drawn, the one before it.
     """
     negated_weights = -np.asarray(dist.path_losses, dtype=float)
     h = _exponential(rng, (trials, antennas))
@@ -279,7 +284,8 @@ def _run_block(spec: SimSpec, theta: float | None, block: int, trials: int):
     rng = _block_rng(spec.seed, block)
     sir = sample_sir_block(spec.topology, spec.antennas, trials, rng)
     if spec.scheme is Scheme.MRC:
-        combined = sir.sum(axis=1)
+        with np.errstate(over="ignore"):  # a sum past the largest double is inf, as an SIR is
+            combined = sir.sum(axis=1)
     else:  # a running max over the columns: max(axis=1)'s doubles, faster up to M = 16
         combined = reduce(np.maximum, sir.T)
     if spec.semantics is Semantics.ASYMPTOTIC:

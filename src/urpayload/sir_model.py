@@ -126,7 +126,10 @@ class SirDistribution:
         if not (isinstance(eta, int) and eta >= 1):
             raise ValueError(f"eta must be a positive integer, got {eta!r}")
         _check_eta(eta)  # before the tuple of eta weights is built
-        return cls(beta, (beta / eta,) * eta)  # __post_init__ refuses beta <= 0
+        weight = beta / eta
+        if weight == 0.0 < beta:
+            raise ValueError(f"beta/eta underflows to 0 at beta={beta!r}, eta={eta}")
+        return cls(beta, (weight,) * eta)  # __post_init__ refuses beta <= 0
 
 
 # bench/workloads.py still builds its laws by this name; ROADMAP item 7 drops it

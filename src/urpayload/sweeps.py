@@ -241,9 +241,11 @@ class _KstarFigure:
     """A payload figure: one sweep per target, antenna count and scheme.
 
     Rows come in that loop order. The link field that the axis moves is only
-    a placeholder in `targets`, `antennas` or `blocklength`. The sweeps run
-    with the targets innermost, as those of one antenna count and scheme
-    solve the same laws, while `fb_kstar`'s per-law cache still holds them.
+    a placeholder in `targets`, `antennas` or `blocklength`. Each antenna
+    count and scheme walks the axis once and solves every target at a value
+    before the next value, as the targets at one value solve the same law:
+    a law's FB solves run back to back, so `fb_kstar`'s per-law cache needs
+    to hold only the law in use.
     """
 
     axis: Axis
@@ -255,21 +257,23 @@ class _KstarFigure:
     methods: tuple[tuple[Scheme, tuple[Method, ...]], ...]  # per scheme
 
     def __call__(self) -> list[SweepRow]:
-        values = self.values()
-        rows = {
-            (eps, m, scheme): run_sweep(
-                SweepSpec(
-                    self.axis,
-                    values,
-                    LinkConfig(m, self.blocklength, eps, scheme),
-                    self.dist,
-                    methods,
-                )
-            )
-            for m in self.antennas
-            for scheme, methods in self.methods
-            for eps in self.targets
-        }
+        values = _axis_values(self.axis, self.values())
+        rows: dict[tuple[float, int, Scheme], list[SweepRow]] = {}
+        for m in self.antennas:
+            for scheme, methods in self.methods:
+                specs = {
+                    eps: SweepSpec(
+                        self.axis,
+                        values,
+                        LinkConfig(m, self.blocklength, eps, scheme),
+                        self.dist,
+                        methods,
+                    )
+                    for eps in self.targets
+                }
+                for value in values:
+                    for eps, spec in specs.items():
+                        rows.setdefault((eps, m, scheme), []).extend(_rows_at_value(spec, value))
         return [
             row
             for eps in self.targets

@@ -19,7 +19,7 @@ from urpayload.cli import (
     _METHOD_ALIASES,
     main,
 )
-from urpayload.names import Scheme
+from urpayload.names import Scheme, Semantics
 
 FIG2_FLAGS = ["--beta", "0.306102", "--eta", "10", "--M", "2", "--n", "200"]
 
@@ -330,6 +330,23 @@ class TestRate:
         )
         assert code == EXIT_BAD_CONFIG
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv,beta",
+        [
+            (["rate", "--beta", "5e-324"], "5e-324"),
+            (["sweep", "--axis", "beta", "--values", "1e-323,0.5"], "1e-323"),
+        ],
+        ids=["rate", "sweep"],
+    )
+    def test_underflowing_weight_names_beta_and_eta(self, argv, beta, capsys):
+        # beta/8 rounds to 0: the error names the two flags given, not the
+        # path losses built from them
+        code, out, err = run_cli([*argv, "--eta", "8", "--eps", "1e-3"], capsys)
+        assert code == EXIT_BAD_CONFIG
+        assert out == ""
+        assert f"beta/eta underflows to 0 at beta={beta}, eta=8" in err
+        assert "path losses" not in err
 
     def test_overflowing_topology_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "far.json"
@@ -827,11 +844,43 @@ def _extreme_rate_or_sweep(draw):
     return ["sweep", *_flags(values), "--axis", axis, "--values", ",".join(map(repr, points))]
 
 
+@st.composite
+def _extreme_simulate(draw):
+    """`simulate` argv under both semantics; trials <= 4096, eta <= 64 and
+    M <= 16 keep each run to one small block."""
+    values = {
+        "beta": repr(draw(_EXTREME_BETA)),
+        "eta": str(draw(st.integers(1, 64))),
+        "M": str(draw(st.integers(1, 16))),
+        "k": str(draw(st.integers(0, 10**6))),
+        "n": str(draw(st.integers(1, 10**8))),
+        "scheme": draw(st.sampled_from([s.value for s in Scheme])),
+        "semantics": draw(st.sampled_from([s.value for s in Semantics])),
+        "trials": str(draw(st.integers(1, 4096))),
+        "workers": str(draw(st.integers(1, 2))),
+    }
+    argv = ["simulate", *_flags(values)]
+    if draw(st.booleans()):
+        argv += ["--eps", repr(draw(_EXTREME_EPS))]
+    if draw(st.booleans()):
+        argv.append("--variance-reduced")
+    return argv
+
+
 class TestExitCodeProperty:
     @pytest.mark.filterwarnings("ignore:normal approximation validated")
     @given(argv=_extreme_rate_or_sweep())
     @settings(max_examples=300, deadline=None)
     def test_extreme_valid_flags_exit_cleanly(self, argv):
+        self._assert_exits_cleanly(argv)
+
+    @given(argv=_extreme_simulate())
+    @settings(max_examples=300, deadline=None)
+    def test_extreme_simulate_flags_exit_cleanly(self, argv):
+        self._assert_exits_cleanly(argv)
+
+    @staticmethod
+    def _assert_exits_cleanly(argv):
         # success, infeasible, usage or configuration error: never a
         # traceback, and never a numpy warning (an error in this suite)
         err = io.StringIO()

@@ -270,7 +270,10 @@ class TestPresets:
     def test_each_law_is_evaluated_once_per_preset(self, name, laws, monkeypatch):
         # a preset's FB solves share one density evaluation per (law, M,
         # scheme, grid): fig4 has 21 betas x 3 M x 2 schemes, solved at two
-        # targets, and fig6's n = 2000 has a finer grid than n <= 1600
+        # targets, and fig6's n = 2000 has a finer grid than n <= 1600. The
+        # per-law cache holds only _LAW_CACHE_SIZE laws, so these counts hold
+        # because each law's targets are solved back to back: a preset that
+        # swept one target's axis before the next would build its laws again
         evaluations = []
         original = finite_blocklength.combined_sir_pdf
 
@@ -281,7 +284,9 @@ class TestPresets:
         monkeypatch.setattr(finite_blocklength, "combined_sir_pdf", counting)
         finite_blocklength._law_sums.cache_clear()
         preset_rows(name)
+        cached = finite_blocklength._law_sums.cache_info().currsize
         finite_blocklength._law_sums.cache_clear()
+        assert cached <= finite_blocklength._LAW_CACHE_SIZE
         assert len(evaluations) == laws
 
     @pytest.mark.parametrize("name", ["fig2", "fig4", "fig5", "fig6"])
