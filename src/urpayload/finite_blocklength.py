@@ -385,7 +385,8 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     depends only on the average error, not on the seed. k_real refines the
     boundary where the average error equals the target, for smooth sweeps:
     the bisection's answer to 2^-30, from about three averages beyond err(k)
-    and err(k+1). The root finder sees err(k) - eps in sign but
+    and err(k+1), which the walk hands to the root finder as the ends of its
+    bracket. The root finder sees err(k) - eps in sign but
     |ln err(k) - ln eps| in size, which is close to linear over one bit, so
     its interpolation lands closer; bisection's answer depends only on the
     signs, so the double is the same. The density's arrays come from a
@@ -416,28 +417,18 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
                 f"error {saturated!r} of this law; every payload meets it"
             )
 
-    # memoized, so the root search starts from the err(k) and err(k+1) the
-    # walk has computed; a dict, because k and float(k) are one key there but
-    # not in functools.cache
-    errors: dict[float, float] = {}
-
-    def err(k: float) -> float:
-        if k not in errors:
-            errors[k], _ = average(k)
-        return errors[k]
-
     log_eps = math.log(eps)
 
-    def log_gap(k: float) -> float:
-        # the sign of err(k) - eps, the size of |ln err(k) - ln eps|, kept
-        # above 0 where the logs round equal; 0, NaN and eps itself as is
-        e = err(k)
+    def log_gap(e: float) -> float:
+        # the sign of e - eps, the size of |ln e - ln eps|, kept above 0
+        # where the logs round equal; 0, NaN and eps itself as is
         if e > 0.0 and e != eps:
             return math.copysign(max(abs(math.log(e) - log_eps), 5e-324), e - eps)
         return e - eps
 
-    k, e = _max_feasible_k(err, eps, _seed_k(dist, cfg))
+    k, e, e_next = _max_feasible_k(lambda j: average(j)[0], eps, _seed_k(dist, cfg))
     k_real = 0.0
     if k >= 1:  # real-valued boundary: err(k) <= eps < err(k+1)
-        k_real = find_root_monotone(log_gap, 0.0, Bracket(float(k), float(k + 1)), tol=2**-30)
+        bracket = Bracket(float(k), float(k + 1), log_gap(e), log_gap(e_next))
+        k_real = find_root_monotone(lambda x: log_gap(average(x)[0]), 0.0, bracket, tol=2**-30)
     return _finish(k, k_real, e, n, Method.FB)

@@ -3,8 +3,11 @@
 The root finder works on scalars. It returns exactly what bisection of its
 bracket returns, for monotone f, from far fewer evaluations: interpolation
 picks the points, and monotonicity supplies the signs of the midpoints it
-passes over. A caller's estimate of the root, where it has one, is the first
-point evaluated: it changes how many calls are made, never the result. The
+passes over. A bracket carries f at its ends, which every caller has
+measured while finding it, so f is called only inside the bracket;
+`Bracket.by_doubling` finds one by doubling from a start point. A caller's
+estimate of the root, where it has one, is the first point evaluated: it
+changes how many calls are made, never the result. The
 integration rule takes an array-valued integrand on a fixed log-spaced grid,
 which `log_grid` builds once per step size and shares read-only (up to a
 node count that `grid_is_kept` decides), so callers can evaluate what does
@@ -73,14 +76,31 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class Bracket:
-    """Interval [lo, hi] known to contain the sought crossing."""
+    """Interval [lo, hi] known to contain the sought crossing, with f at its ends."""
 
     lo: float
     hi: float
+    f_lo: float
+    f_hi: float
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
+
+    @classmethod
+    def by_doubling(cls, f: Callable[[float], float], target: float, start: float) -> Bracket:
+        """[hi/2, hi] for the first hi = start*2^j, j >= 1, with f(hi) >= target.
+
+        [0, start] where f(start) already reaches the target, the one case
+        that evaluates f(0). For nondecreasing f, bisection of [0, hi] takes
+        hi/2 as its first midpoint and moves right, and hi/2 is on its
+        lattice, so `find_root_monotone` returns the same double from both.
+        """
+        lo, f_lo, hi, f_hi = 0.0, None, start, f(start)
+        while f_hi < target:
+            lo, f_lo, hi = hi, f_hi, 2.0 * hi
+            f_hi = f(hi)
+        return cls(lo, hi, f(lo) if f_lo is None else f_lo, f_hi)
 
 
 # f is called at most this many times more than bisection would call it.
@@ -125,8 +145,10 @@ def find_root_monotone(
 ) -> float:
     """Solve f(x) = target for monotone f; return what bisection returns.
 
-    Requires f(lo) and f(hi) to straddle the target (either orientation);
-    raises BracketError otherwise. For monotone f the result is the double
+    Requires the bracket's f_lo and f_hi, f at its ends, to straddle the
+    target (either orientation); raises BracketError otherwise, before any
+    call. f is called only strictly inside the bracket, never at its ends,
+    and never twice at one point. For monotone f the result is the double
     that bisection of [lo, hi] down to width tol returns: the final bracket
     midpoint, so within tol / 2 of the crossing, or a midpoint where f
     equals the target. The bisection is replayed with the same arithmetic,
@@ -147,8 +169,8 @@ def find_root_monotone(
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     lo, hi = bracket.lo, bracket.hi
-    flo = f(lo) - target
-    fhi = f(hi) - target
+    flo = bracket.f_lo - target
+    fhi = bracket.f_hi - target
     if flo == 0.0:
         return lo
     if fhi == 0.0:

@@ -147,8 +147,8 @@ def sc_error(
 
 def _max_feasible_k(
     error_at_k: Callable[[int], float], epsilon_th: float, k_guess: float
-) -> tuple[int, float]:
-    """Largest integer k >= 0 with error_at_k(k) <= epsilon_th.
+) -> tuple[int, float, float]:
+    """Largest k >= 0 with error_at_k(k) <= epsilon_th, and the errors at k and k + 1.
 
     error_at_k must be nondecreasing in k. The search starts at the floor of
     k_guess (an already-close real-valued payload), gallops away from it in
@@ -187,7 +187,7 @@ def _max_feasible_k(
             lo = mid
         else:
             hi = mid
-    return lo, errors[lo]
+    return lo, errors[lo], errors[hi]
 
 
 def _finish(
@@ -226,32 +226,21 @@ def _sc_exact_k_real(dist: SirDistribution, cfg: LinkConfig) -> float:
     Solves prod_j(1 + theta(k)*w_j) = 1/(1 - eps^(1/M)) for real k with
     find_root_monotone on the log product (strictly increasing in k) to 1e-9,
     started from SC approx's `_sc_approx_k_real`: the bisection's answer
-    from a handful of log products, none evaluated twice.
+    from a handful of log products.
     """
     n = cfg.blocklength
     target = _log_tail_complement(cfg.epsilon_th, cfg.antennas)
 
-    # the root search asks again for the doubling's last point; a dict, as
-    # building a functools.cache wrapper takes longer than the call it saves
-    values: dict[float, float] = {}
-
     def log_product(k: float) -> float:
-        value = values.get(k)
-        if value is None:
-            try:
-                theta = theta_for_rate(k, n)
-            except ValueError:  # theta overflows; bisection needs only the sign
-                value = math.inf
-            else:
-                value = -sir_log_survival_exact(theta, dist)
-            values[k] = value
-        return value
+        try:
+            theta = theta_for_rate(k, n)
+        except ValueError:  # theta overflows; bisection needs only the sign
+            return math.inf
+        return -sir_log_survival_exact(theta, dist)
 
-    hi = float(n)
-    while log_product(hi) < target:
-        hi *= 2.0
+    bracket = Bracket.by_doubling(log_product, target, float(n))
     estimate = _sc_approx_k_real(dist, cfg)
-    return find_root_monotone(log_product, target, Bracket(0.0, hi), tol=1e-9, guess=estimate)
+    return find_root_monotone(log_product, target, bracket, tol=1e-9, guess=estimate)
 
 
 def _check_count_shape(count: int, shape: int) -> None:
@@ -308,23 +297,17 @@ def mrc_quantile_numeric(epsilon: float, antennas: int, eta: int) -> float:
     root far below M the relative error can be far above 1e-15 (2.4e-6 at a
     root of 1.4e-10*M). lomax_sum_cdf is P(M, eta*M*log1p(x/M)), so
     M*expm1(gammaincinv(M, epsilon)/(eta*M)) estimates the root, and
-    find_root_monotone starts from it. No point's CDF is evaluated twice.
+    find_root_monotone starts from it.
     """
     _check_probability(epsilon)
     _check_count_shape(antennas, eta)
-    values: dict[float, float] = {}
 
     def cdf(x: float) -> float:
-        value = values.get(x)
-        if value is None:
-            value = values[x] = lomax_sum_cdf(x, antennas, eta)
-        return value
+        return lomax_sum_cdf(x, antennas, eta)
 
-    hi = float(antennas)
-    while cdf(hi) < epsilon:
-        hi *= 2.0
+    bracket = Bracket.by_doubling(cdf, epsilon, float(antennas))
     estimate = antennas * math.expm1(_scalar.gammaincinv(antennas, epsilon) / (eta * antennas))
-    return find_root_monotone(cdf, epsilon, Bracket(0.0, hi), tol=1e-15 * hi, guess=estimate)
+    return find_root_monotone(cdf, epsilon, bracket, tol=1e-15 * bracket.hi, guess=estimate)
 
 
 def mrc_quantile_closed(epsilon: float, antennas: int, eta: int) -> float:
@@ -409,7 +392,9 @@ def asymptotic_kstar(method: Method, dist: SirDistribution, cfg: LinkConfig) -> 
         raise ValueError(f"{method.value} requires an {row.scheme.name}-scheme config")
     n, m, error = cfg.blocklength, cfg.antennas, row.error
     k_real = row.k_real(dist, cfg)
-    k, e = _max_feasible_k(lambda j: error(theta_for_rate(j, n), dist, m), cfg.epsilon_th, k_real)
+    k, e, _ = _max_feasible_k(
+        lambda j: error(theta_for_rate(j, n), dist, m), cfg.epsilon_th, k_real
+    )
     return _finish(k, k_real, e, n, method)
 
 

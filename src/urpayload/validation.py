@@ -6,7 +6,6 @@ reference setups and pinned; they are regression guards, not theory.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -78,11 +77,10 @@ def check_bound_ordering() -> list[CheckResult]:
 
 def _left_tail_gamma_grid(topology: SirDistribution) -> np.ndarray:
     # upper edge: gamma where the exact CDF reaches 1e-2, then nine decades down
-    cdf = functools.cache(lambda g: sir_cdf_exact(g, topology))
-    hi = 1.0
-    while cdf(hi) < 1e-2:
-        hi *= 2.0
-    edge = find_root_monotone(cdf, 1e-2, Bracket(0.0, hi))
+    def cdf(g: float) -> float:
+        return sir_cdf_exact(g, topology)
+
+    edge = find_root_monotone(cdf, 1e-2, Bracket.by_doubling(cdf, 1e-2, 1.0))
     top = math.log10(edge)
     return np.logspace(top - 9.0, top, 400)
 

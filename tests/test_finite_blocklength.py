@@ -595,8 +595,8 @@ class TestFbKstar:
         assert all(b <= a for a, b in zip(gaps, gaps[1:]))
 
     def test_each_payload_averaged_once(self, main_dist, monkeypatch):
-        # the root search for k_real starts from err(k) and err(k+1), which
-        # the integer walk has already computed
+        # the root search for k_real reads err(k) and err(k+1), which the
+        # integer walk has computed, from the ends of its bracket
         averaged = []
         original = finite_blocklength._ErrorAverage.__call__
 
@@ -660,17 +660,15 @@ def _walked_solution(dist, cfg, guess):
     started at `guess` instead of at `_seed_k`."""
     n, eps = cfg.blocklength, cfg.epsilon_th
     average = _uncached_average(dist, cfg.antennas, cfg.scheme, n)
-    errors = {}
 
     def err(k):
-        if k not in errors:
-            errors[k], _ = average(k)
-        return errors[k]
+        return average(k)[0]
 
-    k, e = _max_feasible_k(err, eps, guess)
+    k, e, e_next = _max_feasible_k(err, eps, guess)
     if k < 1:
         return _finish(k, 0.0, e, n, Method.FB)
-    k_real = find_root_monotone(err, eps, Bracket(float(k), float(k + 1)), tol=2**-30)
+    bracket = Bracket(float(k), float(k + 1), e, e_next)
+    k_real = find_root_monotone(err, eps, bracket, tol=2**-30)
     return _finish(k, k_real, e, n, Method.FB)
 
 

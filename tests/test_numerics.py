@@ -66,31 +66,50 @@ class TestRegularizedGamma:
             gamma_p(p, x)
 
 
+def measured(f, lo, hi):
+    """The bracket [lo, hi] with f evaluated at both ends."""
+    return Bracket(lo, hi, f(lo), f(hi))
+
+
+def solve(f, target, lo, hi, **kwargs):
+    """find_root_monotone on [lo, hi], its ends measured here."""
+    return find_root_monotone(f, target, measured(f, lo, hi), **kwargs)
+
+
 class TestFindRootMonotone:
     def test_identity_function(self):
-        root = find_root_monotone(lambda x: x, 0.5, Bracket(0.0, 1.0), tol=1e-12)
+        root = solve(lambda x: x, 0.5, 0.0, 1.0, tol=1e-12)
         assert root == pytest.approx(0.5, abs=1e-12)
 
     def test_square_root_of_two(self):
-        root = find_root_monotone(lambda x: x * x, 2.0, Bracket(0.0, 2.0), tol=1e-12)
+        root = solve(lambda x: x * x, 2.0, 0.0, 2.0, tol=1e-12)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
 
     def test_decreasing_function(self):
-        root = find_root_monotone(lambda x: -x, -0.25, Bracket(0.0, 1.0), tol=1e-12)
+        root = solve(lambda x: -x, -0.25, 0.0, 1.0, tol=1e-12)
         assert root == pytest.approx(0.25, abs=1e-12)
 
     def test_invalid_bracket_raises(self):
         with pytest.raises(BracketError):
-            find_root_monotone(lambda x: x, 5.0, Bracket(0.0, 1.0))
+            solve(lambda x: x, 5.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("ends", [(0.0, 1.0), (1.0, 0.0), (3.0, 4.0), (4.0, 3.0)])
+    def test_one_sided_bracket_raises_without_calling_f(self, ends):
+        # the end values, not f, decide the straddle
+        def f(x):
+            raise AssertionError(f"f called at {x}")
+
+        with pytest.raises(BracketError):
+            find_root_monotone(f, 2.5, Bracket(0.0, 1.0, *ends))
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
     def test_tolerance_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
-            find_root_monotone(lambda x: x, 0.5, Bracket(0.0, 1.0), tol=tol)
+            solve(lambda x: x, 0.5, 0.0, 1.0, tol=tol)
 
     def test_bracket_requires_order(self):
         with pytest.raises(ValueError):
-            Bracket(1.0, 1.0)
+            Bracket(1.0, 1.0, 0.0, 1.0)
 
     def test_lomax_sum_quantile_matches_grid_scan(self):
         # independent oracle: dense grid scan of the same CDF
@@ -100,23 +119,21 @@ class TestFindRootMonotone:
         grid = np.logspace(-6.0, 0.0, 200_001)
         values = np.array([lomax_sum_cdf(float(x), 2, 10) for x in grid])
         scan = grid[int(np.searchsorted(values, target))]
-        root = find_root_monotone(
-            lambda x: lomax_sum_cdf(x, 2, 10), target, Bracket(0.0, 2.0), tol=1e-14
-        )
+        root = solve(lambda x: lomax_sum_cdf(x, 2, 10), target, 0.0, 2.0, tol=1e-14)
         assert root == pytest.approx(scan, rel=1e-4)
 
     @given(st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=30)
     def test_converged_bracket_width(self, target):
         tol = 1e-10
-        root = find_root_monotone(lambda x: x**3, target, Bracket(0.0, 1.0), tol=tol)
+        root = solve(lambda x: x**3, target, 0.0, 1.0, tol=tol)
         assert abs(root**3 - target) < 3.0 * tol  # slope <= 3 on [0, 1]
 
 
-def bisection(f, target, bracket, tol):
-    """Plain bisection, the oracle find_root_monotone must reproduce.
+def bisection(f, target, lo, hi, tol):
+    """Plain bisection of [lo, hi], the oracle find_root_monotone must reproduce.
 
-    Returns the root and the number of calls to f.
+    Returns the root and the number of calls to f, the two ends included.
     """
     calls = 0
 
@@ -125,7 +142,6 @@ def bisection(f, target, bracket, tol):
         calls += 1
         return f(x) - target
 
-    lo, hi = bracket.lo, bracket.hi
     flo, fhi = g(lo), g(hi)
     if flo == 0.0:
         return lo, calls
@@ -170,10 +186,10 @@ CURVES = {
 # the callers' brackets: fb_kstar's k_real, the SC exact root,
 # mrc_quantile_numeric, and the default tolerance
 BRACKETS = {
-    "unit": lambda size: (Bracket(float(int(size)), float(int(size)) + 1.0), 2.0**-30),
-    "payload": lambda size: (Bracket(0.0, size), 1e-9),
-    "quantile": lambda size: (Bracket(0.0, size), 1e-15 * size),
-    "default": lambda size: (Bracket(0.0, size), None),
+    "unit": lambda size: (float(int(size)), float(int(size)) + 1.0, 2.0**-30),
+    "payload": lambda size: (0.0, size, 1e-9),
+    "quantile": lambda size: (0.0, size, 1e-15 * size),
+    "default": lambda size: (0.0, size, None),
 }
 
 
@@ -211,23 +227,26 @@ class TestFindRootMonotoneEqualsBisection:
     def test_same_double_and_at_most_four_more_calls(
         self, curve, shape, size, place, increasing, guess
     ):
-        bracket, tol = BRACKETS[shape](size)
-        g = CURVES[curve](bracket.hi)
+        lo, hi, tol = BRACKETS[shape](size)
+        g = CURVES[curve](hi)
         f = g if increasing else (lambda x: -g(x))
-        target = f(bracket.lo + (bracket.hi - bracket.lo) * place)
-        if f(bracket.lo) == f(bracket.hi):  # flat within the bracket: no crossing
+        target = f(lo + (hi - lo) * place)
+        if f(lo) == f(hi):  # flat within the bracket: no crossing
             return
-        expected, oracle_calls = bisection(f, target, bracket, 1e-12 if tol is None else tol)
+        expected, oracle_calls = bisection(f, target, lo, hi, 1e-12 if tol is None else tol)
         if guess is not None:
             at = place if guess == "root" else guess
-            guess = bracket.lo + (bracket.hi - bracket.lo) * at
+            guess = lo + (hi - lo) * at
+        bracket = measured(f, lo, hi)
         f, calls = counted(f)
         if tol is None:
             root = find_root_monotone(f, target, bracket, guess=guess)
         else:
             root = find_root_monotone(f, target, bracket, tol=tol, guess=guess)
         assert root == expected
-        assert len(calls) <= oracle_calls + 4
+        assert len(calls) <= oracle_calls - 2 + 4
+        assert lo < min(calls, default=hi) and max(calls, default=lo) < hi
+        assert len(calls) == len(set(calls))
 
     @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.1, 0.95), (0.0, 0.77), (0.2, 3.0)])
     def test_plateau_at_the_target(self, lo, hi):
@@ -237,19 +256,20 @@ class TestFindRootMonotoneEqualsBisection:
         def f(x):
             return x if x < 0.3 else max(0.3, x - 0.3)
 
-        expected, oracle_calls = bisection(f, 0.3, Bracket(lo, hi), 1e-12)
+        expected, oracle_calls = bisection(f, 0.3, lo, hi, 1e-12)
+        bracket = measured(f, lo, hi)
         f, calls = counted(f)
-        assert find_root_monotone(f, 0.3, Bracket(lo, hi)) == expected
-        assert len(calls) <= oracle_calls + 4
+        assert find_root_monotone(f, 0.3, bracket) == expected
+        assert len(calls) <= oracle_calls - 2 + 4
 
     @pytest.mark.parametrize("tol", [1e-300, 1e-9, 1e300])
     def test_bracket_as_wide_as_the_floats(self, tol):
         # b - a is near the largest double here; the search must still
         # replay bisection
-        bracket = Bracket(-5e307, 8e307)
+        lo, hi = -5e307, 8e307
         for target in (-0.25, 3e-301, 7e307):
-            expected, _ = bisection(lambda x: x, target, bracket, tol)
-            assert find_root_monotone(lambda x: x, target, bracket, tol=tol) == expected
+            expected, _ = bisection(lambda x: x, target, lo, hi, tol)
+            assert solve(lambda x: x, target, lo, hi, tol=tol) == expected
 
     def test_sign_noise_at_the_crossing_is_not_carried(self):
         # x^3 with a +-1e-13 relative wobble: its sign is noise within ~1e-13
@@ -267,8 +287,62 @@ class TestFindRootMonotoneEqualsBisection:
             def f(x):
                 return x**3 + 1e-13 * target * wobble(x)
 
-            expected, _ = bisection(f, target, Bracket(0.0, 2.0), 2e-15)
-            assert find_root_monotone(f, target, Bracket(0.0, 2.0), tol=2e-15) == expected
+            expected, _ = bisection(f, target, 0.0, 2.0, 2e-15)
+            assert solve(f, target, 0.0, 2.0, tol=2e-15) == expected
+
+
+# nondecreasing curves from 0 at x = 0: smooth, staircase, and the identity
+# with a flat run at `level` over [level, level + width]
+DOUBLING_CURVES = {
+    "sqrt": lambda level, width: math.sqrt,
+    "cube": lambda level, width: lambda x: x**3,
+    "steps": lambda level, width: lambda x: math.floor(x / width) * width,
+    "plateau": lambda level, width: lambda x: x if x < level else max(level, x - width),
+}
+
+
+def doubled_hi(f, target, start):
+    # the doubling loop every caller ran before it bisected [0, hi]
+    hi = start
+    while f(hi) < target:
+        hi *= 2.0
+    return hi
+
+
+class TestBracketByDoubling:
+    @given(
+        curve=st.sampled_from(sorted(DOUBLING_CURVES)),
+        level=st.floats(min_value=1e-3, max_value=1e3),
+        width=st.floats(min_value=1e-3, max_value=10.0),
+        start=st.floats(min_value=1e-3, max_value=1e3),
+        # the target: the flat run's level, or anywhere
+        target=st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1e4)),
+        relative=st.booleans(),
+    )
+    @example(curve="plateau", level=3.0, width=2.0, start=1.0, target=None, relative=False)
+    @example(curve="steps", level=1.0, width=0.5, start=0.25, target=1.5, relative=True)
+    @example(curve="cube", level=1.0, width=1.0, start=8.0, target=1.0, relative=False)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_bisection_of_the_doubled_bracket(
+        self, curve, level, width, start, target, relative
+    ):
+        f = DOUBLING_CURVES[curve](level, width)
+        if target is None:
+            target = level if curve == "plateau" else width * math.ceil(level / width)
+        hi = doubled_hi(f, target, start)
+        tol = 1e-15 * hi if relative else 1e-9  # the MRC quantile's and SC's
+        expected, _ = bisection(f, target, 0.0, hi, tol)
+        spied, calls = counted(f)
+        bracket = Bracket.by_doubling(spied, target, start)
+        assert find_root_monotone(spied, target, bracket, tol=tol) == expected
+        assert len(calls) == len(set(calls))
+        assert bracket.hi == hi and bracket.lo in (0.0, hi / 2.0)
+        assert (bracket.f_lo, bracket.f_hi) == (f(bracket.lo), f(hi))
+
+    def test_start_already_past_the_target(self):
+        f, calls = counted(lambda x: x)
+        assert Bracket.by_doubling(f, 0.5, 2.0) == Bracket(0.0, 2.0, 0.0, 2.0)
+        assert calls == [2.0, 0.0]
 
 
 class TestIntegrateSemiInfinite:

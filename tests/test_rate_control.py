@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 import scipy.special
 from scipy import integrate
 
-from urpayload import cli, finite_blocklength, rate_control
+from urpayload import cli, finite_blocklength, rate_control, validation
 from urpayload.finite_blocklength import fb_error_average
-from urpayload.numerics import Bracket
 from urpayload.rate_control import (
     LinkConfig,
     Method,
@@ -58,9 +57,7 @@ def plain_bisection_quantile(eps, antennas, eta):
     hi = float(antennas)
     while lomax_sum_cdf(hi, antennas, eta) < eps:
         hi *= 2.0
-    return bisection(
-        lambda x: lomax_sum_cdf(x, antennas, eta), eps, Bracket(0.0, hi), 1e-15 * hi
-    )[0]
+    return bisection(lambda x: lomax_sum_cdf(x, antennas, eta), eps, 0.0, hi, 1e-15 * hi)[0]
 
 
 def lomax_sum_pdf(x, count, shape):
@@ -180,8 +177,8 @@ class TestScKstarExact:
     def test_few_log_product_evaluations(self, monkeypatch):
         # bisection to 1e-9 on [0, n] called the log product 42 times here,
         # the search from the bracket's ends 7, and from SC approx's
-        # k_real 4; none is at a point evaluated before, such as the end of
-        # the bracket's doubling, which the search asks for again
+        # k_real 4; none is at a point evaluated before, such as the ends
+        # of the bracket, which the search reads from the bracket
         calls, points = 0, []
         original = rate_control.find_root_monotone
         log_survival = rate_control.sir_log_survival_exact
@@ -729,7 +726,9 @@ class TestMaxFeasibleK:
 
         expected = plain_walk_max_feasible_k(err, eps, guess)
         calls.clear()
-        assert rate_control._max_feasible_k(err, eps, guess) == expected
+        k, e, e_next = rate_control._max_feasible_k(err, eps, guess)
+        assert (k, e) == expected
+        assert e_next == bisect.bisect_right(breaks, k + 1) / len(breaks)
         assert len(calls) == len(set(calls))
         assert expected[0] + 1 in calls
         distance = abs(expected[0] - math.floor(guess + 1e-9))
@@ -758,6 +757,56 @@ class TestMaxFeasibleK:
         cfg = LinkConfig(antennas, n, eps, Scheme.MRC)
         assert asymptotic_kstar(Method.MRC_CLOSED, dist, cfg).k_star == k_star
         assert calls <= 20
+
+
+class TestEachPointEvaluatedOnce:
+    # each solve hands the root finder the ends that its bracket search
+    # measured, so no point is evaluated twice, doubled bracket or not
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        points, brackets = [], []
+        original, find_root = getattr(module, name), module.find_root_monotone
+
+        def recording(x, *args):
+            points.append(x)
+            return original(x, *args)
+
+        def finding(f, target, bracket, **kwargs):
+            brackets.append(bracket)
+            return find_root(f, target, bracket, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+        monkeypatch.setattr(module, "find_root_monotone", finding)
+        return points, brackets
+
+    @pytest.mark.parametrize("eps, doubled", [(1e-9, False), (1e-3, True)])
+    def test_sc_exact_root(self, monkeypatch, eps, doubled):
+        points, brackets = self.spy(monkeypatch, rate_control, "sir_log_survival_exact")
+        cfg = LinkConfig(4, 200, eps, Scheme.SC)
+        rate_control._sc_exact_k_real(SirDistribution.from_beta(0.05, 3), cfg)
+        (bracket,) = brackets
+        assert (bracket.lo > 0.0) is doubled
+        assert len(points) == len(set(points)) > 0
+
+    @pytest.mark.parametrize("eps, doubled", [(1e-3, False), (0.9, True)])
+    def test_mrc_quantile(self, monkeypatch, eps, doubled):
+        points, brackets = self.spy(monkeypatch, rate_control, "lomax_sum_cdf")
+        mrc_quantile_numeric(eps, 1, 3)
+        (bracket,) = brackets
+        assert (bracket.lo > 0.0) is doubled
+        assert len(points) == len(set(points)) > 0
+
+    @pytest.mark.parametrize(
+        "dist, doubled",
+        [(validation.CDF_SETUPS["B"], False), (SirDistribution.from_beta(1e-3, 1), True)],
+    )
+    def test_left_tail_edge(self, monkeypatch, dist, doubled):
+        points, brackets = self.spy(monkeypatch, validation, "sir_cdf_exact")
+        validation._left_tail_gamma_grid(dist)
+        (bracket,) = brackets
+        assert (bracket.lo > 0.0) is doubled
+        assert len(points) == len(set(points)) > 0
 
 
 class TestSolutionInvariants:
