@@ -378,18 +378,17 @@ def fb_kstar(dist: SirDistribution, cfg: LinkConfig) -> RateSolution:
     closed-form row of `rate_control._ASYMPTOTIC` less its dispersion
     penalty n*lam*V/2 (`_seed_k`), then walks integer k (down while
     violating, up while slack remains) to the largest k whose average error
-    stays within the target.
-    The penalty is what a Gaussian rate margin of variance V/n costs an
-    error whose log rises by lam per bit; the seed starts on k* in 471 of
-    the figure presets' 648 solves, where k_cf did in 157. The answer
-    depends only on the average error, not on the seed. k_real refines the
-    boundary where the average error equals the target, for smooth sweeps:
-    the bisection's answer to 2^-30, from about three averages beyond err(k)
-    and err(k+1), which the walk hands to the root finder as the ends of its
-    bracket. The root finder sees err(k) - eps in sign but
-    |ln err(k) - ln eps| in size, which is close to linear over one bit, so
-    its interpolation lands closer; bisection's answer depends only on the
-    signs, so the double is the same. The density's arrays come from a
+    stays within the target. The penalty is what a Gaussian rate margin of
+    variance V/n costs an error whose log rises by lam per bit; the seed
+    starts on k* in 471 of the figure presets' 648 solves, where k_cf did in
+    157. The answer depends only on the average error, not on the seed.
+    k_real refines the boundary where the average error equals the target,
+    for smooth sweeps: the bisection's answer to 2^-30, from about three
+    averages beyond err(k) and err(k+1), which the walk hands to the root
+    finder as its bracket's ends. The root finder sees err(k) - eps in sign
+    but |ln err(k) - ln eps| in size, which is close to linear over one bit,
+    so its interpolation lands closer; bisection's answer depends only on
+    the signs, so the double is the same. The density's arrays come from a
     cache of the _LAW_CACHE_SIZE laws used last, so a caller that solves
     one law's targets back to back builds them once.
 

@@ -3,11 +3,10 @@
 The root finder works on scalars. It returns exactly what bisection of its
 bracket returns, for monotone f, from far fewer evaluations: interpolation
 picks the points, and monotonicity supplies the signs of the midpoints it
-passes over. A bracket carries f at its ends, which every caller has
-measured while finding it, so f is called only inside the bracket;
-`Bracket.by_doubling` finds one by doubling from a start point. A caller's
-estimate of the root, where it has one, is the first point evaluated: it
-changes how many calls are made, never the result. The
+passes over. A bracket carries f at its ends, measured while it was found
+(`Bracket.by_doubling` doubles from a start point), so f is called only
+inside it. A caller's estimate of the root, where it has one, is the first
+point evaluated: it changes how many calls are made, never the result. The
 integration rule takes an array-valued integrand on a fixed log-spaced grid,
 which `log_grid` builds once per step size and shares read-only (up to a
 node count that `grid_is_kept` decides), so callers can evaluate what does
@@ -145,20 +144,20 @@ def find_root_monotone(
 ) -> float:
     """Solve f(x) = target for monotone f; return what bisection returns.
 
-    Requires the bracket's f_lo and f_hi, f at its ends, to straddle the
-    target (either orientation); raises BracketError otherwise, before any
-    call. f is called only strictly inside the bracket, never at its ends,
-    and never twice at one point. For monotone f the result is the double
-    that bisection of [lo, hi] down to width tol returns: the final bracket
-    midpoint, so within tol / 2 of the crossing, or a midpoint where f
-    equals the target. The bisection is replayed with the same arithmetic,
-    but a midpoint's sign comes from an evaluated point beyond it wherever
-    monotonicity fixes it, and interpolation picks the points to evaluate.
-    A sign is never carried to a midpoint within 2^-40 of the bracket ends'
-    magnitude from where it was measured, so f whose sign wobbles only that
-    close to the crossing, as lomax_sum_cdf's does, also gets bisection's
-    answer. f is called at most four times more than bisection calls it, and
-    on smooth f a handful of times in all.
+    Requires the bracket's end values f_lo and f_hi to straddle the target
+    (either orientation); raises BracketError otherwise, before any call. f
+    is called only strictly inside the bracket, at no point twice. For
+    monotone f the result is the double that bisection of [lo, hi] down to
+    width tol returns: the final bracket midpoint, so within tol / 2 of the
+    crossing, or a midpoint where f equals the target. The bisection is
+    replayed with the same arithmetic, but a midpoint's sign comes from an
+    evaluated point beyond it wherever monotonicity fixes it, and
+    interpolation picks the points to evaluate. A sign is never carried to
+    a midpoint within 2^-40 of the bracket ends' magnitude from where it
+    was measured, so f whose sign wobbles only that close to the crossing,
+    as lomax_sum_cdf's does, also gets bisection's answer. f is called at
+    most four times more than bisection calls it, and on smooth f a handful
+    of times in all.
 
     `guess`, an estimate of the crossing, is the first point evaluated in
     place of the interpolation's pick, clamped into the bracket and rounded

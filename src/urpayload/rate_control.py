@@ -390,11 +390,9 @@ def asymptotic_kstar(method: Method, dist: SirDistribution, cfg: LinkConfig) -> 
         raise ValueError(f"{method.value} is not an asymptotic method; fb_kstar solves it")
     if row.scheme is not cfg.scheme:
         raise ValueError(f"{method.value} requires an {row.scheme.name}-scheme config")
-    n, m, error = cfg.blocklength, cfg.antennas, row.error
+    n, m, eps, error = cfg.blocklength, cfg.antennas, cfg.epsilon_th, row.error
     k_real = row.k_real(dist, cfg)
-    k, e, _ = _max_feasible_k(
-        lambda j: error(theta_for_rate(j, n), dist, m), cfg.epsilon_th, k_real
-    )
+    k, e, _ = _max_feasible_k(lambda j: error(theta_for_rate(j, n), dist, m), eps, k_real)
     return _finish(k, k_real, e, n, method)
 
 

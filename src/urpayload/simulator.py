@@ -49,8 +49,8 @@ _BLOCK_TRIALS = 1 << 16
 # (one thread, 2-core Xeon, topology B: M=1 5.0 -> 3.8 ms a block, M=2 12.3 -> 10.6)
 _CHUNK_GAINS = 1 << 16
 # A block keeps one _BLOCK_TRIALS x M float64 array (serving gains, then the
-# SIR) per worker, 512 KiB per antenna, 128 MiB at this cap, plus a chunk of
-# interferer gains of max(512 KiB, 8*eta*M bytes): a chunk holds whole
+# SIR) per worker, 512 KiB per antenna, 128 MiB at this cap, plus one buffer
+# of interferer gains of max(512 KiB, 8*eta*M bytes): a chunk holds whole
 # trials, so past eta*M = 2^16 it is one trial, 2 GiB at this cap and eta's
 # 10^6 (`sample_sir_block`). Far beyond it the allocation alone outgrows
 # memory and the run stalls.
@@ -252,21 +252,22 @@ def sample_sir_block(
     bytes). They come in the C order of one (trials, eta, antennas) draw and
     are kept as log1p(-U) = -g. Contracted with the negated weights,
     (-g)(-w) is g*w and (-0)(-w) is +0 exactly: the same doubles as one
-    whole-block draw of g contracted with w. Each chunk's interference
-    divides its rows of h in place, so a block holds one (trials, antennas)
-    array, the result, plus one chunk of gains and its interference, and
-    while the next chunk is drawn, the one before it.
+    whole-block draw of g contracted with w. Every chunk is drawn into one
+    buffer (`random(out=...)` takes the same stream), and its interference
+    divides its rows of h in place, so a block holds the (trials, antennas)
+    result, that buffer and one chunk's interference.
     """
     negated_weights = -np.asarray(dist.path_losses, dtype=float)
     h = _exponential(rng, (trials, antennas))
     step = max(1, _CHUNK_GAINS // (negated_weights.size * antennas))
     interference = np.empty((min(step, trials), antennas))
+    gains = np.empty((min(step, trials), negated_weights.size, antennas))
     # inf past the largest double or over an all-zero interference row, NaN
     # for 0/0; einsum and log1p(-U) for U in [0, 1) raise no FP warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, trials, step):
             stop = min(start + step, trials)
-            g = rng.random((stop - start, negated_weights.size, antennas))
+            g = rng.random(out=gains[: stop - start])
             np.log1p(np.negative(g, out=g), out=g)
             # einsum, because tensordot and matmul sum in another order and
             # differ from it in the last bits

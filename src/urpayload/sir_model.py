@@ -129,6 +129,11 @@ class SirDistribution:
         weight = beta / eta
         if weight == 0.0 < beta:
             raise ValueError(f"beta/eta underflows to 0 at beta={beta!r}, eta={eta}")
+        total = weight * eta  # the fsum of the eta weights, which __post_init__ checks
+        if 0.0 < total < math.inf and not math.isclose(total, beta, rel_tol=1e-9):
+            raise ValueError(
+                f"beta/eta rounds so the weights do not sum to beta at beta={beta!r}, eta={eta}"
+            )
         return cls(beta, (weight,) * eta)  # __post_init__ refuses beta <= 0
 
 

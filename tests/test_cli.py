@@ -332,20 +332,32 @@ class TestRate:
         assert "finite" in err
 
     @pytest.mark.parametrize(
-        "argv,beta",
+        "argv,message",
         [
-            (["rate", "--beta", "5e-324"], "5e-324"),
-            (["sweep", "--axis", "beta", "--values", "1e-323,0.5"], "1e-323"),
+            (["rate", "--beta", "5e-324"], "underflows to 0 at beta=5e-324, eta=8"),
+            (
+                ["sweep", "--axis", "beta", "--values", "1e-323,0.5"],
+                "underflows to 0 at beta=1e-323, eta=8",
+            ),
+            # beta/8 rounds up to 5e-324, and the eight weights sum to 4e-323
+            (
+                ["rate", "--beta", "5e-323"],
+                "rounds so the weights do not sum to beta at beta=5e-323, eta=8",
+            ),
+            (
+                ["sweep", "--axis", "beta", "--values", "5e-323,0.5"],
+                "rounds so the weights do not sum to beta at beta=5e-323, eta=8",
+            ),
         ],
-        ids=["rate", "sweep"],
+        ids=["rate", "sweep", "rate-rounded", "sweep-rounded"],
     )
-    def test_underflowing_weight_names_beta_and_eta(self, argv, beta, capsys):
-        # beta/8 rounds to 0: the error names the two flags given, not the
-        # path losses built from them
+    def test_underflowing_weight_names_beta_and_eta(self, argv, message, capsys):
+        # beta/8 rounds to 0, or so far that the weights miss beta: the error
+        # names the two flags given, not the path losses built from them
         code, out, err = run_cli([*argv, "--eta", "8", "--eps", "1e-3"], capsys)
         assert code == EXIT_BAD_CONFIG
         assert out == ""
-        assert f"beta/eta underflows to 0 at beta={beta}, eta=8" in err
+        assert f"beta/eta {message}" in err
         assert "path losses" not in err
 
     def test_overflowing_topology_is_config_error(self, tmp_path, capsys):

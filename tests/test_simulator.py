@@ -100,8 +100,8 @@ class PinnedDraws:
         self._pinned = pinned  # position in the stream -> uniform
         self._drawn = 0
 
-    def random(self, shape):
-        u = self._rng.random(shape)
+    def random(self, shape=None, out=None):
+        u = self._rng.random(shape, out=out)
         flat = u.reshape(-1)
         for position, value in self._pinned.items():
             if 0 <= position - self._drawn < flat.size:
@@ -163,8 +163,8 @@ class TestSampleSirBlockChunks:
 
     def test_block_memory_is_capped(self):
         # the one-shot draw peaks at 392 MiB here: 65536*24*16 gains, and
-        # temporaries; the chunked draw holds the 8 MiB result, a 512 KiB
-        # chunk of gains (two while the next is drawn) and its interference
+        # temporaries; the chunked draw holds the 8 MiB result, one 512 KiB
+        # buffer of gains that every chunk reuses, and its interference
         dist = SirDistribution.from_beta(0.8, 24)
         assert peak_traced_bytes(sample_sir_block, dist, 16, 65536, np.random.default_rng(0)) < (
             12 * 2**20
@@ -172,15 +172,15 @@ class TestSampleSirBlockChunks:
 
     def test_chunk_past_the_gain_cap_is_one_trial(self):
         # eta*M = 76,800 > 2^16: a chunk is one whole trial of 600 KiB, not
-        # 512 KiB, and the sampler holds the 32 KiB result, that chunk and,
-        # while it is drawn, the one before it
+        # 512 KiB, and the sampler holds the 32 KiB result and one buffer of
+        # that chunk's size, which every trial's draw reuses
         eta, antennas, trials = 300, 256, 16
         chunk = 8 * eta * antennas
         dist = SirDistribution.from_beta(0.8, eta)
         rng = np.random.default_rng(0)
         peak = peak_traced_bytes(sample_sir_block, dist, antennas, trials, rng)
         assert chunk > 8 * simulator._CHUNK_GAINS
-        assert chunk < peak < 8 * trials * antennas + 2 * chunk + 64 * 2**10
+        assert chunk < peak < 8 * trials * antennas + chunk + 64 * 2**10
 
     def test_asymptotic_mrc_block_memory(self):
         # the 2 MiB SIR array, a chunk of gains and the 512 KiB combined SIRs
