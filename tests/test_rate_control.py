@@ -503,6 +503,10 @@ class TestMrcQuantiles:
     # the estimate is subnormal and is clamped up to the first lattice point
     # above 0; the root is the midpoint below it
     @example(eps=5e-324, antennas=1, eta=1)
+    # the CDF at M is below eps, so the bracket doubles: tol is 1e-15 times
+    # its top, not its width
+    @example(eps=0.9, antennas=1, eta=3)
+    @example(eps=0.5, antennas=4, eta=1)
     def test_equals_plain_bisection(self, eps, antennas, eta):
         assert mrc_quantile_numeric(eps, antennas, eta) == plain_bisection_quantile(
             eps, antennas, eta
